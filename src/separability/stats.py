@@ -6,12 +6,8 @@ Both statistics compare the empirical CDFs P and Q of two real samples:
 * ``wasserstein1``      integral of |P(x) - Q(x)| dx, the 1-Wasserstein
   (earth mover's) distance between the empirical measures
 
-Empirical CDFs are right-continuous step functions; all evaluation happens
-on the pooled sorted sample values, which carry every breakpoint of both
-step functions.  For the supremum we also check the left limits at each
-breakpoint; for step functions evaluated at their own breakpoints this is
-subsumed by the right values, but it is kept explicit because it is the
-correct recipe for sup-norm distances between cadlag functions.
+Empirical CDFs are right-continuous step functions that break only at pooled
+sample values, so both statistics reduce |P - Q| there, found in one merge.
 """
 
 from __future__ import annotations
@@ -29,16 +25,6 @@ __all__ = [
     "wasserstein1",
     "wasserstein1_normalized",
 ]
-
-
-def _as_sample(x, name: str) -> NDArray[np.float64]:
-    """Coerce to a 1-D float64 sample, rejecting empty or non-finite input."""
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise EmptySample(f"{name} sample is empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} sample contains non-finite values")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -80,21 +66,41 @@ class EmpiricalCdf:
         return self.evaluate(x)
 
 
+def _cdf_gap(sample_a, sample_b) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Pooled sorted grid and |P - Q| at each grid value (right limits).
+
+    A stable argsort of the two sorted samples merges them in linear time
+    (timsort).  Counts are float64, exact below 2**53, so the rest is in place.
+    """
+    a, b = EmpiricalCdf(sample_a).values, EmpiricalCdf(sample_b).values
+    na, nb = a.size, b.size
+    grid = np.concatenate([a, b])
+    del a, b
+    order = np.argsort(grid, kind="stable")
+    grid = grid[order]
+    count_a = np.cumsum(order < na, dtype=np.float64)
+    del order
+    count_b = np.arange(1.0, grid.size + 1.0) - count_a
+    # Right limits: tied values take the counts at their run's last member,
+    # which, as counts never decrease, is a reverse running minimum of run ends.
+    inside_run = np.append(grid[:-1] == grid[1:], False)
+    for count in (count_a, count_b):
+        count[inside_run] = np.inf
+        np.minimum.accumulate(count[::-1], out=count[::-1])
+    count_a /= na
+    count_a -= count_b / nb
+    return grid, np.abs(count_a, out=count_a)
+
+
 def ks_statistic(sample_a, sample_b) -> float:
     """Kolmogorov-Smirnov statistic sup_x |P(x) - Q(x)| between two samples.
 
     Exact for the empirical step functions: the supremum is attained at a
-    pooled sample value (or its left limit), and both are checked.
-    Returns a value in [0, 1]; 0 iff the sorted samples induce identical
-    CDFs, 1 iff the sample ranges are disjoint.
+    pooled sample value.  Returns a value in [0, 1]; 0 iff the sorted
+    samples induce identical CDFs, 1 iff the sample ranges are disjoint.
     """
-    a = _as_sample(sample_a, "first")
-    b = _as_sample(sample_b, "second")
-    pa, pb = EmpiricalCdf(a), EmpiricalCdf(b)
-    grid = np.concatenate([pa.values, pb.values])
-    right = np.abs(pa.evaluate(grid) - pb.evaluate(grid))
-    left = np.abs(pa.evaluate_left(grid) - pb.evaluate_left(grid))
-    return float(max(right.max(), left.max()))
+    _, heights = _cdf_gap(sample_a, sample_b)
+    return float(heights.max())
 
 
 def wasserstein1(sample_a, sample_b) -> float:
@@ -105,14 +111,8 @@ def wasserstein1(sample_a, sample_b) -> float:
     integral is a finite sum of rectangle areas.  Unbounded above in
     general (scales with the data units).
     """
-    a = _as_sample(sample_a, "first")
-    b = _as_sample(sample_b, "second")
-    pa, pb = EmpiricalCdf(a), EmpiricalCdf(b)
-    grid = np.sort(np.concatenate([pa.values, pb.values]))
-    # |P - Q| is constant on [grid[k], grid[k+1]); sum gap * height.
-    heights = np.abs(pa.evaluate(grid[:-1]) - pb.evaluate(grid[:-1]))
-    gaps = np.diff(grid)
-    return float(np.dot(gaps, heights))
+    grid, heights = _cdf_gap(sample_a, sample_b)
+    return float(np.dot(np.diff(grid), heights[:-1]))
 
 
 def wasserstein1_normalized(sample_a, sample_b) -> float:
@@ -123,9 +123,8 @@ def wasserstein1_normalized(sample_a, sample_b) -> float:
     zero every sample value coincides, the distributions are identical, and
     the distance is 0 by convention.
     """
-    a = _as_sample(sample_a, "first")
-    b = _as_sample(sample_b, "second")
-    pooled_range = float(max(a.max(), b.max()) - min(a.min(), b.min()))
+    grid, heights = _cdf_gap(sample_a, sample_b)
+    pooled_range = float(grid[-1] - grid[0])
     if pooled_range == 0.0:
         return 0.0
-    return wasserstein1(a, b) / pooled_range
+    return float(np.dot(np.diff(grid), heights[:-1])) / pooled_range

@@ -2,13 +2,24 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import separability
+from separability import (
+    class_distance_sets,
+    distribution_identity_score,
+    dsi,
+    dsi_subsampled,
+    fit_mahalanobis,
+    load_csv,
+)
 from separability.cli import run
 
 from conftest import rng
@@ -220,6 +231,105 @@ class TestIdentity:
         assert "--b" in capsys.readouterr().err
 
 
+class TestMahalanobis:
+    """The CLI fits one mahalanobis metric on all input points and reuses it."""
+
+    def test_measure_matches_library(self, tmp_path, capsys):
+        data = _write_shape_csv(tmp_path / "d.csv", n=30)
+        ds = load_csv(data)
+        assert run(["measure", "--input", str(data), "--metric", "mahalanobis"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = dsi(ds, fit_mahalanobis(ds.points))
+        assert payload["metric"] == "mahalanobis"
+        assert payload["dsi"] == expected.dsi
+        assert payload["per_class_similarity"] == {
+            str(c): v for c, v in expected.per_class_similarity.items()
+        }
+
+    def test_subsample_and_histogram_share_the_fit(self, tmp_path, capsys):
+        data = _write_shape_csv(tmp_path / "d.csv", n=30, shape="moons")
+        hist = tmp_path / "h.csv"
+        argv = ["measure", "--input", str(data), "--metric", "mahalanobis",
+                "--subsample", "40", "--trials", "3", "--seed", "5",
+                "--histogram", str(hist), "--bins", "5"]
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        ds = load_csv(data)
+        metric = fit_mahalanobis(ds.points)
+        expected = dsi_subsampled(ds, subset_size=40, trials=3, seed=5, metric=metric)
+        assert payload["subsample"]["values"] == list(expected.subsample.values)
+
+        sets = class_distance_sets(ds, metric)
+        values = np.concatenate([s.values for pair in sets.values() for s in pair])
+        edges = np.linspace(values.min(), values.max(), 6)
+        counts = [
+            int(c)
+            for label in sorted(sets)
+            for dset in sets[label]
+            for c in np.histogram(dset.values, bins=edges)[0]
+        ]
+        rows = [line.split(",") for line in hist.read_text().splitlines()[1:]]
+        assert [int(row[2]) for row in rows] == counts
+        assert float(rows[0][0]) == values.min() and float(rows[-1][1]) == values.max()
+
+    def test_identity_fits_on_both_samples(self, tmp_path, capsys):
+        g = rng(5)
+        pts_a = g.normal(size=(40, 3))
+        pts_b = g.normal(size=(50, 3)) * [1.0, 3.0, 0.5] + 0.5
+        a = _points_csv(tmp_path / "a.csv", pts_a)
+        b = _points_csv(tmp_path / "b.csv", pts_b)
+        assert run(["identity", "--a", str(a), "--b", str(b), "--metric", "mahalanobis"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        metric = fit_mahalanobis(np.vstack([pts_a, pts_b]))
+        assert payload["metric"] == "mahalanobis"
+        assert payload["score"] == distribution_identity_score(pts_a, pts_b, metric=metric)
+
+
+class TestUserErrors:
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["measure", "--input", "{data}", "--subsample", "100000"], None),
+            (["measure", "--input", "{data}", "--subsample", "0"], None),
+            (["measure", "--input", "{data}", "--subsample", "10", "--trials", "0"], None),
+            (["measure", "--input", "{data}", "--threads", "0"], None),
+            (["measure", "--input", "{data}", "--threads", "-2"], None),
+            (["measure", "--input", "{data}", "--bins", "0", "--histogram", "{hist}"], None),
+            (["measure", "--input", "{data}", "--bins", "-1"], None),
+            (["measure", "--input", "{data}"], "threads = 0"),
+            (["measure", "--input", "{data}", "--histogram", "{hist}"], "bins = 0"),
+            (["compare", "--input", "{data}", "--threads", "0"], None),
+            (["compare", "--input", "{data}"], "threads = -1"),
+            (["identity", "--a", "{a}", "--b", "{a}", "--threads", "0"], None),
+            (["identity", "--a", "{a}", "--b", "{a}"], "threads = 0"),
+            (["identity", "--a", "{a}", "--b", "{wide}"], None),
+        ],
+        ids=[
+            "subsample-above-n", "subsample-0", "trials-0", "threads-0", "threads-neg",
+            "bins-0", "bins-neg", "config-threads-0", "config-bins-0",
+            "compare-threads-0", "compare-config-threads-neg",
+            "identity-threads-0", "identity-config-threads-0", "identity-column-mismatch",
+        ],
+    )
+    def test_exits_1_without_traceback(self, tmp_path, capsys, argv, config):
+        paths = {
+            "data": _write_shape_csv(tmp_path / "d.csv", n=20),
+            "a": _points_csv(tmp_path / "a.csv", rng(6).random((10, 2))),
+            "wide": _points_csv(tmp_path / "w.csv", rng(7).random((10, 3))),
+            "hist": tmp_path / "h.csv",
+        }
+        argv = [token.format(**paths) for token in argv]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config + "\n")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not paths["hist"].exists()
+
+
 class TestConfig:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         data = _write_shape_csv(tmp_path / "d.csv")
@@ -360,11 +470,15 @@ def test_installed_entry_point():
 
 def test_module_invocation(tmp_path):
     data = _write_shape_csv(tmp_path / "d.csv", n=10)
+    # the child imports the same package as this process, installed or not
+    package_root = str(Path(separability.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "separability.cli", "measure", "--input", str(data)],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema_version"] == 1
