@@ -381,6 +381,12 @@ def _cmd_compare(args) -> int:
     if args.input is None:
         raise ParseError("compare needs --input (flag or config)")
     _check_positive(args, "threads")
+    if args.n4_synthetic is not None:
+        _check_positive(args, "n4_synthetic")
+    if not 0.0 < args.density_quantile < 1.0:
+        raise DomainError(
+            f"--density-quantile must be in (0, 1), got {args.density_quantile}"
+        )
     ds = _load_labeled(args)
     if args.measures.strip().lower() == "all":
         codes = list(MEASURE_CODES)
@@ -600,7 +606,7 @@ def _repro_section5_2(args) -> list[list]:
 
 
 def _cmd_repro(args) -> int:
-    _check_positive(args, "threads")
+    _check_positive(args, "threads", "seeds")
     fns = {
         "table2": _repro_table2,
         "figure4": _repro_figure4,

@@ -20,16 +20,22 @@ LSC       1 - (mean local-set size)/n, the local set of x being all
 Density   1 - fraction of same-class pairs closer than the 0.15 quantile
           of all pairwise distances
 
-Distances are euclidean throughout.  N1 breaks distance ties by the
-lexicographic order of the endpoint index pair, making the spanning tree
-(and N1 itself) deterministic; N3 breaks nearest-neighbor ties by the
-lower row index, and coincident points with different labels always count
-as errors.
+Distances are euclidean throughout.  N1 builds the spanning tree with
+Prim's algorithm over the (d, i, j) total order on edges (length, then
+the endpoint index pair with i < j), under which the tree is unique, so
+N1 is deterministic; N3 breaks nearest-neighbor ties by the lower row
+index, and coincident points with different labels always count as
+errors.
+
+``compute_measures`` computes the euclidean distances once per dataset and
+shares them, read-only, among N1, N2, N3, T1, LSC and Density; a measure
+called on its own computes them itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,7 +43,7 @@ from scipy.spatial.distance import cdist, squareform
 
 from .dataset import Dataset, partition
 from .distances import pairwise_condensed
-from .errors import DegenerateClass
+from .errors import DegenerateClass, DomainError
 
 __all__ = [
     "MEASURE_CODES",
@@ -88,15 +94,59 @@ def _validate(ds: Dataset, need_class_pairs: bool = False):
     return part
 
 
-def _square_distances(ds: Dataset, workers: int = 1) -> NDArray[np.float64]:
-    return squareform(pairwise_condensed(ds.points, "euclidean", workers=workers))
+def _read_only(a: NDArray) -> NDArray:
+    a.setflags(write=False)
+    return a
 
 
-def _nearest_enemy_distance(
-    D: NDArray[np.float64], labels: NDArray[np.int64]
-) -> NDArray[np.float64]:
-    cross = labels[:, None] != labels[None, :]
-    return np.where(cross, D, np.inf).min(axis=1)
+def _nearest(masked: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+    """Per row: column of the smallest entry (lowest on ties) and its value."""
+    idx = masked.argmin(axis=1)
+    return _read_only(idx), _read_only(masked[np.arange(idx.size), idx])
+
+
+@dataclass(frozen=True)
+class _DistanceContext(Dataset):
+    """A dataset carrying its euclidean distances, computed once on first use.
+
+    Every array is read-only, since the measures share them.
+    """
+
+    workers: int = 1
+
+    @cached_property
+    def condensed(self) -> NDArray[np.float64]:
+        return _read_only(pairwise_condensed(self.points, "euclidean", workers=self.workers))
+
+    @cached_property
+    def square(self) -> NDArray[np.float64]:
+        return _read_only(squareform(self.condensed))
+
+    @cached_property
+    def same(self) -> NDArray[np.bool_]:
+        """same[i, j]: points i and j share a class (the diagonal included)."""
+        return _read_only(self.labels[:, None] == self.labels[None, :])
+
+    @cached_property
+    def enemy(self) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+        """Each point's nearest other-class point and the distance to it."""
+        return _nearest(np.where(self.same, np.inf, self.square))
+
+    @cached_property
+    def friend(self) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+        """Each point's nearest other same-class point and the distance to
+        it; the distance is inf for a singleton class."""
+        masked = np.where(self.same, self.square, np.inf)
+        np.fill_diagonal(masked, np.inf)
+        return _nearest(masked)
+
+
+def _context(ds: Dataset, workers: int) -> _DistanceContext:
+    """The distances shared by ``compute_measures``, or fresh ones for a
+    measure called on its own."""
+    if isinstance(ds, _DistanceContext):
+        return ds
+    return _DistanceContext(points=ds.points, labels=ds.labels, workers=workers)
 
 
 def f1(ds: Dataset) -> MeasureResult:
@@ -125,47 +175,51 @@ def f1(ds: Dataset) -> MeasureResult:
     return MeasureResult(code="F1", value=value, params={})
 
 
-def _mst_edges(n: int, condensed: NDArray[np.float64]) -> list[tuple[int, int]]:
-    """Kruskal over all pairs, ties broken by (i, j) lexicographic order.
+def _mst_edges(D: NDArray[np.float64]) -> NDArray[np.int64]:
+    """Minimum spanning tree of the distance matrix ``D``, as (i, j) rows
+    with i < j, by Prim's algorithm in O(n^2).
 
-    The tie rule pins down a unique spanning tree for any input, so N1
-    does not depend on library internals or memory layout.
+    Edges are ordered by (d, i, j): length first, then the endpoint index
+    pair lexicographically.  That total order pins down a unique spanning
+    tree for any input, so N1 does not depend on library internals or
+    memory layout.
     """
-    ii, jj = np.triu_indices(n, k=1)
-    order = np.lexsort((jj, ii, condensed))
-    src = ii[order].tolist()
-    dst = jj[order].tolist()
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges: list[tuple[int, int]] = []
-    for i, j in zip(src, dst):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
-            if len(edges) == n - 1:
-                break
+    n = D.shape[0]
+    outside = np.ones(n, dtype=bool)
+    # each outside vertex's least edge into the tree: length and endpoints
+    best = np.full(n, np.inf)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.zeros(n, dtype=np.int64)
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    u = 0
+    for k in range(n - 1):
+        outside[u] = False
+        best[u] = np.inf
+        d = D[u]
+        better = outside & (d < best)
+        tied = np.flatnonzero(outside & (d == best))
+        if tied.size:
+            a, b = np.minimum(tied, u), np.maximum(tied, u)
+            better[tied[(a < lo[tied]) | ((a == lo[tied]) & (b < hi[tied]))]] = True
+        w = np.flatnonzero(better)
+        best[w] = d[w]
+        lo[w] = np.minimum(w, u)
+        hi[w] = np.maximum(w, u)
+        cand = np.flatnonzero(best == best.min())
+        if cand.size > 1:
+            cand = cand[np.lexsort((hi[cand], lo[cand]))]
+        u = cand[0]
+        edges[k] = lo[u], hi[u]
     return edges
 
 
 def n1(ds: Dataset, workers: int = 1) -> MeasureResult:
     """Fraction of points touching a class-crossing MST edge."""
     _validate(ds)
-    condensed = pairwise_condensed(ds.points, "euclidean", workers=workers)
+    edges = _mst_edges(_context(ds, workers).square)
     labels = ds.labels
-    boundary: set[int] = set()
-    for i, j in _mst_edges(ds.n, condensed):
-        if labels[i] != labels[j]:
-            boundary.add(i)
-            boundary.add(j)
-    return MeasureResult(code="N1", value=len(boundary) / ds.n, params={})
+    crossing = edges[labels[edges[:, 0]] != labels[edges[:, 1]]]
+    return MeasureResult(code="N1", value=np.unique(crossing).size / ds.n, params={})
 
 
 def n2(ds: Dataset, workers: int = 1) -> MeasureResult:
@@ -176,14 +230,9 @@ def n2(ds: Dataset, workers: int = 1) -> MeasureResult:
     values.
     """
     _validate(ds, need_class_pairs=True)
-    D = _square_distances(ds, workers)
-    labels = ds.labels
-    same = labels[:, None] == labels[None, :]
-    np.fill_diagonal(same, False)
-    d_same = np.where(same, D, np.inf).min(axis=1)
-    d_other = _nearest_enemy_distance(D, labels)
-    intra = float(d_same.sum())
-    inter = float(d_other.sum())
+    ctx = _context(ds, workers)
+    intra = float(ctx.friend[1].sum())
+    inter = float(ctx.enemy[1].sum())
     if inter == 0.0:
         # every point coincides with an enemy; maximal overlap unless the
         # intra distances all vanish too (r is 0/0, taken as 0)
@@ -202,13 +251,13 @@ def n3(ds: Dataset, workers: int = 1) -> MeasureResult:
     irresolvable in feature space).
     """
     _validate(ds)
-    D = _square_distances(ds, workers)
-    labels = ds.labels
-    np.fill_diagonal(D, np.inf)
-    nn = D.argmin(axis=1)  # argmin takes the first minimum: lower index
-    errors = labels[nn] != labels
-    coincident_enemy = ((D == 0.0) & (labels[:, None] != labels[None, :])).any(axis=1)
-    value = float(np.mean(errors | coincident_enemy))
+    ctx = _context(ds, workers)
+    friend, d_friend = ctx.friend
+    enemy, d_enemy = ctx.enemy
+    # the nearest neighbor is the enemy when it is closer, or equally close
+    # with the lower index
+    errors = (d_enemy < d_friend) | ((d_enemy == d_friend) & (enemy < friend))
+    value = float(np.mean(errors | (d_enemy == 0.0)))
     return MeasureResult(code="N3", value=value, params={})
 
 
@@ -228,7 +277,7 @@ def n4(
     part = _validate(ds, need_class_pairs=True)
     n_syn = ds.n if n_synthetic is None else int(n_synthetic)
     if n_syn < 1:
-        raise ValueError(f"n_synthetic must be >= 1, got {n_syn}")
+        raise DomainError(f"n_synthetic must be >= 1, got {n_syn}")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     class_labels = sorted(part.groups)
     X = ds.points
@@ -249,7 +298,7 @@ def n4(
 
 
 def _touching_radii(
-    D: NDArray[np.float64], labels: NDArray[np.int64]
+    enemy: NDArray[np.int64], d_enemy: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Per-point sphere radii that stop at the opposing class.
 
@@ -260,11 +309,7 @@ def _touching_radii(
     distances except on ties, where the gap is split as in the mutual
     case.
     """
-    cross = labels[:, None] != labels[None, :]
-    Dx = np.where(cross, D, np.inf)
-    enemy = Dx.argmin(axis=1)
-    d_enemy = Dx.min(axis=1)
-    n = len(labels)
+    n = len(enemy)
     radii = np.full(n, -1.0)
     for start in range(n):
         if radii[start] >= 0.0:
@@ -297,8 +342,9 @@ def t1(ds: Dataset, workers: int = 1) -> MeasureResult:
     interleaved classes keep almost one sphere per point.
     """
     _validate(ds)
-    D = _square_distances(ds, workers)
-    r = _touching_radii(D, ds.labels)
+    ctx = _context(ds, workers)
+    D = ctx.square
+    r = _touching_radii(*ctx.enemy)
     n = ds.n
     cover = (D <= r[:, None]).astype(np.float32)
     # uncovered[i, j] = how many points sphere i covers that j does not
@@ -322,11 +368,9 @@ def lsc(ds: Dataset, workers: int = 1) -> MeasureResult:
     local sets (close to the whole class) mean simple structure.
     """
     _validate(ds)
-    D = _square_distances(ds, workers)
-    labels = ds.labels
-    ne = _nearest_enemy_distance(D, labels)
-    same = labels[:, None] == labels[None, :]
-    counts = (same & (D < ne[:, None])).sum(axis=1)  # diagonal counts x itself
+    ctx = _context(ds, workers)
+    # the diagonal counts x itself
+    counts = (ctx.same & (ctx.square < ctx.enemy[1][:, None])).sum(axis=1)
     value = float(1.0 - counts.sum() / (ds.n**2))
     return MeasureResult(code="LSC", value=value, params={})
 
@@ -345,13 +389,13 @@ def density(
     if ds.n < 2:
         raise DegenerateClass("density needs at least 2 points")
     if not 0.0 < quantile < 1.0:
-        raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-    condensed = pairwise_condensed(ds.points, "euclidean", workers=workers)
-    cut = np.quantile(condensed, quantile)
-    ii, jj = np.triu_indices(ds.n, k=1)
-    same = ds.labels[ii] == ds.labels[jj]
-    edges = int(np.count_nonzero(same & (condensed <= cut)))
-    value = 1.0 - edges / condensed.size
+        raise DomainError(f"quantile must be in (0, 1), got {quantile}")
+    ctx = _context(ds, workers)
+    cut = np.quantile(ctx.condensed, quantile)
+    # the square matrix holds each pair twice and each point once with
+    # itself, at distance 0 <= cut
+    edges = (int(np.count_nonzero(ctx.same & (ctx.square <= cut))) - ds.n) // 2
+    value = 1.0 - edges / ctx.condensed.size
     return MeasureResult(code="Density", value=value, params={"quantile": quantile})
 
 
@@ -363,13 +407,17 @@ def compute_measures(
     density_quantile: float = DENSITY_QUANTILE,
     workers: int = 1,
 ) -> list[MeasureResult]:
-    """Compute several measures in the order given (default: all eight)."""
+    """Compute several measures in the order given (default: all eight).
+
+    The euclidean distances are computed once and shared by the measures.
+    """
     wanted = list(MEASURE_CODES) if codes is None else list(codes)
     unknown = [c for c in wanted if c not in MEASURE_CODES]
     if unknown:
         raise ValueError(
             f"unknown measure codes {unknown}; expected some of {', '.join(MEASURE_CODES)}"
         )
+    ds = _context(ds, workers)
     fns = {
         "F1": lambda: f1(ds),
         "N1": lambda: n1(ds, workers=workers),

@@ -303,12 +303,21 @@ class TestUserErrors:
             (["identity", "--a", "{a}", "--b", "{a}", "--threads", "0"], None),
             (["identity", "--a", "{a}", "--b", "{a}"], "threads = 0"),
             (["identity", "--a", "{a}", "--b", "{wide}"], None),
+            (["compare", "--input", "{data}", "--n4-synthetic", "0"], None),
+            (["compare", "--input", "{data}", "--density-quantile", "1.5"], None),
+            (["compare", "--input", "{data}", "--density-quantile", "0", "--measures", "F1"], None),
+            (["compare", "--input", "{data}", "--measures", "N1"], "n4_synthetic = -3"),
+            (["compare", "--input", "{data}"], "density_quantile = 1"),
+            (["repro", "section5_2", "--seeds", "0"], None),
         ],
         ids=[
             "subsample-above-n", "subsample-0", "trials-0", "threads-0", "threads-neg",
             "bins-0", "bins-neg", "config-threads-0", "config-bins-0",
             "compare-threads-0", "compare-config-threads-neg",
             "identity-threads-0", "identity-config-threads-0", "identity-column-mismatch",
+            "compare-n4-synthetic-0", "compare-density-quantile-above-1",
+            "compare-density-quantile-0-unselected", "compare-config-n4-synthetic-neg",
+            "compare-config-density-quantile-1", "repro-seeds-0",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, capsys, argv, config):
@@ -468,17 +477,29 @@ def test_installed_entry_point():
     assert proc.stdout.startswith("separability ")
 
 
-def test_module_invocation(tmp_path):
-    data = _write_shape_csv(tmp_path / "d.csv", n=10)
-    # the child imports the same package as this process, installed or not
+def _run_child(args, cwd):
+    """Run a Python child that imports the same package as this process,
+    installed or not."""
     package_root = str(Path(separability.__file__).resolve().parents[1])
     paths = [package_root, os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "separability.cli", "measure", "--input", str(data)],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=120,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
     )
+
+
+def test_module_invocation(tmp_path):
+    data = _write_shape_csv(tmp_path / "d.csv", n=10)
+    proc = _run_child(["-m", "separability.cli", "measure", "--input", str(data)], tmp_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema_version"] == 1
+
+
+def test_complexity_measures_demo_runs(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "04_complexity_measures.py"
+    proc = _run_child([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr

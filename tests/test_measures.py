@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
+
+import separability.measures
 
 from separability import (
     Dataset,
     DegenerateClass,
     DegenerateDataset,
+    DomainError,
     MEASURE_CODES,
     MeasureResult,
     compute_measures,
@@ -19,11 +23,12 @@ from separability import (
     n2,
     n3,
     n4,
+    pairwise_condensed,
     t1,
 )
 
 from conftest import random_dataset, rng
-from oracles import brute_n1, brute_n3
+from oracles import brute_mst_edges, brute_n1, brute_n3
 
 
 def _line(coords, labels):
@@ -79,6 +84,22 @@ class TestN1:
         pts = np.column_stack([xs.ravel(), ys.ravel()])
         ds = Dataset(points=pts, labels=(pts[:, 0] < 2).astype(int))
         assert n1(ds).value == n1(ds).value == brute_n1(ds.points, ds.labels)
+
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                min_size=2,
+                max_size=30,
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tied_edges_match_brute_oracle(self, coords):
+        # small integer coordinates: many equal distances, coincident points
+        pts = np.array(coords, dtype=float)
+        edges = separability.measures._mst_edges(squareform(pairwise_condensed(pts)))
+        assert {(i, j) for i, j in edges.tolist()} == set(brute_mst_edges(pts))
 
 
 class TestN2:
@@ -143,7 +164,7 @@ class TestN4:
         assert res.params == {"n_synthetic": 37, "seed": 9}
 
     def test_synthetic_count_validated(self):
-        with pytest.raises(ValueError, match="n_synthetic"):
+        with pytest.raises(DomainError, match="n_synthetic"):
             n4(EASY, n_synthetic=0)
 
     def test_singleton_class_rejected(self):
@@ -222,7 +243,7 @@ class TestDensity:
 
     def test_quantile_validated(self):
         for q in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError, match="quantile"):
+            with pytest.raises(DomainError, match="quantile"):
                 density(EASY, quantile=q)
 
     def test_needs_two_points(self):
@@ -268,6 +289,36 @@ class TestComputeMeasures:
             small_two_class, codes=["Density"], density_quantile=0.4
         )
         assert res_d.params == {"quantile": 0.4}
+
+    @pytest.fixture(params=["gaussian", "grid"])
+    def shared_input(self, request, small_two_class):
+        if request.param == "gaussian":
+            return small_two_class
+        xs, ys = np.meshgrid(np.arange(6.0), np.arange(5.0))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        return Dataset(points=pts, labels=(pts[:, 0] + pts[:, 1]) % 3 == 0)
+
+    def test_one_pairwise_pass(self, shared_input, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pairwise_condensed(*args, **kwargs)
+
+        monkeypatch.setattr(separability.measures, "pairwise_condensed", counted)
+        compute_measures(shared_input)
+        assert len(calls) == 1
+
+    def test_matches_each_measure_alone(self, shared_input):
+        alone = [fn(shared_input) for fn in (f1, n1, n2, n3, n4, t1, lsc, density)]
+        assert compute_measures(shared_input) == alone
+
+    def test_order_does_not_change_values(self, shared_input):
+        # a measure that wrote to the shared distances would change the
+        # values of those computed after it
+        forward = compute_measures(shared_input)
+        backward = compute_measures(shared_input, codes=MEASURE_CODES[::-1])
+        assert backward[::-1] == forward
 
     def test_workers_do_not_change_values(self, small_two_class):
         a = compute_measures(small_two_class, workers=1)
