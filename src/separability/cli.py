@@ -38,6 +38,7 @@ from .distances import METRIC_NAMES, fit_mahalanobis
 from .dsi import (
     DEFAULT_MAX_POINTS,
     STAT_NAMES,
+    _dsi_reports,
     class_distance_sets,
     distribution_identity_score,
     dsi,
@@ -268,10 +269,10 @@ _MEASURE_SPEC = {
 
 
 def _write_histogram(path: str, sets: dict, bins: int):
-    values = np.concatenate(
-        [s.values for pair in sets.values() for s in pair]
-    )
-    edges = np.linspace(float(values.min()), float(values.max()), bins + 1)
+    # every multiset is sorted, so its ends are its extremes
+    lo = min(float(s.values[0]) for pair in sets.values() for s in pair)
+    hi = max(float(s.values[-1]) for pair in sets.values() for s in pair)
+    edges = np.linspace(lo, hi, bins + 1)
     rows: list[list] = [["bin_left", "bin_right", "count", "set_kind"]]
     for label in sorted(sets):
         for dset in sets[label]:
@@ -298,6 +299,7 @@ def _cmd_measure(args) -> int:
             metric=metric,
             stat=args.stat,
             workers=args.threads,
+            max_points=args.max_points,
         )
     else:
         report = dsi(
@@ -545,13 +547,10 @@ def _repro_figure7(args) -> list[list]:
         ds = generate(
             GeneratorSpec("blobsd", args.n_per_class, seed=args.seed, cluster_sd=float(sd))
         )
-        rows.append(
-            [
-                sd,
-                dsi(ds, stat="ks", workers=args.threads).dsi,
-                dsi(ds, stat="wasserstein", workers=args.threads).dsi,
-            ]
+        ks, wasserstein = _dsi_reports(
+            ds, "euclidean", ("ks", "wasserstein"), args.threads, DEFAULT_MAX_POINTS
         )
+        rows.append([sd, ks.dsi, wasserstein.dsi])
     return rows
 
 

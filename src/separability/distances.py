@@ -266,6 +266,19 @@ class DistanceSet:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _presorted(cls, values: NDArray[np.float64], kind: str, label: int | None) -> "DistanceSet":
+        """Wrap a sorted, read-only gather from ``pairwise_condensed`` as is.
+
+        The pairwise kernel already yields finite, non-negative float64
+        values, so the checks and the copy of ``__post_init__`` are skipped.
+        """
+        dset = object.__new__(cls)
+        object.__setattr__(dset, "values", values)
+        object.__setattr__(dset, "kind", kind)
+        object.__setattr__(dset, "label", label)
+        return dset
+
     @property
     def cardinality(self) -> int:
         return int(self.values.size)

@@ -13,9 +13,12 @@ statistic is near 0; when the class sits apart it approaches 1.  The
 dataset's separability index is the unweighted mean over classes, and
 ``complexity = 1 - separability``.
 
-All pairwise distances are computed once in condensed form and the per
-class multisets are then gathered by index, so every ICD/BCD pair reuses
-the same numbers.
+All pairwise distances are computed once in condensed form.  Each pair's
+two class codes select its value into the multisets by boolean mask, and
+every multiset is sorted once as it is gathered; with two classes both
+BCDs are the same multiset, sorted once and shared.  Each class then costs
+one merge of its two sorted multisets, from which KS and the normalized
+1-Wasserstein distance are both read.
 """
 
 from __future__ import annotations
@@ -25,18 +28,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .dataset import ClassPartition, Dataset, partition
-from .distances import (
-    DistanceMetric,
-    DistanceSet,
-    condensed_index,
-    pairwise_condensed,
-    resolve_metric,
-)
+from .distances import DistanceMetric, DistanceSet, pairwise_condensed, resolve_metric
 from .errors import DegenerateClass, DegenerateSubset, DistanceCapError, DomainError
-from .stats import ks_statistic, wasserstein1_normalized
+from .stats import _ks, _sorted_cdf_gap, _w1_normalized
 
 __all__ = [
     "DEFAULT_MAX_POINTS",
@@ -50,28 +46,29 @@ __all__ = [
 ]
 
 # Exact computation stores n*(n-1)/2 float64 distances and gathers the class
-# multisets from them: CLI `measure` peaks at 2003 MiB RSS for 10k points
+# multisets from them: CLI `measure` peaks at 1393 MiB RSS for 10k points
 # (2-vCPU Intel Xeon KVM guest, numpy 2.4.6), growing with n**2.  Beyond the
 # cap callers must subsample or raise it knowingly.
 DEFAULT_MAX_POINTS = 15_000
 
 STAT_NAMES = ("ks", "wasserstein")
 
-_STAT_FUNCS = {
-    "ks": ks_statistic,
-    "wasserstein": wasserstein1_normalized,
+# Each named statistic reduces the (grid, heights) of one presorted CDF merge.
+_GAP_REDUCTIONS = {
+    "ks": _ks,
+    "wasserstein": _w1_normalized,
 }
 
 
-def _resolve_stat(stat):
-    if callable(stat):
-        return stat
-    try:
-        return _STAT_FUNCS[stat]
-    except KeyError:
+def _check_stat(stat):
+    if not callable(stat) and stat not in _GAP_REDUCTIONS:
         raise ValueError(
             f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
-        ) from None
+        )
+
+
+def _stat_name(stat) -> str:
+    return stat if isinstance(stat, str) else getattr(stat, "__name__", "custom")
 
 
 @dataclass(frozen=True)
@@ -152,10 +149,11 @@ def class_distance_sets(
     """ICD and BCD multisets for every class, from one pairwise pass.
 
     Returns ``{label: (icd, bcd)}`` with cardinalities m*(m-1)/2 and m*r.
+    Every multiset's values are sorted ascending and read-only; with exactly
+    two classes both BCDs hold the same array.
     """
     m = resolve_metric(metric)
-    part = partition(ds)
-    _check_classes(part)
+    _check_classes(partition(ds))
     n = ds.n
     if max_points is not None and n > max_points:
         raise DistanceCapError(
@@ -164,21 +162,89 @@ def class_distance_sets(
         )
     condensed = pairwise_condensed(ds.points, m, workers=workers)
 
+    # Class codes of each pair's two ends, in condensed order: row i's
+    # segment pairs point i with every j > i.
+    classes, codes = np.unique(ds.labels, return_inverse=True)
+    codes = codes.astype(np.min_scalar_type(classes.size - 1))
+    first = np.repeat(codes[:-1], np.arange(n - 1, 0, -1))
+    second = np.concatenate([codes[i + 1 :] for i in range(n - 1)])
+
+    def gather(mask):
+        values = condensed[mask]
+        values.sort()
+        values.setflags(write=False)
+        return values
+
     out: dict[int, tuple[DistanceSet, DistanceSet]] = {}
-    for label, idx in part.groups.items():
-        mask = np.zeros(n, dtype=bool)
-        mask[idx] = True
-        rest = np.flatnonzero(~mask)
-        within_i, within_j = np.triu_indices(idx.size, k=1)
-        icd_vals = condensed[condensed_index(n, idx[within_i], idx[within_j])]
-        cross_a = np.minimum.outer(idx, rest).ravel()
-        cross_b = np.maximum.outer(idx, rest).ravel()
-        bcd_vals = condensed[condensed_index(n, cross_a, cross_b)]
+    bcd = None
+    for code, label in enumerate(classes.tolist()):
+        in_first, in_second = first == code, second == code
+        icd = gather(in_first & in_second)
+        if bcd is None or classes.size > 2:  # two classes share one BCD
+            bcd = gather(np.logical_xor(in_first, in_second, out=in_first))
+        del in_first, in_second
         out[label] = (
-            DistanceSet(values=icd_vals, kind="icd", label=label),
-            DistanceSet(values=bcd_vals, kind="bcd", label=label),
+            DistanceSet._presorted(icd, "icd", label),
+            DistanceSet._presorted(bcd, "bcd", label),
         )
     return out
+
+
+def _dsi_reports(
+    ds: Dataset,
+    metric: DistanceMetric | str,
+    stats: tuple,
+    workers: int,
+    max_points: int | None,
+) -> list[SeparabilityReport]:
+    """One report per entry of ``stats``, all from one gather.
+
+    Named statistics reduce one merge per class; a callable receives the
+    class's (icd, bcd) values.
+    """
+    t0 = time.perf_counter()
+    m = resolve_metric(metric)
+    for stat in stats:
+        _check_stat(stat)
+    sets = class_distance_sets(ds, m, workers=workers, max_points=max_points)
+
+    def score(label: int) -> list[float]:
+        icd, bcd = (dset.values for dset in sets[label])
+        gap = None
+        scores = []
+        for stat in stats:
+            if callable(stat):
+                scores.append(float(stat(icd, bcd)))
+                continue
+            if gap is None:
+                gap = _sorted_cdf_gap(icd, bcd)
+            scores.append(_GAP_REDUCTIONS[stat](*gap))
+        return scores
+
+    labels = sorted(sets)
+    if workers > 1 and len(labels) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_label = list(pool.map(score, labels))
+    else:
+        per_label = [score(c) for c in labels]
+
+    wall_time_s = time.perf_counter() - t0
+    reports = []
+    for stat, scores in zip(stats, zip(*per_label)):
+        index = float(np.mean(scores))
+        reports.append(
+            SeparabilityReport(
+                per_class_similarity=dict(zip(labels, scores)),
+                dsi=index,
+                complexity=1.0 - index,
+                metric=m.name,
+                stat=_stat_name(stat),
+                n_points=ds.n,
+                dim=ds.dim,
+                wall_time_s=wall_time_s,
+            )
+        )
+    return reports
 
 
 def dsi(
@@ -194,34 +260,8 @@ def dsi(
     ``stat`` is "ks" or "wasserstein" (normalized).  ``workers`` threads
     never change the numeric result.
     """
-    t0 = time.perf_counter()
-    m = resolve_metric(metric)
-    stat_fn = _resolve_stat(stat)
-    sets = class_distance_sets(ds, m, workers=workers, max_points=max_points)
-
-    def score(label: int) -> float:
-        icd, bcd = sets[label]
-        return float(stat_fn(icd.values, bcd.values))
-
-    labels = sorted(sets)
-    if workers > 1 and len(labels) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(score, labels))
-    else:
-        scores = [score(c) for c in labels]
-
-    per_class = {c: s for c, s in zip(labels, scores)}
-    index = float(np.mean(scores))
-    return SeparabilityReport(
-        per_class_similarity=per_class,
-        dsi=index,
-        complexity=1.0 - index,
-        metric=m.name,
-        stat=stat if isinstance(stat, str) else getattr(stat, "__name__", "custom"),
-        n_points=ds.n,
-        dim=ds.dim,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    (report,) = _dsi_reports(ds, metric, (stat,), workers, max_points)
+    return report
 
 
 def _usable(sub: Dataset) -> bool:
@@ -238,6 +278,7 @@ def dsi_subsampled(
     stat: str = "ks",
     workers: int = 1,
     max_retries: int = 100,
+    max_points: int | None = DEFAULT_MAX_POINTS,
 ) -> SeparabilityReport:
     """Estimate separability from repeated random subsets.
 
@@ -250,7 +291,8 @@ def dsi_subsampled(
     each class's statistic averaged over the trials where it appeared,
     ``subsample`` holds the per-trial index values with their mean and
     standard deviation (ddof=1, zero for a single trial), and ``dsi`` is
-    that mean.
+    that mean.  ``max_points`` caps ``subset_size`` as ``dsi`` caps the
+    dataset size.
     """
     t0 = time.perf_counter()
     if trials < 1:
@@ -258,6 +300,11 @@ def dsi_subsampled(
     if not 1 <= subset_size <= ds.n:
         raise DomainError(
             f"subset_size must be in [1, {ds.n}], got {subset_size}"
+        )
+    if max_points is not None and subset_size > max_points:
+        raise DistanceCapError(
+            f"subset_size {subset_size} exceeds the exact-computation cap of "
+            f"{max_points}; pass a smaller subset_size or a larger max_points"
         )
     m = resolve_metric(metric)
 
@@ -289,7 +336,7 @@ def dsi_subsampled(
         dsi=mean,
         complexity=1.0 - mean,
         metric=m.name,
-        stat=stat if isinstance(stat, str) else getattr(stat, "__name__", "custom"),
+        stat=_stat_name(stat),
         n_points=ds.n,
         dim=ds.dim,
         subsample=SubsampleStats(

@@ -67,29 +67,58 @@ class EmpiricalCdf:
 
 
 def _cdf_gap(sample_a, sample_b) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Validate and sort both samples, then ``_sorted_cdf_gap`` them."""
+    return _sorted_cdf_gap(EmpiricalCdf(sample_a).values, EmpiricalCdf(sample_b).values)
+
+
+def _sorted_cdf_gap(a, b) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Pooled sorted grid and |P - Q| at each grid value (right limits).
 
-    A stable argsort of the two sorted samples merges them in linear time
-    (timsort).  Counts are float64, exact below 2**53, so the rest is in place.
+    ``a`` and ``b`` must be sorted, finite and non-empty float64 arrays;
+    they are neither checked nor copied.  A stable argsort of the two runs
+    merges them in linear time (timsort).  Counts are float64, exact below
+    2**53, so the rest is in place; at most three arrays of the pooled size
+    are live at once.
     """
-    a, b = EmpiricalCdf(sample_a).values, EmpiricalCdf(sample_b).values
     na, nb = a.size, b.size
     grid = np.concatenate([a, b])
-    del a, b
     order = np.argsort(grid, kind="stable")
     grid = grid[order]
-    count_a = np.cumsum(order < na, dtype=np.float64)
+    count_a = (order < na).astype(np.float64)
     del order
-    count_b = np.arange(1.0, grid.size + 1.0) - count_a
+    np.cumsum(count_a, out=count_a)
+    count_b = np.arange(1.0, grid.size + 1.0)
+    count_b -= count_a
     # Right limits: tied values take the counts at their run's last member,
     # which, as counts never decrease, is a reverse running minimum of run ends.
     inside_run = np.append(grid[:-1] == grid[1:], False)
-    for count in (count_a, count_b):
-        count[inside_run] = np.inf
-        np.minimum.accumulate(count[::-1], out=count[::-1])
+    if inside_run.any():
+        for count in (count_a, count_b):
+            count[inside_run] = np.inf
+            np.minimum.accumulate(count[::-1], out=count[::-1])
+    del inside_run
     count_a /= na
-    count_a -= count_b / nb
+    count_b /= nb
+    count_a -= count_b
     return grid, np.abs(count_a, out=count_a)
+
+
+# Reductions of one CDF gap, shared by the public statistics and ``dsi``.
+
+
+def _ks(grid, heights) -> float:
+    return float(heights.max())
+
+
+def _w1(grid, heights) -> float:
+    return float(np.dot(np.diff(grid), heights[:-1]))
+
+
+def _w1_normalized(grid, heights) -> float:
+    pooled_range = float(grid[-1] - grid[0])
+    if pooled_range == 0.0:
+        return 0.0
+    return _w1(grid, heights) / pooled_range
 
 
 def ks_statistic(sample_a, sample_b) -> float:
@@ -99,8 +128,7 @@ def ks_statistic(sample_a, sample_b) -> float:
     pooled sample value.  Returns a value in [0, 1]; 0 iff the sorted
     samples induce identical CDFs, 1 iff the sample ranges are disjoint.
     """
-    _, heights = _cdf_gap(sample_a, sample_b)
-    return float(heights.max())
+    return _ks(*_cdf_gap(sample_a, sample_b))
 
 
 def wasserstein1(sample_a, sample_b) -> float:
@@ -111,8 +139,7 @@ def wasserstein1(sample_a, sample_b) -> float:
     integral is a finite sum of rectangle areas.  Unbounded above in
     general (scales with the data units).
     """
-    grid, heights = _cdf_gap(sample_a, sample_b)
-    return float(np.dot(np.diff(grid), heights[:-1]))
+    return _w1(*_cdf_gap(sample_a, sample_b))
 
 
 def wasserstein1_normalized(sample_a, sample_b) -> float:
@@ -123,8 +150,4 @@ def wasserstein1_normalized(sample_a, sample_b) -> float:
     zero every sample value coincides, the distributions are identical, and
     the distance is 0 by convention.
     """
-    grid, heights = _cdf_gap(sample_a, sample_b)
-    pooled_range = float(grid[-1] - grid[0])
-    if pooled_range == 0.0:
-        return 0.0
-    return float(np.dot(np.diff(grid), heights[:-1])) / pooled_range
+    return _w1_normalized(*_cdf_gap(sample_a, sample_b))

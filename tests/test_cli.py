@@ -13,12 +13,15 @@ import pytest
 
 import separability
 from separability import (
+    GeneratorSpec,
     class_distance_sets,
     distribution_identity_score,
     dsi,
     dsi_subsampled,
     fit_mahalanobis,
+    generate,
     load_csv,
+    pairwise_condensed,
 )
 from separability.cli import run
 
@@ -309,6 +312,7 @@ class TestUserErrors:
             (["compare", "--input", "{data}", "--measures", "N1"], "n4_synthetic = -3"),
             (["compare", "--input", "{data}"], "density_quantile = 1"),
             (["repro", "section5_2", "--seeds", "0"], None),
+            (["measure", "--input", "{data}", "--subsample", "30", "--max-points", "20"], None),
         ],
         ids=[
             "subsample-above-n", "subsample-0", "trials-0", "threads-0", "threads-neg",
@@ -318,6 +322,7 @@ class TestUserErrors:
             "compare-n4-synthetic-0", "compare-density-quantile-above-1",
             "compare-density-quantile-0-unselected", "compare-config-n4-synthetic-neg",
             "compare-config-density-quantile-1", "repro-seeds-0",
+            "subsample-above-max-points",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, capsys, argv, config):
@@ -449,6 +454,26 @@ class TestRepro:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "cluster_sd,dsi_ks,dsi_wasserstein"
         assert len(lines) == 10  # header + sd 1..9
+
+    def test_figure7_one_pairwise_pass_per_dataset(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pairwise_condensed(*args, **kwargs)
+
+        # the package exports the function dsi under the submodule's name
+        monkeypatch.setattr(sys.modules["separability.dsi"], "pairwise_condensed", counted)
+        assert run(["repro", "figure7", "--n-per-class", "30"]) == 0
+        assert len(calls) == 9
+        monkeypatch.undo()
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        for sd, ks, wasserstein in rows:
+            ds = generate(GeneratorSpec("blobsd", 30, seed=0, cluster_sd=float(sd)))
+            assert float(ks) == dsi(ds, stat="ks").dsi
+            assert float(wasserstein) == pytest.approx(
+                dsi(ds, stat="wasserstein").dsi, rel=1e-12
+            )
 
     def test_figure4_structure(self, capsys):
         assert run(["repro", "figure4", "--n-per-class", "30"]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 from separability import (
     Dataset,
@@ -68,6 +69,38 @@ class TestClassDistanceSets:
         with pytest.raises(DistanceCapError, match="exceed"):
             class_distance_sets(ds, max_points=59)
         class_distance_sets(ds, max_points=60)  # exactly at the cap is fine
+
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gather_tied_interleaved(self, data):
+        # labels take turns (never class-contiguous) and carry gaps between
+        # their values; integer coordinates 0..3 make distances tie heavily
+        k = data.draw(st.integers(2, 5), label="classes")
+        n = data.draw(st.integers(2 * k, 5 * k), label="n")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        coords = data.draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
+        points = np.asarray(coords, dtype=float).reshape(n, dim)
+        labels = 3 * (np.arange(n) % k) + 1
+        ds = Dataset(points, labels)
+
+        sets = class_distance_sets(ds)
+        assert sorted(sets) == sorted(set(labels.tolist()))
+        for label, (icd, bcd) in sets.items():
+            mine, rest = points[labels == label], points[labels != label]
+            assert np.array_equal(icd.values, np.sort(pdist(mine)))
+            assert np.array_equal(bcd.values, np.sort(cdist(mine, rest).ravel()))
+            for values in (icd.values, bcd.values):
+                assert np.all(values[:-1] <= values[1:])
+                assert not values.flags.writeable
+        if k == 2:
+            first, second = sets.values()
+            assert first[1].values is second[1].values
+
+        assert dsi(ds, stat="ks").dsi == brute_dsi(points, labels, ks_statistic)
+        assert dsi(ds, stat="wasserstein").dsi == pytest.approx(
+            brute_dsi(points, labels, wasserstein1_normalized), rel=1e-12
+        )
 
 
 class TestDsi:
@@ -234,10 +267,16 @@ class TestDsiSubsampled:
             dsi_subsampled(ds, subset_size=10, trials=0)
 
     def test_no_cap_on_subsets(self):
-        # the exact cap does not apply: subsets are bounded by subset_size
+        # the exact cap bounds subset_size, not the size of the whole dataset
         ds = random_dataset(n_per_class=40, seed=18)
-        report = dsi_subsampled(ds, subset_size=30, trials=2)
+        report = dsi_subsampled(ds, subset_size=30, trials=2, max_points=50)
         assert report.subsample is not None
+
+    def test_cap_applies_to_subset_size(self):
+        ds = random_dataset(n_per_class=40, seed=18)
+        with pytest.raises(DistanceCapError, match="subset_size 31 exceeds"):
+            dsi_subsampled(ds, subset_size=31, trials=2, max_points=30)
+        dsi_subsampled(ds, subset_size=30, trials=2, max_points=30)  # at the cap
 
 
 class TestDistributionIdentity:
