@@ -8,7 +8,8 @@ identical artifacts: timing is excluded unless ``--timing`` is passed, and
 every random choice derives from an echoed seed.
 
 Options may also come from a ``--config`` file of ``key=value`` lines
-(keys are the long flag names; ``#`` starts a comment).  Explicit flags
+(keys are the long flag names; ``#`` starts a comment).  Config values are
+parsed and checked exactly like the flags they name; explicit flags
 override config values, which override built-in defaults.
 """
 
@@ -109,25 +110,32 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, spec: dict):
-    """Fill every ``None`` arg from the config file, then from defaults.
+def _config_flags(subparser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The config file's ``key=value`` lines as the flags they name.
 
-    ``spec`` maps dest -> (converter, default).  Converters run only on
-    config-file strings; argparse already converted real flags.
+    A key names a long option of the subcommand other than ``--config`` and
+    ``--help``.  Valued options become one ``--key=value`` token, so values
+    that start with ``-`` still parse; switches appear when the value is true.
     """
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(config) - set(spec)
+    actions = {
+        flag: action
+        for action in subparser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag not in ("--config", "--help")
+    }
+    config = _load_config(path)
+    flags = {key: "--" + key.replace("_", "-") for key in config}
+    unknown = sorted(key for key, flag in flags.items() if flag not in actions)
     if unknown:
-        raise ParseError(
-            f"unknown config keys: {', '.join(sorted(unknown))}"
-        )
-    for dest, (convert, default) in spec.items():
-        if getattr(args, dest, None) is None:
-            if dest in config:
-                setattr(args, dest, convert(config[dest]))
-            else:
-                setattr(args, dest, default)
-    return args
+        raise ParseError(f"unknown config keys: {', '.join(unknown)}")
+    tokens = []
+    for key, value in config.items():
+        flag = flags[key]
+        if actions[flag].nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif _as_bool(value):
+            tokens.append(flag)
+    return tokens
 
 
 def _check_positive(args, *dests: str):
@@ -214,22 +222,11 @@ def _load_labeled(args) -> Dataset:
 # subcommand: generate
 
 
-_GENERATE_SPEC = {
-    "shape": (str, None),  # required; validated below
-    "n_per_class": (int, 1000),
-    "seed": (int, 0),
-    "noise": (float, None),
-    "cluster_sd": (float, None),
-    "output": (str, None),
-}
-
-
 def _cmd_generate(args) -> int:
-    _merge_config(args, _GENERATE_SPEC)
     if args.shape is None:
         raise ParseError("generate needs --shape (flag or config)")
     spec = GeneratorSpec(
-        shape=args.shape.lower(),
+        shape=args.shape,
         n_per_class=args.n_per_class,
         seed=args.seed,
         noise=args.noise,
@@ -245,27 +242,6 @@ def _cmd_generate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # subcommand: measure
-
-
-_MEASURE_SPEC = {
-    "input": (str, None),
-    "input_format": (str, "csv"),
-    "label_col": (str, "-1"),
-    "delimiter": (str, ","),
-    "no_header": (_as_bool, False),
-    "metric": (str, "euclidean"),
-    "stat": (str, "ks"),
-    "subsample": (int, None),
-    "trials": (int, 8),
-    "seed": (int, 0),
-    "threads": (int, 1),
-    "max_points": (int, DEFAULT_MAX_POINTS),
-    "histogram": (str, None),
-    "bins": (int, 50),
-    "format": (str, "json"),
-    "timing": (_as_bool, False),
-    "output": (str, None),
-}
 
 
 def _write_histogram(path: str, sets: dict, bins: int):
@@ -284,7 +260,6 @@ def _write_histogram(path: str, sets: dict, bins: int):
 
 
 def _cmd_measure(args) -> int:
-    _merge_config(args, _MEASURE_SPEC)
     if args.input is None:
         raise ParseError("measure needs --input (flag or config)")
     _check_positive(args, "threads", "bins")
@@ -346,22 +321,6 @@ def _cmd_measure(args) -> int:
 # subcommand: compare
 
 
-_COMPARE_SPEC = {
-    "input": (str, None),
-    "input_format": (str, "csv"),
-    "label_col": (str, "-1"),
-    "delimiter": (str, ","),
-    "no_header": (_as_bool, False),
-    "measures": (str, "all"),
-    "n4_synthetic": (int, None),
-    "seed": (int, 0),
-    "density_quantile": (float, 0.15),
-    "threads": (int, 1),
-    "format": (str, "text"),
-    "output": (str, None),
-}
-
-
 def _measure_rows(ds: Dataset, codes, seed, n4_synthetic, density_quantile, threads):
     results = compute_measures(
         ds,
@@ -379,7 +338,6 @@ def _measure_rows(ds: Dataset, codes, seed, n4_synthetic, density_quantile, thre
 
 
 def _cmd_compare(args) -> int:
-    _merge_config(args, _COMPARE_SPEC)
     if args.input is None:
         raise ParseError("compare needs --input (flag or config)")
     _check_positive(args, "threads")
@@ -415,22 +373,7 @@ def _cmd_compare(args) -> int:
 # subcommand: identity
 
 
-_IDENTITY_SPEC = {
-    "a": (str, None),
-    "b": (str, None),
-    "delimiter": (str, ","),
-    "no_header": (_as_bool, False),
-    "metric": (str, "euclidean"),
-    "stat": (str, "ks"),
-    "threads": (int, 1),
-    "max_points": (int, DEFAULT_MAX_POINTS),
-    "format": (str, "json"),
-    "output": (str, None),
-}
-
-
 def _cmd_identity(args) -> int:
-    _merge_config(args, _IDENTITY_SPEC)
     if args.a is None or args.b is None:
         raise ParseError("identity needs --a and --b (flag or config)")
     _check_positive(args, "threads")
@@ -633,75 +576,76 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--input-format",
             choices=["csv", "cifar10", "cifar100"],
-            default=None,
-            help="input layout (default csv)",
+            default="csv",
+            help="input layout (default %(default)s)",
         )
-        p.add_argument("--label-col", default=None,
+        p.add_argument("--label-col", default="-1",
                        help="label column name or index (default: last column)")
-        p.add_argument("--delimiter", default=None, help="CSV delimiter (default ,)")
-        p.add_argument("--no-header", action="store_const", const=True, default=None,
+        p.add_argument("--delimiter", default=",", help="CSV delimiter (default %(default)s)")
+        p.add_argument("--no-header", action="store_true",
                        help="treat the first CSV row as data")
 
     g = sub.add_parser("generate", help="write a synthetic dataset as CSV")
-    g.add_argument("--shape", choices=list(SHAPES), default=None)
-    g.add_argument("--n-per-class", type=int, default=None)
-    g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--noise", type=float, default=None,
+    g.add_argument("--shape", choices=list(SHAPES))
+    g.add_argument("--n-per-class", type=int, default=1000)
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--noise", type=float,
                    help="jitter scale for circles/moons/spirals")
-    g.add_argument("--cluster-sd", type=float, default=None,
+    g.add_argument("--cluster-sd", type=float,
                    help="cluster standard deviation (blobsd only)")
-    g.add_argument("--output", default=None, help="output path (default stdout)")
-    g.add_argument("--config", default=None, help="key=value defaults file")
+    g.add_argument("--output", help="output path (default stdout)")
+    g.add_argument("--config", help="key=value defaults file")
     g.set_defaults(fn=_cmd_generate)
 
     m = sub.add_parser("measure", help="separability index of a labeled dataset")
     add_common_io(m)
-    m.add_argument("--metric", choices=list(METRIC_NAMES), default=None)
-    m.add_argument("--stat", choices=list(STAT_NAMES), default=None)
-    m.add_argument("--subsample", type=int, default=None,
+    m.add_argument("--metric", choices=list(METRIC_NAMES), default="euclidean")
+    m.add_argument("--stat", choices=list(STAT_NAMES), default="ks")
+    m.add_argument("--subsample", type=int,
                    help="estimate on random subsets of this size")
-    m.add_argument("--trials", type=int, default=None, help="subsample trial count (default 8)")
-    m.add_argument("--seed", type=int, default=None, help="subsample seed (default 0)")
-    m.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
-    m.add_argument("--max-points", type=int, default=None,
-                   help=f"exact-computation cap (default {DEFAULT_MAX_POINTS})")
-    m.add_argument("--histogram", default=None,
+    m.add_argument("--trials", type=int, default=8,
+                   help="subsample trial count (default %(default)s)")
+    m.add_argument("--seed", type=int, default=0, help="subsample seed (default %(default)s)")
+    m.add_argument("--threads", type=int, default=1, help="worker threads (default %(default)s)")
+    m.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS,
+                   help="exact-computation cap (default %(default)s)")
+    m.add_argument("--histogram",
                    help="also write per-class ICD/BCD histograms to this CSV")
-    m.add_argument("--bins", type=int, default=None, help="histogram bins (default 50)")
-    m.add_argument("--format", choices=["json", "text"], default=None)
-    m.add_argument("--timing", action="store_const", const=True, default=None,
-                   help="include wall_time_s in the report")
-    m.add_argument("--output", default=None)
-    m.add_argument("--config", default=None)
+    m.add_argument("--bins", type=int, default=50, help="histogram bins (default %(default)s)")
+    m.add_argument("--format", choices=["json", "text"], default="json")
+    m.add_argument("--timing", action="store_true", help="include wall_time_s in the report")
+    m.add_argument("--output")
+    m.add_argument("--config")
     m.set_defaults(fn=_cmd_measure)
 
     c = sub.add_parser("compare", help="complexity-measure table for a dataset")
     add_common_io(c)
-    c.add_argument("--measures", default=None,
+    c.add_argument("--measures", default="all",
                    help="'all' or comma list from " + ",".join(MEASURE_CODES))
-    c.add_argument("--n4-synthetic", type=int, default=None,
+    c.add_argument("--n4-synthetic", type=int,
                    help="synthetic point count for N4 (default n)")
-    c.add_argument("--seed", type=int, default=None, help="N4 interpolation seed (default 0)")
-    c.add_argument("--density-quantile", type=float, default=None,
-                   help="edge quantile for Density (default 0.15)")
-    c.add_argument("--threads", type=int, default=None)
-    c.add_argument("--format", choices=["csv", "text"], default=None)
-    c.add_argument("--output", default=None)
-    c.add_argument("--config", default=None)
+    c.add_argument("--seed", type=int, default=0,
+                   help="N4 interpolation seed (default %(default)s)")
+    c.add_argument("--density-quantile", type=float, default=0.15,
+                   help="edge quantile for Density (default %(default)s)")
+    c.add_argument("--threads", type=int, default=1)
+    c.add_argument("--format", choices=["csv", "text"], default="text")
+    c.add_argument("--output")
+    c.add_argument("--config")
     c.set_defaults(fn=_cmd_compare)
 
     i = sub.add_parser("identity", help="score whether two point sets share a distribution")
-    i.add_argument("--a", default=None, help="CSV of points (all columns numeric)")
-    i.add_argument("--b", default=None, help="CSV of points (all columns numeric)")
-    i.add_argument("--delimiter", default=None)
-    i.add_argument("--no-header", action="store_const", const=True, default=None)
-    i.add_argument("--metric", choices=list(METRIC_NAMES), default=None)
-    i.add_argument("--stat", choices=list(STAT_NAMES), default=None)
-    i.add_argument("--threads", type=int, default=None)
-    i.add_argument("--max-points", type=int, default=None)
-    i.add_argument("--format", choices=["json", "text"], default=None)
-    i.add_argument("--output", default=None)
-    i.add_argument("--config", default=None)
+    i.add_argument("--a", help="CSV of points (all columns numeric)")
+    i.add_argument("--b", help="CSV of points (all columns numeric)")
+    i.add_argument("--delimiter", default=",")
+    i.add_argument("--no-header", action="store_true")
+    i.add_argument("--metric", choices=list(METRIC_NAMES), default="euclidean")
+    i.add_argument("--stat", choices=list(STAT_NAMES), default="ks")
+    i.add_argument("--threads", type=int, default=1)
+    i.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
+    i.add_argument("--format", choices=["json", "text"], default="json")
+    i.add_argument("--output")
+    i.add_argument("--config")
     i.set_defaults(fn=_cmd_identity)
 
     f = sub.add_parser("fetch", help="download and digest-verify a dataset")
@@ -735,10 +679,22 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    """Parse argv and execute; returns the process exit code."""
+    """Parse argv and execute; returns the process exit code.
+
+    With ``--config``, the file's flags go right after the subcommand name
+    and argv is parsed again, so explicit flags, coming later, win.
+    """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            commands = next(
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            )
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(commands.choices[args.command], args.config)
+            args = parser.parse_args(argv)
         return args.fn(args)
     except (SeparabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

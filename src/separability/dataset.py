@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import tarfile
 from dataclasses import dataclass
@@ -215,6 +216,33 @@ def _parse_rows(text: str, delimiter: str) -> list[list[str]]:
     return [row for row in reader if row]
 
 
+def _float_cells(rows: list[list[str]], ncol: int, columns) -> NDArray[np.float64]:
+    """The cells of ``columns`` in every row, as a (rows, columns) float matrix.
+
+    Every row must have ``ncol`` cells and every selected cell must parse as
+    a finite float; the first row or cell that does not raises
+    ``ParseError`` with its 0-based data-row index (and column index).
+    """
+    points = np.empty((len(rows), len(columns)), dtype=np.float64)
+    for r, row in enumerate(rows):
+        if len(row) != ncol:
+            raise ParseError(f"row {r} has {len(row)} cells, expected {ncol}", row=r)
+        for out_c, c in enumerate(columns):
+            cell = row[c].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"row {r}, column {c}: {cell!r} is not a number", row=r, col=c
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"row {r}, column {c}: {cell!r} is not finite", row=r, col=c
+                )
+            points[r, out_c] = value
+    return points
+
+
 def load_csv(
     source,
     label_column: int | str = -1,
@@ -262,28 +290,8 @@ def load_csv(
     if not rows:
         raise DegenerateDataset("no data rows; separability needs at least 2 classes")
 
-    feature_cols = [c for c in range(ncol) if c != label_idx]
-    points = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
-    tokens: list[str] = []
-    for r, row in enumerate(rows):
-        if len(row) != ncol:
-            raise ParseError(
-                f"row {r} has {len(row)} cells, expected {ncol}", row=r
-            )
-        for out_c, c in enumerate(feature_cols):
-            cell = row[c].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"row {r}, column {c}: {cell!r} is not a number", row=r, col=c
-                ) from None
-            if not np.isfinite(value):
-                raise ParseError(
-                    f"row {r}, column {c}: {cell!r} is not finite", row=r, col=c
-                )
-            points[r, out_c] = value
-        tokens.append(row[label_idx].strip())
+    points = _float_cells(rows, ncol, [c for c in range(ncol) if c != label_idx])
+    tokens = [row[label_idx].strip() for row in rows]
 
     seen: dict[str, int] = {}
     labels = np.empty(len(tokens), dtype=np.int64)
@@ -308,23 +316,7 @@ def load_points_csv(
     if not rows:
         raise ParseError("no data rows found")
     ncol = len(rows[0])
-    points = np.empty((len(rows), ncol), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != ncol:
-            raise ParseError(f"row {r} has {len(row)} cells, expected {ncol}", row=r)
-        for c, cell in enumerate(row):
-            try:
-                value = float(cell.strip())
-            except ValueError:
-                raise ParseError(
-                    f"row {r}, column {c}: {cell!r} is not a number", row=r, col=c
-                ) from None
-            if not np.isfinite(value):
-                raise ParseError(
-                    f"row {r}, column {c}: {cell!r} is not finite", row=r, col=c
-                )
-            points[r, c] = value
-    return points
+    return _float_cells(rows, ncol, range(ncol))
 
 
 def _load_cifar_records(

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 from .errors import FetchError, IntegrityError
@@ -79,6 +77,11 @@ def fetch_dataset(
         if _digest_of(data, algo) == hexdigest:
             return data
         path.unlink()  # corrupted cache entry; fall through to refetch
+
+    # imported here, not at module level: urllib.request pulls in ssl and
+    # http.client, which every other CLI command would pay for at start-up
+    import urllib.error
+    import urllib.request
 
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:

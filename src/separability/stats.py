@@ -57,11 +57,6 @@ class EmpiricalCdf:
         pos = np.searchsorted(self.values, x, side="right")
         return pos / self.n
 
-    def evaluate_left(self, x) -> NDArray[np.float64]:
-        """F(x-): fraction of sample values strictly below x."""
-        pos = np.searchsorted(self.values, x, side="left")
-        return pos / self.n
-
     def __call__(self, x):
         return self.evaluate(x)
 
@@ -111,7 +106,11 @@ def _ks(grid, heights) -> float:
 
 
 def _w1(grid, heights) -> float:
-    return float(np.dot(np.diff(grid), heights[:-1]))
+    # an elementwise product and a sum, not np.dot: a BLAS dot can wake
+    # worker threads that spin without shortening the wall time
+    gaps = np.diff(grid)
+    gaps *= heights[:-1]
+    return float(gaps.sum())
 
 
 def _w1_normalized(grid, heights) -> float:

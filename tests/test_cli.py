@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, artifacts, and config precedence."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 
 import separability
 from separability import (
+    Dataset,
     GeneratorSpec,
     class_distance_sets,
     distribution_identity_score,
@@ -22,8 +25,9 @@ from separability import (
     generate,
     load_csv,
     pairwise_condensed,
+    to_cifar10_bytes,
 )
-from separability.cli import run
+from separability.cli import build_parser, run
 
 from conftest import rng
 
@@ -380,6 +384,198 @@ class TestConfig:
         assert len(capsys.readouterr().out.splitlines()) == 7
 
 
+def _config_files(tmp_path):
+    """Input files for the config cases, keyed by their placeholder names."""
+    data = _write_shape_csv(tmp_path / "d.csv", n=20)
+    lines = data.read_text().splitlines()
+    moved = [",".join([line.rsplit(",", 1)[1]] + line.split(",")[:-1]) for line in lines]
+    moved[0] = "cls,x0,x1"
+    named = tmp_path / "named.csv"
+    named.write_text("\n".join(moved) + "\n")
+
+    batch = tmp_path / "batch.bin"
+    pixels = rng(8).integers(0, 256, size=(12, 3072)).astype(float)
+    batch.write_bytes(to_cifar10_bytes(Dataset(pixels, np.repeat([0, 1], 6))))
+
+    files = {
+        "data": data,
+        "named": named,
+        "batch": batch,
+        "a": _points_csv(tmp_path / "a.csv", rng(9).random((15, 2))),
+        "b": _points_csv(tmp_path / "b.csv", rng(10).random((15, 2)) + 0.5),
+    }
+    for name in ("data", "a", "b"):
+        text = files[name].read_text()
+        files[f"{name}_semi"] = tmp_path / f"{name}_semi.csv"
+        files[f"{name}_semi"].write_text(text.replace(",", ";"))
+        files[f"{name}_nohead"] = tmp_path / f"{name}_nohead.csv"
+        files[f"{name}_nohead"].write_text(text.split("\n", 1)[1])
+    out = tmp_path / "out"
+    out.mkdir()
+    files["out"] = out
+    return files
+
+
+_SWITCHES = ("no_header", "timing")
+_WALL_TIME = re.compile(r'"wall_time_s": [^,\n}]+')
+
+# (subcommand, config key, a value other than the default, the rest of argv);
+# together the keys are every key each subcommand's --config accepts
+_CONFIG_CASES = [
+    ("generate", "shape", "moons", ["--n-per-class", "4"]),
+    ("generate", "n_per_class", "3", ["--shape", "xor"]),
+    ("generate", "seed", "9", ["--shape", "moons", "--n-per-class", "4"]),
+    ("generate", "noise", "0.3", ["--shape", "moons", "--n-per-class", "4"]),
+    ("generate", "cluster_sd", "2.5", ["--shape", "blobsd", "--n-per-class", "4"]),
+    ("generate", "output", "{out}/g.csv", ["--shape", "xor", "--n-per-class", "4"]),
+    ("measure", "input", "{data}", []),
+    ("measure", "input_format", "cifar10", ["--input", "{batch}"]),
+    ("measure", "label_col", "-3", ["--input", "{named}"]),
+    ("measure", "delimiter", ";", ["--input", "{data_semi}"]),
+    ("measure", "no_header", "true", ["--input", "{data_nohead}"]),
+    ("measure", "metric", "cityblock", ["--input", "{data}"]),
+    ("measure", "stat", "wasserstein", ["--input", "{data}"]),
+    ("measure", "subsample", "30", ["--input", "{data}", "--trials", "2"]),
+    ("measure", "trials", "3", ["--input", "{data}", "--subsample", "30"]),
+    ("measure", "seed", "5", ["--input", "{data}", "--subsample", "30", "--trials", "2"]),
+    ("measure", "threads", "2", ["--input", "{data}"]),
+    ("measure", "max_points", "30", ["--input", "{data}"]),
+    ("measure", "histogram", "{out}/h.csv", ["--input", "{data}"]),
+    ("measure", "bins", "7", ["--input", "{data}", "--histogram", "{out}/h.csv"]),
+    ("measure", "format", "text", ["--input", "{data}"]),
+    ("measure", "timing", "yes", ["--input", "{data}"]),
+    ("measure", "output", "{out}/r.json", ["--input", "{data}"]),
+    ("compare", "input", "{data}", ["--measures", "F1"]),
+    ("compare", "input_format", "cifar10", ["--input", "{batch}", "--measures", "F1"]),
+    ("compare", "label_col", "cls", ["--input", "{named}", "--measures", "F1"]),
+    ("compare", "delimiter", ";", ["--input", "{data_semi}", "--measures", "F1"]),
+    ("compare", "no_header", "on", ["--input", "{data_nohead}", "--measures", "F1"]),
+    ("compare", "measures", "N3,F1", ["--input", "{data}"]),
+    ("compare", "n4_synthetic", "15", ["--input", "{data}", "--measures", "N4"]),
+    ("compare", "seed", "4", ["--input", "{data}", "--measures", "N4"]),
+    ("compare", "density_quantile", "0.3", ["--input", "{data}", "--measures", "Density"]),
+    ("compare", "threads", "2", ["--input", "{data}", "--measures", "N1"]),
+    ("compare", "format", "csv", ["--input", "{data}", "--measures", "F1"]),
+    ("compare", "output", "{out}/c.txt", ["--input", "{data}", "--measures", "F1"]),
+    ("identity", "a", "{a}", ["--b", "{b}"]),
+    ("identity", "b", "{b}", ["--a", "{a}"]),
+    ("identity", "delimiter", ";", ["--a", "{a_semi}", "--b", "{b_semi}"]),
+    ("identity", "no_header", "1", ["--a", "{a_nohead}", "--b", "{b_nohead}"]),
+    ("identity", "metric", "chebyshev", ["--a", "{a}", "--b", "{b}"]),
+    ("identity", "stat", "wasserstein", ["--a", "{a}", "--b", "{b}"]),
+    ("identity", "threads", "2", ["--a", "{a}", "--b", "{b}"]),
+    ("identity", "max_points", "25", ["--a", "{a}", "--b", "{b}"]),
+    ("identity", "format", "text", ["--a", "{a}", "--b", "{b}"]),
+    ("identity", "output", "{out}/i.json", ["--a", "{a}", "--b", "{b}"]),
+]
+
+# values every flag rejects; the same value in a config must be rejected alike
+_BAD_CONFIG_VALUES = [
+    ("measure", "threads", "abc", ["--input", "{data}"]),
+    ("measure", "metric", "foo", ["--input", "{data}"]),
+    ("measure", "stat", "foo", ["--input", "{data}"]),
+    ("measure", "format", "xml", ["--input", "{data}"]),
+    ("measure", "max_points", "1e3", ["--input", "{data}"]),
+    ("compare", "format", "json", ["--input", "{data}"]),
+    ("compare", "density_quantile", "half", ["--input", "{data}"]),
+    ("generate", "shape", "XOR", ["--n-per-class", "3"]),
+    ("generate", "n_per_class", "", ["--shape", "xor"]),
+    ("identity", "stat", "foo", ["--a", "{a}", "--b", "{b}"]),
+]
+
+
+def _case_id(case):
+    return f"{case[0]}-{case[1]}={case[2]}"
+
+
+def _outcome(argv, capsys, out_dir):
+    """Exit code, stdout, stderr and written files of one in-process run."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    return code, _WALL_TIME.sub('"wall_time_s": _', out), err, files
+
+
+def _flag_and_config_outcomes(tmp_path, capsys, case):
+    command, key, value, rest = case
+    files = _config_files(tmp_path)
+    value = value.format(**files)
+    argv = [command] + [token.format(**files) for token in rest]
+    flag = ["--" + key.replace("_", "-")] + ([] if key in _SWITCHES else [value])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    by_flag = _outcome(argv + flag, capsys, files["out"])
+    by_config = _outcome(argv + ["--config", str(cfg)], capsys, files["out"])
+    return by_flag, by_config
+
+
+class TestConfigMatchesFlags:
+    """A config value is parsed and checked exactly like the flag it names."""
+
+    @pytest.mark.parametrize("case", _CONFIG_CASES, ids=_case_id)
+    def test_same_output_as_flag(self, tmp_path, capsys, case):
+        by_flag, by_config = _flag_and_config_outcomes(tmp_path, capsys, case)
+        assert by_config == by_flag
+        assert "Traceback" not in by_config[2]
+
+    @pytest.mark.parametrize("case", _BAD_CONFIG_VALUES, ids=_case_id)
+    def test_bad_value_rejected_like_flag(self, tmp_path, capsys, case):
+        by_flag, by_config = _flag_and_config_outcomes(tmp_path, capsys, case)
+        assert by_flag[0] == 2
+        assert by_config == by_flag
+        assert "Traceback" not in by_config[2]
+
+    def test_false_switches_stay_off(self, tmp_path, capsys):
+        data = _write_shape_csv(tmp_path / "d.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timing = off\nno_header = no\n")
+        assert run(["measure", "--input", str(data)]) == 0
+        plain = capsys.readouterr().out
+        assert run(["measure", "--input", str(data), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_value_starting_with_dash(self, tmp_path, capsys):
+        # "--label-col -cls" does not parse, so configs pass "--label-col=-cls"
+        files = _config_files(tmp_path)
+        dashed = tmp_path / "dashed.csv"
+        dashed.write_text(files["named"].read_text().replace("cls,", "-cls,", 1))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("label_col = -cls\n")
+        argv = ["measure", "--input", str(dashed)]
+        assert run(argv + ["--label-col=-cls"]) == 0
+        by_flag = capsys.readouterr().out
+        assert run(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == by_flag
+
+    @pytest.mark.parametrize("key", ["config", "help"])
+    def test_own_options_are_not_keys(self, tmp_path, capsys, key):
+        data = _write_shape_csv(tmp_path / "d.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = x\n")
+        assert run(["measure", "--input", str(data), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+    def test_cases_cover_every_key(self):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command in ("generate", "measure", "compare", "identity"):
+            long_options = {
+                flag[2:].replace("-", "_")
+                for action in commands.choices[command]._actions
+                for flag in action.option_strings
+                if flag.startswith("--")
+            }
+            covered = {key for cmd, key, _, _ in _CONFIG_CASES if cmd == command}
+            assert covered == long_options - {"config", "help"}
+
+
 class TestArgparseBehavior:
     def test_unknown_flag_exits_2_with_suggestion(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -528,3 +724,13 @@ def test_complexity_measures_demo_runs(tmp_path):
     demo = Path(__file__).resolve().parents[1] / "demos" / "04_complexity_measures.py"
     proc = _run_child([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_network_stack_unloaded(tmp_path):
+    code = (
+        "import sys, separability.cli; "
+        "print(sorted(m for m in ('ssl', 'urllib.request') if m in sys.modules))"
+    )
+    proc = _run_child(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
