@@ -39,6 +39,7 @@ from .distances import METRIC_NAMES, fit_mahalanobis
 from .dsi import (
     DEFAULT_MAX_POINTS,
     STAT_NAMES,
+    _dsi_and_sets,
     _dsi_reports,
     class_distance_sets,
     distribution_identity_score,
@@ -84,13 +85,13 @@ def _collect_option_strings(parser: argparse.ArgumentParser):
 # config handling: flags > config file > defaults
 
 
-def _as_bool(text: str) -> bool:
+def _as_bool(text: str, where: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ParseError(f"expected a boolean, got {text!r}")
+    raise ParseError(f"{where}: expected a boolean, got {text!r}")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -133,7 +134,7 @@ def _config_flags(subparser: argparse.ArgumentParser, path: str) -> list[str]:
         flag = flags[key]
         if actions[flag].nargs != 0:
             tokens.append(f"{flag}={value}")
-        elif _as_bool(value):
+        elif _as_bool(value, f"config {path}: {key}"):
             tokens.append(flag)
     return tokens
 
@@ -265,6 +266,7 @@ def _cmd_measure(args) -> int:
     _check_positive(args, "threads", "bins")
     ds = _load_labeled(args)
     metric = _fitted_metric(args.metric, ds.points)
+    sets = None
     if args.subsample is not None:
         report = dsi_subsampled(
             ds,
@@ -276,6 +278,8 @@ def _cmd_measure(args) -> int:
             workers=args.threads,
             max_points=args.max_points,
         )
+    elif args.histogram:  # the index and the histogram read the same multisets
+        report, sets = _dsi_and_sets(ds, metric, args.stat, args.threads, args.max_points)
     else:
         report = dsi(
             ds,
@@ -285,9 +289,10 @@ def _cmd_measure(args) -> int:
             max_points=args.max_points,
         )
     if args.histogram:
-        sets = class_distance_sets(
-            ds, metric, workers=args.threads, max_points=args.max_points
-        )
+        if sets is None:  # the histogram covers the whole dataset, not a subset
+            sets = class_distance_sets(
+                ds, metric, workers=args.threads, max_points=args.max_points
+            )
         _write_histogram(args.histogram, sets, args.bins)
 
     payload = {"schema_version": SCHEMA_VERSION, "command": "measure", "input": args.input}

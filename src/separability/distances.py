@@ -10,10 +10,13 @@ Pairwise distances over a point set are stored in condensed form: a flat
 float64 vector holding the strict upper triangle row by row, entry
 ``n*i - i*(i+1)//2 + (j - i - 1)`` for the pair (i, j) with i < j.  The
 condensed vector is computed in fixed-size row blocks, each block a
-triangle (pdist) plus a rectangle (cdist) against the remaining rows.  The
-block size never depends on the worker count, so every entry is produced
-by the same library call regardless of parallelism and results are
-bit-identical for any ``workers`` value.
+triangle (pdist) plus a rectangle (cdist) against the remaining rows;
+distances between two point sets are computed in fixed-size blocks of the
+first set's rows (cdist), written straight into one flat row-major array.
+The block size never depends on the worker count, so every entry is
+produced by the same library call regardless of parallelism and results
+are bit-identical for any ``workers`` value.  pdist and cdist give the same
+bits for the same pair, whichever block computes it.
 """
 
 from __future__ import annotations
@@ -170,29 +173,32 @@ def condensed_index(n: int, i, j):
     return n * i - i * (i + 1) // 2 + (j - i - 1)
 
 
-def _block_ranges(n: int):
-    return [(r, min(r + _BLOCK_ROWS, n)) for r in range(0, n, _BLOCK_ROWS)]
+def _run_blocks(fill_block, n: int, workers: int):
+    """Call ``fill_block(r0, r1)`` for each fixed block of n rows."""
+    blocks = [(r, min(r + _BLOCK_ROWS, n)) for r in range(0, n, _BLOCK_ROWS)]
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda rr: fill_block(*rr), blocks))
+    else:
+        for r0, r1 in blocks:
+            fill_block(r0, r1)
 
 
-def pairwise_condensed(
-    points,
-    metric: DistanceMetric | str = "euclidean",
-    workers: int = 1,
+def _clamp(values: NDArray[np.float64], metric: DistanceMetric):
+    if metric.name in _CLAMPED_METRICS:
+        np.clip(values, 0.0, 2.0, out=values)
+
+
+def _condensed(
+    pts: NDArray[np.float64], metric: DistanceMetric, workers: int = 1
 ) -> NDArray[np.float64]:
-    """All pairwise distances among ``points`` as a condensed vector.
+    """``pairwise_condensed`` without its checks.
 
-    Returns a float64 vector of length n*(n-1)//2 holding the strict upper
-    triangle of the distance matrix (see ``condensed_index``).  ``workers``
-    only controls thread-level parallelism over fixed row blocks; the
-    numeric result is identical for every worker count.
+    ``pts`` must be a finite 2-D float64 array of at least 2 rows on which
+    ``metric`` is defined (see ``_check_vectors``).
     """
-    m = resolve_metric(metric)
-    pts = _as_points(points)
     n = pts.shape[0]
-    if n < 2:
-        raise DegenerateClass("pairwise distances need at least 2 points")
-    _check_vectors(pts, m)
-    kwargs = _scipy_kwargs(m)
+    kwargs = _scipy_kwargs(metric)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
 
     def fill_block(r0: int, r1: int):
@@ -209,17 +215,55 @@ def pairwise_condensed(
             if rect is not None:
                 out[start + width - local - 1 : start + n - i - 1] = rect[local]
 
-    blocks = _block_ranges(n)
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rr: fill_block(*rr), blocks))
-    else:
-        for r0, r1 in blocks:
-            fill_block(r0, r1)
-
-    if m.name in _CLAMPED_METRICS:
-        np.clip(out, 0.0, 2.0, out=out)
+    _run_blocks(fill_block, n, workers)
+    _clamp(out, metric)
     return out
+
+
+def _cross(
+    pa: NDArray[np.float64],
+    pb: NDArray[np.float64],
+    metric: DistanceMetric,
+    workers: int = 1,
+    out: NDArray[np.float64] | None = None,
+) -> NDArray[np.float64]:
+    """All distances from the rows of ``pa`` to those of ``pb``, flat and row-major.
+
+    Unchecked, like ``_condensed``.  Each block of ``pa``'s rows is computed
+    into its own slice of the result, or of ``out`` when given (a contiguous
+    float64 vector of len(pa)*len(pb) values), so no block-sized copy is made.
+    """
+    width = pb.shape[0]
+    kwargs = _scipy_kwargs(metric)
+    if out is None:
+        out = np.empty(pa.shape[0] * width, dtype=np.float64)
+
+    def fill_block(r0: int, r1: int):
+        cdist(pa[r0:r1], pb, out=out[r0 * width : r1 * width].reshape(r1 - r0, width), **kwargs)
+
+    _run_blocks(fill_block, pa.shape[0], workers)
+    _clamp(out, metric)
+    return out
+
+
+def pairwise_condensed(
+    points,
+    metric: DistanceMetric | str = "euclidean",
+    workers: int = 1,
+) -> NDArray[np.float64]:
+    """All pairwise distances among ``points`` as a condensed vector.
+
+    Returns a float64 vector of length n*(n-1)//2 holding the strict upper
+    triangle of the distance matrix (see ``condensed_index``).  ``workers``
+    only controls thread-level parallelism over fixed row blocks; the
+    numeric result is identical for every worker count.
+    """
+    m = resolve_metric(metric)
+    pts = _as_points(points)
+    if pts.shape[0] < 2:
+        raise DegenerateClass("pairwise distances need at least 2 points")
+    _check_vectors(pts, m)
+    return _condensed(pts, m, workers)
 
 
 def pairwise_cross(
@@ -235,10 +279,7 @@ def pairwise_cross(
         raise ValueError("point sets must share the feature dimension")
     _check_vectors(pa, m)
     _check_vectors(pb, m, offset=pa.shape[0])
-    d = cdist(pa, pb, **_scipy_kwargs(m))
-    if m.name in _CLAMPED_METRICS:
-        np.clip(d, 0.0, 2.0, out=d)
-    return d
+    return _cross(pa, pb, m).reshape(pa.shape[0], pb.shape[0])
 
 
 @dataclass(frozen=True)
@@ -268,10 +309,10 @@ class DistanceSet:
 
     @classmethod
     def _presorted(cls, values: NDArray[np.float64], kind: str, label: int | None) -> "DistanceSet":
-        """Wrap a sorted, read-only gather from ``pairwise_condensed`` as is.
+        """Wrap a sorted, read-only multiset from the distance kernels as is.
 
-        The pairwise kernel already yields finite, non-negative float64
-        values, so the checks and the copy of ``__post_init__`` are skipped.
+        The kernels already yield finite, non-negative float64 values, so
+        the checks and the copy of ``__post_init__`` are skipped.
         """
         dset = object.__new__(cls)
         object.__setattr__(dset, "values", values)

@@ -13,26 +13,38 @@ statistic is near 0; when the class sits apart it approaches 1.  The
 dataset's separability index is the unweighted mean over classes, and
 ``complexity = 1 - separability``.
 
-All pairwise distances are computed once in condensed form.  Each pair's
-two class codes select its value into the multisets by boolean mask, and
-every multiset is sorted once as it is gathered; with two classes both
-BCDs are the same multiset, sorted once and shared.  Each class then costs
-one merge of its two sorted multisets, from which KS and the normalized
-1-Wasserstein distance are both read.
+Each multiset is computed where it lives, in fixed row blocks: ICD(i) from
+the pairwise distances among class i's rows, BCD(i) from class i's rows
+against the other classes' rows.  Each is sorted once, in its own buffer,
+and made read-only.  With two classes both BCDs are the same multiset,
+computed and sorted once and shared.  With three or more classes each
+class's BCD is built, merged and freed before the next class's; the
+distances to later classes are computed on the earlier class's turn and
+kept until the later class's turn.  Either way every pair of points is
+computed exactly once.  Each class then costs one merge of its two sorted
+multisets, run in pieces of bounded size, from which KS and the normalized
+1-Wasserstein distance are both read.  The points are checked once, for
+the whole dataset, so an error names the dataset's row.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ClassPartition, Dataset, partition
-from .distances import DistanceMetric, DistanceSet, pairwise_condensed, resolve_metric
+from .dataset import Dataset, partition
+from .distances import (
+    DistanceMetric,
+    DistanceSet,
+    _check_vectors,
+    _condensed,
+    _cross,
+    resolve_metric,
+)
 from .errors import DegenerateClass, DegenerateSubset, DistanceCapError, DomainError
-from .stats import _ks, _sorted_cdf_gap, _w1_normalized
+from .stats import _gap_statistics
 
 __all__ = [
     "DEFAULT_MAX_POINTS",
@@ -45,23 +57,26 @@ __all__ = [
     "distribution_identity_score",
 ]
 
-# Exact computation stores n*(n-1)/2 float64 distances and gathers the class
-# multisets from them: CLI `measure` peaks at 1393 MiB RSS for 10k points
-# (2-vCPU Intel Xeon KVM guest, numpy 2.4.6), growing with n**2.  Beyond the
-# cap callers must subsample or raise it knowingly.
+# Exact computation holds one class's ICD and BCD multisets at a time, as
+# float64, plus, with three or more classes, the distances kept for later
+# classes.  CLI `measure` (KS, one thread) peaks at 363 MiB RSS on 2x5000
+# moons points and at 722 MiB on 2x7500; three equal 2-D Gaussian classes
+# take 458 MiB at 10k points and 935 MiB at 15k (2-vCPU Intel Xeon KVM
+# guest, numpy 2.4.6).  Memory grows with n**2.  Beyond the cap callers must
+# subsample or raise it knowingly.
 DEFAULT_MAX_POINTS = 15_000
 
 STAT_NAMES = ("ks", "wasserstein")
 
-# Each named statistic reduces the (grid, heights) of one presorted CDF merge.
-_GAP_REDUCTIONS = {
-    "ks": _ks,
-    "wasserstein": _w1_normalized,
+# Each named statistic is read from one merge of a class's sorted multisets.
+_GAP_STATISTICS = {
+    "ks": "ks",
+    "wasserstein": "w1_normalized",
 }
 
 
 def _check_stat(stat):
-    if not callable(stat) and stat not in _GAP_REDUCTIONS:
+    if not callable(stat) and stat not in _GAP_STATISTICS:
         raise ValueError(
             f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
         )
@@ -131,13 +146,72 @@ class SeparabilityReport:
         return out
 
 
-def _check_classes(part: ClassPartition):
-    for label, idx in part.groups.items():
-        if idx.size < 2:
+def _sorted_read_only(values: np.ndarray) -> np.ndarray:
+    values.sort()
+    values.setflags(write=False)
+    return values
+
+
+def _each_class(
+    ds: Dataset, m: DistanceMetric, workers: int, max_points: int | None, visit
+) -> dict:
+    """``{label: visit(label, icd, bcd)}``, classes in ascending label order.
+
+    ``icd`` and ``bcd`` are the class's sorted, read-only multisets.  A
+    class's own multisets are released once ``visit`` returns, unless it
+    keeps them; the two-class BCD is shared by both visits.
+    """
+    groups = partition(ds).groups
+    for label, rows in groups.items():
+        if rows.size < 2:
             raise DegenerateClass(
-                f"class {label} has {idx.size} point(s); ICD needs at least 2",
+                f"class {label} has {rows.size} point(s); ICD needs at least 2",
                 label=label,
             )
+    if max_points is not None and ds.n > max_points:
+        raise DistanceCapError(
+            f"{ds.n} points exceed the exact-computation cap of {max_points}; "
+            "use dsi_subsampled or pass a larger max_points"
+        )
+    _check_vectors(ds.points, m)
+
+    points = ds.points
+    if len(groups) == 2:  # both classes' BCD is the one cross block
+        first, second = classes = [points[rows] for rows in groups.values()]
+        bcd = _sorted_read_only(_cross(first, second, m, workers))
+        return {
+            label: visit(label, _sorted_read_only(_condensed(mine, m, workers)), bcd)
+            for label, mine in zip(groups, classes)
+        }
+
+    # Class c's turn computes its distances to every later class, in blocks of
+    # the later rows, and keeps a copy of each later class's part until that
+    # class's turn: every pair of points is computed once.
+    labels = list(groups)
+    kept: dict[int, list[np.ndarray]] = {label: [] for label in labels}
+    out = {}
+    for turn, label in enumerate(labels):
+        rows = groups[label]
+        mine = points[rows]
+        bcd = np.empty(rows.size * (ds.n - rows.size))
+        earlier = kept.pop(label)
+        at = sum(part.size for part in earlier)
+        if earlier:
+            np.concatenate(earlier, out=bcd[:at])
+        del earlier
+        later = labels[turn + 1 :]
+        if later:
+            ahead = np.concatenate([groups[c] for c in later])
+            _cross(points[ahead], mine, m, workers, out=bcd[at:])
+            for c in later:
+                end = at + groups[c].size * rows.size
+                kept[c].append(bcd[at:end].copy())
+                at = end
+        out[label] = visit(
+            label, _sorted_read_only(_condensed(mine, m, workers)), _sorted_read_only(bcd)
+        )
+        del bcd  # a class's own BCD is freed before the next one is built
+    return out
 
 
 def class_distance_sets(
@@ -146,91 +220,42 @@ def class_distance_sets(
     workers: int = 1,
     max_points: int | None = DEFAULT_MAX_POINTS,
 ) -> dict[int, tuple[DistanceSet, DistanceSet]]:
-    """ICD and BCD multisets for every class, from one pairwise pass.
+    """ICD and BCD multisets for every class, computed class by class.
 
     Returns ``{label: (icd, bcd)}`` with cardinalities m*(m-1)/2 and m*r.
     Every multiset's values are sorted ascending and read-only; with exactly
     two classes both BCDs hold the same array.
     """
-    m = resolve_metric(metric)
-    _check_classes(partition(ds))
-    n = ds.n
-    if max_points is not None and n > max_points:
-        raise DistanceCapError(
-            f"{n} points exceed the exact-computation cap of {max_points}; "
-            "use dsi_subsampled or pass a larger max_points"
-        )
-    condensed = pairwise_condensed(ds.points, m, workers=workers)
-
-    # Class codes of each pair's two ends, in condensed order: row i's
-    # segment pairs point i with every j > i.
-    classes, codes = np.unique(ds.labels, return_inverse=True)
-    codes = codes.astype(np.min_scalar_type(classes.size - 1))
-    first = np.repeat(codes[:-1], np.arange(n - 1, 0, -1))
-    second = np.concatenate([codes[i + 1 :] for i in range(n - 1)])
-
-    def gather(mask):
-        values = condensed[mask]
-        values.sort()
-        values.setflags(write=False)
-        return values
-
-    out: dict[int, tuple[DistanceSet, DistanceSet]] = {}
-    bcd = None
-    for code, label in enumerate(classes.tolist()):
-        in_first, in_second = first == code, second == code
-        icd = gather(in_first & in_second)
-        if bcd is None or classes.size > 2:  # two classes share one BCD
-            bcd = gather(np.logical_xor(in_first, in_second, out=in_first))
-        del in_first, in_second
-        out[label] = (
+    return _each_class(
+        ds,
+        resolve_metric(metric),
+        workers,
+        max_points,
+        lambda label, icd, bcd: (
             DistanceSet._presorted(icd, "icd", label),
             DistanceSet._presorted(bcd, "bcd", label),
-        )
-    return out
+        ),
+    )
 
 
-def _dsi_reports(
-    ds: Dataset,
-    metric: DistanceMetric | str,
-    stats: tuple,
-    workers: int,
-    max_points: int | None,
+def _scores(stats: tuple, icd: np.ndarray, bcd: np.ndarray) -> list[float]:
+    """Each entry of ``stats`` for one class: every named statistic from one
+    merge, and a callable from the class's (icd, bcd) values."""
+    names = {_GAP_STATISTICS[stat] for stat in stats if not callable(stat)}
+    named = _gap_statistics(icd, bcd, names) if names else {}
+    return [
+        float(stat(icd, bcd)) if callable(stat) else named[_GAP_STATISTICS[stat]]
+        for stat in stats
+    ]
+
+
+def _reports(
+    ds: Dataset, m: DistanceMetric, stats: tuple, per_label: dict, t0: float
 ) -> list[SeparabilityReport]:
-    """One report per entry of ``stats``, all from one gather.
-
-    Named statistics reduce one merge per class; a callable receives the
-    class's (icd, bcd) values.
-    """
-    t0 = time.perf_counter()
-    m = resolve_metric(metric)
-    for stat in stats:
-        _check_stat(stat)
-    sets = class_distance_sets(ds, m, workers=workers, max_points=max_points)
-
-    def score(label: int) -> list[float]:
-        icd, bcd = (dset.values for dset in sets[label])
-        gap = None
-        scores = []
-        for stat in stats:
-            if callable(stat):
-                scores.append(float(stat(icd, bcd)))
-                continue
-            if gap is None:
-                gap = _sorted_cdf_gap(icd, bcd)
-            scores.append(_GAP_REDUCTIONS[stat](*gap))
-        return scores
-
-    labels = sorted(sets)
-    if workers > 1 and len(labels) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_label = list(pool.map(score, labels))
-    else:
-        per_label = [score(c) for c in labels]
-
+    labels = sorted(per_label)
     wall_time_s = time.perf_counter() - t0
     reports = []
-    for stat, scores in zip(stats, zip(*per_label)):
+    for stat, scores in zip(stats, zip(*(per_label[c] for c in labels))):
         index = float(np.mean(scores))
         reports.append(
             SeparabilityReport(
@@ -245,6 +270,43 @@ def _dsi_reports(
             )
         )
     return reports
+
+
+def _dsi_reports(
+    ds: Dataset,
+    metric: DistanceMetric | str,
+    stats: tuple,
+    workers: int,
+    max_points: int | None,
+) -> list[SeparabilityReport]:
+    """One report per entry of ``stats``, all from one pass over the classes."""
+    t0 = time.perf_counter()
+    m = resolve_metric(metric)
+    for stat in stats:
+        _check_stat(stat)
+    per_label = _each_class(
+        ds, m, workers, max_points, lambda label, icd, bcd: _scores(stats, icd, bcd)
+    )
+    return _reports(ds, m, stats, per_label, t0)
+
+
+def _dsi_and_sets(
+    ds: Dataset,
+    metric: DistanceMetric | str,
+    stat: str,
+    workers: int,
+    max_points: int | None,
+) -> tuple[SeparabilityReport, dict[int, tuple[DistanceSet, DistanceSet]]]:
+    """``dsi`` and the ``class_distance_sets`` it reads, from one pass."""
+    t0 = time.perf_counter()
+    m = resolve_metric(metric)
+    _check_stat(stat)
+    sets = class_distance_sets(ds, m, workers, max_points)
+    per_label = {
+        label: _scores((stat,), icd.values, bcd.values) for label, (icd, bcd) in sets.items()
+    }
+    (report,) = _reports(ds, m, (stat,), per_label, t0)
+    return report, sets
 
 
 def dsi(

@@ -7,7 +7,9 @@ Both statistics compare the empirical CDFs P and Q of two real samples:
   (earth mover's) distance between the empirical measures
 
 Empirical CDFs are right-continuous step functions that break only at pooled
-sample values, so both statistics reduce |P - Q| there, found in one merge.
+sample values, so both statistics reduce |P - Q| there, found in one merge
+of the two sorted samples.  The merge runs in pieces of bounded size, so its
+scratch memory does not grow with the samples.
 """
 
 from __future__ import annotations
@@ -61,29 +63,51 @@ class EmpiricalCdf:
         return self.evaluate(x)
 
 
-def _cdf_gap(sample_a, sample_b) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Validate and sort both samples, then ``_sorted_cdf_gap`` them."""
-    return _sorted_cdf_gap(EmpiricalCdf(sample_a).values, EmpiricalCdf(sample_b).values)
+# A merge walks the two sorted runs in pieces of about this many values of
+# each, so its scratch arrays stay small however large the samples are.  At
+# 2**16 each scratch array is about 1 MiB and fits a 2 MiB L2 cache; on a
+# 2-vCPU x86-64 guest, 2**15 and 2**16 merged fastest, 2**18 ~30% slower.
+_PIECE_VALUES = 1 << 16
 
 
-def _sorted_cdf_gap(a, b) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Pooled sorted grid and |P - Q| at each grid value (right limits).
+def _piece_bounds(a, b):
+    """Yield (i, ia, j, jb): ``a[i:ia]`` and ``b[j:jb]`` make the next piece.
 
-    ``a`` and ``b`` must be sorted, finite and non-empty float64 arrays;
-    they are neither checked nor copied.  A stable argsort of the two runs
-    merges them in linear time (timsort).  Counts are float64, exact below
-    2**53, so the rest is in place; at most three arrays of the pooled size
-    are live at once.
+    Each piece ends at the ``_PIECE_VALUES``-th next value of one run (the
+    smaller of the two such values) and takes every value <= it from both
+    runs, so a run of ties never spans two pieces.
     """
     na, nb = a.size, b.size
-    grid = np.concatenate([a, b])
+    i = j = 0
+    while i < na or j < nb:
+        cut = min(
+            a[i + _PIECE_VALUES - 1] if i + _PIECE_VALUES <= na else np.inf,
+            b[j + _PIECE_VALUES - 1] if j + _PIECE_VALUES <= nb else np.inf,
+        )
+        ia = int(np.searchsorted(a, cut, "right"))
+        jb = int(np.searchsorted(b, cut, "right"))
+        yield i, ia, j, jb
+        i, j = ia, jb
+
+
+def _piece_gap(a, b, i, ia, j, jb) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Grid and |P - Q| (right limits) on the pooled values of one piece.
+
+    A stable argsort of the two slices merges them in linear time
+    (timsort).  Counts are float64, exact below 2**53, offset by the values
+    before the piece, so each height has the same bits as in one merge of
+    the whole runs.
+    """
+    grid = np.concatenate([a[i:ia], b[j:jb]])
     order = np.argsort(grid, kind="stable")
     grid = grid[order]
-    count_a = (order < na).astype(np.float64)
+    count_a = (order < ia - i).astype(np.float64)
     del order
     np.cumsum(count_a, out=count_a)
     count_b = np.arange(1.0, grid.size + 1.0)
     count_b -= count_a
+    count_a += i
+    count_b += j
     # Right limits: tied values take the counts at their run's last member,
     # which, as counts never decrease, is a reverse running minimum of run ends.
     inside_run = np.append(grid[:-1] == grid[1:], False)
@@ -92,32 +116,49 @@ def _sorted_cdf_gap(a, b) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
             count[inside_run] = np.inf
             np.minimum.accumulate(count[::-1], out=count[::-1])
     del inside_run
-    count_a /= na
-    count_b /= nb
+    count_a /= a.size
+    count_b /= b.size
     count_a -= count_b
     return grid, np.abs(count_a, out=count_a)
 
 
-# Reductions of one CDF gap, shared by the public statistics and ``dsi``.
+def _gap_statistics(a, b, names) -> dict[str, float]:
+    """Statistics of |P - Q| for sorted runs ``a`` and ``b``, from one merge.
+
+    ``names`` holds any of "ks" (the supremum), "w1" (the integral) and
+    "w1_normalized" (the integral over the pooled range).  ``a`` and ``b``
+    must be sorted, finite and non-empty float64 arrays; they are neither
+    checked nor copied.  The merge runs piece by piece (``_piece_bounds``):
+    KS is the largest piece maximum, and W1 sums the pieces' areas plus the
+    step from each piece's last value to the next piece's first.
+    """
+    want_area = "w1" in names or "w1_normalized" in names
+    sup = area = 0.0
+    last = None  # the previous piece's last grid value and height
+    for bounds in _piece_bounds(a, b):
+        grid, heights = _piece_gap(a, b, *bounds)
+        if "ks" in names:
+            sup = max(sup, float(heights.max()))
+        if want_area:
+            # an elementwise product and a sum, not np.dot: a BLAS dot can
+            # wake worker threads that spin without shortening the wall time
+            if last is not None:
+                area += float((grid[0] - last[0]) * last[1])
+            gaps = np.diff(grid)
+            gaps *= heights[:-1]
+            area += float(gaps.sum())
+            last = grid[-1], heights[-1]
+    out = {"ks": sup, "w1": area}
+    if "w1_normalized" in names:
+        pooled_range = float(max(a[-1], b[-1]) - min(a[0], b[0]))
+        out["w1_normalized"] = area / pooled_range if pooled_range else 0.0
+    return {name: out[name] for name in names}
 
 
-def _ks(grid, heights) -> float:
-    return float(heights.max())
-
-
-def _w1(grid, heights) -> float:
-    # an elementwise product and a sum, not np.dot: a BLAS dot can wake
-    # worker threads that spin without shortening the wall time
-    gaps = np.diff(grid)
-    gaps *= heights[:-1]
-    return float(gaps.sum())
-
-
-def _w1_normalized(grid, heights) -> float:
-    pooled_range = float(grid[-1] - grid[0])
-    if pooled_range == 0.0:
-        return 0.0
-    return _w1(grid, heights) / pooled_range
+def _statistic(sample_a, sample_b, name: str) -> float:
+    """Validate and sort both samples, then reduce one named statistic."""
+    a, b = EmpiricalCdf(sample_a).values, EmpiricalCdf(sample_b).values
+    return _gap_statistics(a, b, (name,))[name]
 
 
 def ks_statistic(sample_a, sample_b) -> float:
@@ -127,7 +168,7 @@ def ks_statistic(sample_a, sample_b) -> float:
     pooled sample value.  Returns a value in [0, 1]; 0 iff the sorted
     samples induce identical CDFs, 1 iff the sample ranges are disjoint.
     """
-    return _ks(*_cdf_gap(sample_a, sample_b))
+    return _statistic(sample_a, sample_b, "ks")
 
 
 def wasserstein1(sample_a, sample_b) -> float:
@@ -138,7 +179,7 @@ def wasserstein1(sample_a, sample_b) -> float:
     integral is a finite sum of rectangle areas.  Unbounded above in
     general (scales with the data units).
     """
-    return _w1(*_cdf_gap(sample_a, sample_b))
+    return _statistic(sample_a, sample_b, "w1")
 
 
 def wasserstein1_normalized(sample_a, sample_b) -> float:
@@ -149,4 +190,4 @@ def wasserstein1_normalized(sample_a, sample_b) -> float:
     zero every sample value coincides, the distributions are identical, and
     the distance is 0 by convention.
     """
-    return _w1_normalized(*_cdf_gap(sample_a, sample_b))
+    return _statistic(sample_a, sample_b, "w1_normalized")

@@ -38,3 +38,23 @@ def random_dataset(
 @pytest.fixture
 def small_two_class() -> Dataset:
     return random_dataset(n_per_class=20, dim=2, seed=7, spread=3.0)
+
+
+@pytest.fixture
+def computed_pairs(monkeypatch) -> list[int]:
+    """Receives the number of point pairs of each pdist/cdist call the package makes."""
+    distances = sys.modules["separability.distances"]
+    pdist, cdist = distances.pdist, distances.cdist
+    pairs: list[int] = []
+
+    def counted_pdist(points, **kwargs):
+        pairs.append(len(points) * (len(points) - 1) // 2)
+        return pdist(points, **kwargs)
+
+    def counted_cdist(points_a, points_b, **kwargs):
+        pairs.append(len(points_a) * len(points_b))
+        return cdist(points_a, points_b, **kwargs)
+
+    monkeypatch.setattr(distances, "pdist", counted_pdist)
+    monkeypatch.setattr(distances, "cdist", counted_cdist)
+    return pairs

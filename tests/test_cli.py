@@ -24,7 +24,6 @@ from separability import (
     fit_mahalanobis,
     generate,
     load_csv,
-    pairwise_condensed,
     to_cifar10_bytes,
 )
 from separability.cli import build_parser, run
@@ -317,6 +316,7 @@ class TestUserErrors:
             (["compare", "--input", "{data}"], "density_quantile = 1"),
             (["repro", "section5_2", "--seeds", "0"], None),
             (["measure", "--input", "{data}", "--subsample", "30", "--max-points", "20"], None),
+            (["measure", "--input", "{data}"], "timing = maybe"),
         ],
         ids=[
             "subsample-above-n", "subsample-0", "trials-0", "threads-0", "threads-neg",
@@ -326,7 +326,7 @@ class TestUserErrors:
             "compare-n4-synthetic-0", "compare-density-quantile-above-1",
             "compare-density-quantile-0-unselected", "compare-config-n4-synthetic-neg",
             "compare-config-density-quantile-1", "repro-seeds-0",
-            "subsample-above-max-points",
+            "subsample-above-max-points", "config-timing-maybe",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, capsys, argv, config):
@@ -370,6 +370,15 @@ class TestConfig:
         cfg.write_text(f"input = {data}\nstatistic = ks\n")
         assert run(["measure", "--config", str(cfg)]) == 1
         assert "unknown config keys: statistic" in capsys.readouterr().err
+
+    def test_bad_boolean_names_key_and_file(self, tmp_path, capsys):
+        data = _write_shape_csv(tmp_path / "d.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {data}\ntiming = maybe\n")
+        assert run(["measure", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config {cfg}: timing: expected a boolean, got 'maybe'\n"
+        )
 
     def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -651,18 +660,11 @@ class TestRepro:
         assert lines[0] == "cluster_sd,dsi_ks,dsi_wasserstein"
         assert len(lines) == 10  # header + sd 1..9
 
-    def test_figure7_one_pairwise_pass_per_dataset(self, capsys, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return pairwise_condensed(*args, **kwargs)
-
-        # the package exports the function dsi under the submodule's name
-        monkeypatch.setattr(sys.modules["separability.dsi"], "pairwise_condensed", counted)
+    def test_figure7_one_pairwise_pass_per_dataset(self, capsys, computed_pairs):
+        # the pairs the distance kernels compute, however they block the
+        # work: each dataset's n(n-1)/2 pairs, every pair exactly once
         assert run(["repro", "figure7", "--n-per-class", "30"]) == 0
-        assert len(calls) == 9
-        monkeypatch.undo()
+        assert sum(computed_pairs) == 9 * (60 * 59 // 2)
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         for sd, ks, wasserstein in rows:
             ds = generate(GeneratorSpec("blobsd", 30, seed=0, cluster_sd=float(sd)))
@@ -720,8 +722,11 @@ def test_module_invocation(tmp_path):
     assert json.loads(proc.stdout)["schema_version"] == 1
 
 
-def test_complexity_measures_demo_runs(tmp_path):
-    demo = Path(__file__).resolve().parents[1] / "demos" / "04_complexity_measures.py"
+_DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", _DEMOS, ids=[demo.stem for demo in _DEMOS])
+def test_demo_runs(tmp_path, demo):
     proc = _run_child([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
 

@@ -1,5 +1,8 @@
 """Separability index: cardinalities, invariances, and the brute oracle."""
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from separability import (
     DegenerateClass,
     DegenerateDataset,
     DegenerateSubset,
+    DegenerateVector,
     DistanceCapError,
     class_distance_sets,
     distribution_identity_score,
@@ -21,8 +25,15 @@ from separability import (
     wasserstein1_normalized,
 )
 
+from separability.dsi import _dsi_reports
+
 from conftest import random_dataset, rng
-from oracles import brute_dsi
+from oracles import brute_dsi, grid_ks, grid_wasserstein1
+
+
+def _grid_w1_normalized(a, b):
+    span = max(a + b) - min(a + b)
+    return grid_wasserstein1(a, b) / span if span else 0.0
 
 
 class TestClassDistanceSets:
@@ -101,6 +112,58 @@ class TestClassDistanceSets:
         assert dsi(ds, stat="wasserstein").dsi == pytest.approx(
             brute_dsi(points, labels, wasserstein1_normalized), rel=1e-12
         )
+
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_merge_tied_shuffled(self, data):
+        # pieces of at most a few values per run force many piece boundaries
+        # inside and between runs of tied distances; kernel blocks of two
+        # rows give the second worker blocks of its own
+        k = data.draw(st.integers(2, 5), label="classes")
+        n = data.draw(st.integers(2 * k, 6 * k), label="n")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        coords = data.draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
+        points = np.asarray(coords, dtype=float).reshape(n, dim)
+        labels = np.asarray(data.draw(st.permutations((np.arange(n) % k).tolist()), label="labels"))
+        piece = data.draw(st.integers(1, 7), label="piece values")
+        ds = Dataset(points, labels)
+
+        results = []
+        with (
+            mock.patch.object(sys.modules["separability.stats"], "_PIECE_VALUES", piece),
+            mock.patch.object(sys.modules["separability.distances"], "_BLOCK_ROWS", 2),
+        ):
+            for workers in (1, 2):
+                reports = _dsi_reports(ds, "euclidean", ("ks", "wasserstein"), workers, None)
+                results.append([(r.dsi, r.per_class_similarity) for r in reports])
+        assert results[0] == results[1]
+        (ks, _), (wasserstein, _) = results[0]
+        assert ks == brute_dsi(points, labels, grid_ks)
+        assert wasserstein == pytest.approx(
+            brute_dsi(points, labels, _grid_w1_normalized), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("classes", [2, 3, 5])
+    def test_every_pair_computed_once(self, classes, computed_pairs):
+        # 150 rows per class span two kernel blocks; labels are interleaved
+        ds = random_dataset(n_per_class=150, classes=classes, seed=25).subset(
+            rng(26).permutation(150 * classes)
+        )
+        class_distance_sets(ds)
+        assert sum(computed_pairs) == ds.n * (ds.n - 1) // 2
+
+    @pytest.mark.parametrize("metric", ["cosine", "correlation"])
+    def test_degenerate_vector_names_the_dataset_row(self, metric):
+        # row 5 is the third row of class 1 and the third of the rest of
+        # class 0: only a check over the whole dataset names row 5
+        points = rng(24).normal(size=(10, 3))
+        points[5] = 0.0 if metric == "cosine" else 1.5
+        ds = Dataset(points, np.arange(10) % 2)
+        with pytest.raises(DegenerateVector) as exc:
+            dsi(ds, metric=metric)
+        assert exc.value.index == 5
+        assert "index 5" in str(exc.value)
 
 
 class TestDsi:

@@ -1,3 +1,6 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +19,13 @@ samples = st.lists(finite_floats, min_size=1, max_size=60)
 tied_samples = st.lists(
     st.integers(min_value=0, max_value=8).map(float), min_size=1, max_size=60
 )
+# merge pieces of a few values put piece boundaries inside and between runs
+# of ties; the largest size leaves every sample in one piece
+piece_sizes = st.sampled_from([1, 2, 3, 5, sys.modules["separability.stats"]._PIECE_VALUES])
+
+
+def _merge_pieces_of(size: int):
+    return mock.patch.object(sys.modules["separability.stats"], "_PIECE_VALUES", size)
 
 
 class TestEmpiricalCdf:
@@ -66,10 +76,11 @@ class TestKs:
         with pytest.raises(ValueError):
             ks_statistic([np.inf], [1.0])
 
-    @given(samples | tied_samples, samples | tied_samples)
+    @given(samples | tied_samples, samples | tied_samples, piece_sizes)
     @settings(max_examples=150)
-    def test_matches_grid_oracle(self, a, b):
-        assert ks_statistic(a, b) == pytest.approx(grid_ks(a, b), abs=1e-12)
+    def test_matches_grid_oracle(self, a, b, piece):
+        with _merge_pieces_of(piece):
+            assert ks_statistic(a, b) == pytest.approx(grid_ks(a, b), abs=1e-12)
 
     @given(samples, samples)
     def test_symmetric_and_bounded(self, a, b):
@@ -114,12 +125,13 @@ class TestWasserstein:
     def test_identical(self):
         assert wasserstein1([2.0, 4.0], [4.0, 2.0]) == 0.0
 
-    @given(samples | tied_samples, samples | tied_samples)
+    @given(samples | tied_samples, samples | tied_samples, piece_sizes)
     @settings(max_examples=150)
-    def test_matches_grid_oracle(self, a, b):
+    def test_matches_grid_oracle(self, a, b, piece):
         expected = grid_wasserstein1(a, b)
         span = max(a + b) - min(a + b)
-        assert wasserstein1(a, b) == pytest.approx(expected, abs=max(1e-9 * span, 1e-12))
+        with _merge_pieces_of(piece):
+            assert wasserstein1(a, b) == pytest.approx(expected, abs=max(1e-9 * span, 1e-12))
 
     @given(samples, samples, st.floats(min_value=0.1, max_value=100.0))
     def test_scales_linearly(self, a, b, c):
@@ -163,3 +175,4 @@ class TestWassersteinNormalized:
         base = wasserstein1_normalized(a, b)
         scaled = wasserstein1_normalized([c * v for v in a], [c * v for v in b])
         assert scaled == pytest.approx(base, rel=1e-9, abs=1e-12)
+
