@@ -39,7 +39,6 @@ from .distances import METRIC_NAMES, fit_mahalanobis
 from .dsi import (
     DEFAULT_MAX_POINTS,
     STAT_NAMES,
-    _dsi_and_sets,
     _dsi_reports,
     class_distance_sets,
     distribution_identity_score,
@@ -266,7 +265,7 @@ def _cmd_measure(args) -> int:
     _check_positive(args, "threads", "bins")
     ds = _load_labeled(args)
     metric = _fitted_metric(args.metric, ds.points)
-    sets = None
+    sets = {} if args.histogram else None  # the multisets the histogram reads
     if args.subsample is not None:
         report = dsi_subsampled(
             ds,
@@ -278,8 +277,14 @@ def _cmd_measure(args) -> int:
             workers=args.threads,
             max_points=args.max_points,
         )
+        if args.histogram:  # the histogram covers the whole dataset, not a subset
+            sets = class_distance_sets(
+                ds, metric, workers=args.threads, max_points=args.max_points
+            )
     elif args.histogram:  # the index and the histogram read the same multisets
-        report, sets = _dsi_and_sets(ds, metric, args.stat, args.threads, args.max_points)
+        (report,) = _dsi_reports(
+            ds, metric, (args.stat,), args.threads, args.max_points, sets
+        )
     else:
         report = dsi(
             ds,
@@ -289,10 +294,6 @@ def _cmd_measure(args) -> int:
             max_points=args.max_points,
         )
     if args.histogram:
-        if sets is None:  # the histogram covers the whole dataset, not a subset
-            sets = class_distance_sets(
-                ds, metric, workers=args.threads, max_points=args.max_points
-            )
         _write_histogram(args.histogram, sets, args.bins)
 
     payload = {"schema_version": SCHEMA_VERSION, "command": "measure", "input": args.input}

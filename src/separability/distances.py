@@ -9,25 +9,25 @@ mahalanobis requires a fitted inverse-covariance context (see
 Pairwise distances over a point set are stored in condensed form: a flat
 float64 vector holding the strict upper triangle row by row, entry
 ``n*i - i*(i+1)//2 + (j - i - 1)`` for the pair (i, j) with i < j.  The
-condensed vector is computed in fixed-size row blocks, each block a
-triangle (pdist) plus a rectangle (cdist) against the remaining rows;
-distances between two point sets are computed in fixed-size blocks of the
-first set's rows (cdist), written straight into one flat row-major array.
-The block size never depends on the worker count, so every entry is
-produced by the same library call regardless of parallelism and results
-are bit-identical for any ``workers`` value.  pdist and cdist give the same
-bits for the same pair, whichever block computes it.
+condensed vector is computed in row blocks, each block a triangle (pdist)
+plus a rectangle (cdist) against the remaining rows; distances between two
+point sets are computed in blocks of the first set's rows (cdist), written
+straight into one flat row-major array.  The blocks depend only on the row
+count, never on the worker count, so every entry is produced by the same
+library call regardless of parallelism and results are bit-identical for
+any ``workers`` value.  pdist and cdist give the same bits for the same
+pair, whichever block computes it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial.distance import cdist, pdist
 
+from ._threads import SERIAL, Threads
 from .errors import DegenerateClass, DegenerateVector, SingularCovariance
 
 __all__ = [
@@ -55,7 +55,11 @@ METRIC_NAMES = (
 # push a hair past either end, so those metrics are clamped after computing.
 _CLAMPED_METRICS = frozenset({"correlation", "cosine"})
 
-_BLOCK_ROWS = 128  # fixed block size keeps results independent of workers
+# A row block holds at most _BLOCK_ROWS rows; fewer than _BLOCK_ROWS *
+# _MIN_BLOCKS rows are still cut into _MIN_BLOCKS blocks, so threads can share
+# a small class.  Blocks depend only on the row count, never on the workers.
+_BLOCK_ROWS = 128
+_MIN_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -173,15 +177,11 @@ def condensed_index(n: int, i, j):
     return n * i - i * (i + 1) // 2 + (j - i - 1)
 
 
-def _run_blocks(fill_block, n: int, workers: int):
-    """Call ``fill_block(r0, r1)`` for each fixed block of n rows."""
-    blocks = [(r, min(r + _BLOCK_ROWS, n)) for r in range(0, n, _BLOCK_ROWS)]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rr: fill_block(*rr), blocks))
-    else:
-        for r0, r1 in blocks:
-            fill_block(r0, r1)
+def _run_blocks(fill_block, n: int, threads: Threads):
+    """Call ``fill_block(r0, r1)`` for each block of n rows."""
+    step = max(1, min(_BLOCK_ROWS, -(-n // _MIN_BLOCKS)))
+    blocks = [(r, min(r + step, n)) for r in range(0, n, step)]
+    threads.map(lambda rr: fill_block(*rr), blocks)
 
 
 def _clamp(values: NDArray[np.float64], metric: DistanceMetric):
@@ -190,7 +190,7 @@ def _clamp(values: NDArray[np.float64], metric: DistanceMetric):
 
 
 def _condensed(
-    pts: NDArray[np.float64], metric: DistanceMetric, workers: int = 1
+    pts: NDArray[np.float64], metric: DistanceMetric, threads: Threads = SERIAL
 ) -> NDArray[np.float64]:
     """``pairwise_condensed`` without its checks.
 
@@ -215,7 +215,7 @@ def _condensed(
             if rect is not None:
                 out[start + width - local - 1 : start + n - i - 1] = rect[local]
 
-    _run_blocks(fill_block, n, workers)
+    _run_blocks(fill_block, n, threads)
     _clamp(out, metric)
     return out
 
@@ -224,7 +224,7 @@ def _cross(
     pa: NDArray[np.float64],
     pb: NDArray[np.float64],
     metric: DistanceMetric,
-    workers: int = 1,
+    threads: Threads = SERIAL,
     out: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """All distances from the rows of ``pa`` to those of ``pb``, flat and row-major.
@@ -241,7 +241,7 @@ def _cross(
     def fill_block(r0: int, r1: int):
         cdist(pa[r0:r1], pb, out=out[r0 * width : r1 * width].reshape(r1 - r0, width), **kwargs)
 
-    _run_blocks(fill_block, pa.shape[0], workers)
+    _run_blocks(fill_block, pa.shape[0], threads)
     _clamp(out, metric)
     return out
 
@@ -263,7 +263,8 @@ def pairwise_condensed(
     if pts.shape[0] < 2:
         raise DegenerateClass("pairwise distances need at least 2 points")
     _check_vectors(pts, m)
-    return _condensed(pts, m, workers)
+    with Threads(workers) as threads:
+        return _condensed(pts, m, threads)
 
 
 def pairwise_cross(

@@ -13,7 +13,7 @@ statistic is near 0; when the class sits apart it approaches 1.  The
 dataset's separability index is the unweighted mean over classes, and
 ``complexity = 1 - separability``.
 
-Each multiset is computed where it lives, in fixed row blocks: ICD(i) from
+Each multiset is computed where it lives, in row blocks: ICD(i) from
 the pairwise distances among class i's rows, BCD(i) from class i's rows
 against the other classes' rows.  Each is sorted once, in its own buffer,
 and made read-only.  With two classes both BCDs are the same multiset,
@@ -22,9 +22,9 @@ class's BCD is built, merged and freed before the next class's; the
 distances to later classes are computed on the earlier class's turn and
 kept until the later class's turn.  Either way every pair of points is
 computed exactly once.  Each class then costs one merge of its two sorted
-multisets, run in pieces of bounded size, from which KS and the normalized
-1-Wasserstein distance are both read.  The points are checked once, for
-the whole dataset, so an error names the dataset's row.
+multisets, run in pieces that ``workers`` threads can share, from which KS
+and the normalized 1-Wasserstein distance are both read.  The points are
+checked once, for the whole dataset, so an error names the dataset's row.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import Threads
 from .dataset import Dataset, partition
 from .distances import (
     DistanceMetric,
@@ -59,9 +60,9 @@ __all__ = [
 
 # Exact computation holds one class's ICD and BCD multisets at a time, as
 # float64, plus, with three or more classes, the distances kept for later
-# classes.  CLI `measure` (KS, one thread) peaks at 363 MiB RSS on 2x5000
+# classes.  CLI `measure` (KS, one thread) peaks at 361 MiB RSS on 2x5000
 # moons points and at 722 MiB on 2x7500; three equal 2-D Gaussian classes
-# take 458 MiB at 10k points and 935 MiB at 15k (2-vCPU Intel Xeon KVM
+# take 455 MiB at 10k points and 934 MiB at 15k (2-vCPU Intel Xeon KVM
 # guest, numpy 2.4.6).  Memory grows with n**2.  Beyond the cap callers must
 # subsample or raise it knowingly.
 DEFAULT_MAX_POINTS = 15_000
@@ -153,7 +154,7 @@ def _sorted_read_only(values: np.ndarray) -> np.ndarray:
 
 
 def _each_class(
-    ds: Dataset, m: DistanceMetric, workers: int, max_points: int | None, visit
+    ds: Dataset, m: DistanceMetric, threads: Threads, max_points: int | None, visit
 ) -> dict:
     """``{label: visit(label, icd, bcd)}``, classes in ascending label order.
 
@@ -175,43 +176,48 @@ def _each_class(
         )
     _check_vectors(ds.points, m)
 
-    points = ds.points
+    # One copy of the points, class after class, so every class's rows and
+    # the rows of all later classes are contiguous slices.
+    labels = list(groups)
+    points = ds.points[np.concatenate(list(groups.values()))]
+    starts = np.cumsum([0] + [groups[label].size for label in labels]).tolist()
     if len(groups) == 2:  # both classes' BCD is the one cross block
-        first, second = classes = [points[rows] for rows in groups.values()]
-        bcd = _sorted_read_only(_cross(first, second, m, workers))
+        first, second = classes = [points[: starts[1]], points[starts[1] :]]
+        bcd = _sorted_read_only(_cross(first, second, m, threads))
         return {
-            label: visit(label, _sorted_read_only(_condensed(mine, m, workers)), bcd)
-            for label, mine in zip(groups, classes)
+            label: visit(label, _sorted_read_only(_condensed(mine, m, threads)), bcd)
+            for label, mine in zip(labels, classes)
         }
 
     # Class c's turn computes its distances to every later class, in blocks of
     # the later rows, and keeps a copy of each later class's part until that
     # class's turn: every pair of points is computed once.
-    labels = list(groups)
     kept: dict[int, list[np.ndarray]] = {label: [] for label in labels}
     out = {}
     for turn, label in enumerate(labels):
-        rows = groups[label]
-        mine = points[rows]
-        bcd = np.empty(rows.size * (ds.n - rows.size))
+        mine = points[starts[turn] : starts[turn + 1]]
+        size = mine.shape[0]
+        bcd = np.empty(size * (ds.n - size))
         earlier = kept.pop(label)
         at = sum(part.size for part in earlier)
         if earlier:
             np.concatenate(earlier, out=bcd[:at])
         del earlier
-        later = labels[turn + 1 :]
-        if later:
-            ahead = np.concatenate([groups[c] for c in later])
-            _cross(points[ahead], mine, m, workers, out=bcd[at:])
-            for c in later:
-                end = at + groups[c].size * rows.size
+        if turn + 1 < len(labels):
+            _cross(points[starts[turn + 1] :], mine, m, threads, out=bcd[at:])
+            for c in labels[turn + 1 :]:
+                end = at + groups[c].size * size
                 kept[c].append(bcd[at:end].copy())
                 at = end
         out[label] = visit(
-            label, _sorted_read_only(_condensed(mine, m, workers)), _sorted_read_only(bcd)
+            label, _sorted_read_only(_condensed(mine, m, threads)), _sorted_read_only(bcd)
         )
         del bcd  # a class's own BCD is freed before the next one is built
     return out
+
+
+def _distance_sets(label: int, icd: np.ndarray, bcd: np.ndarray) -> tuple[DistanceSet, DistanceSet]:
+    return DistanceSet._presorted(icd, "icd", label), DistanceSet._presorted(bcd, "bcd", label)
 
 
 def class_distance_sets(
@@ -226,23 +232,15 @@ def class_distance_sets(
     Every multiset's values are sorted ascending and read-only; with exactly
     two classes both BCDs hold the same array.
     """
-    return _each_class(
-        ds,
-        resolve_metric(metric),
-        workers,
-        max_points,
-        lambda label, icd, bcd: (
-            DistanceSet._presorted(icd, "icd", label),
-            DistanceSet._presorted(bcd, "bcd", label),
-        ),
-    )
+    with Threads(workers) as threads:
+        return _each_class(ds, resolve_metric(metric), threads, max_points, _distance_sets)
 
 
-def _scores(stats: tuple, icd: np.ndarray, bcd: np.ndarray) -> list[float]:
+def _scores(stats: tuple, icd: np.ndarray, bcd: np.ndarray, threads: Threads) -> list[float]:
     """Each entry of ``stats`` for one class: every named statistic from one
     merge, and a callable from the class's (icd, bcd) values."""
     names = {_GAP_STATISTICS[stat] for stat in stats if not callable(stat)}
-    named = _gap_statistics(icd, bcd, names) if names else {}
+    named = _gap_statistics(icd, bcd, names, threads) if names else {}
     return [
         float(stat(icd, bcd)) if callable(stat) else named[_GAP_STATISTICS[stat]]
         for stat in stats
@@ -278,35 +276,27 @@ def _dsi_reports(
     stats: tuple,
     workers: int,
     max_points: int | None,
+    sets: dict | None = None,
 ) -> list[SeparabilityReport]:
-    """One report per entry of ``stats``, all from one pass over the classes."""
+    """One report per entry of ``stats``, all from one pass over the classes.
+
+    When ``sets`` is given, it receives what ``class_distance_sets`` would
+    return, from the same pass.
+    """
     t0 = time.perf_counter()
     m = resolve_metric(metric)
     for stat in stats:
         _check_stat(stat)
-    per_label = _each_class(
-        ds, m, workers, max_points, lambda label, icd, bcd: _scores(stats, icd, bcd)
-    )
+
+    with Threads(workers) as threads:
+
+        def visit(label, icd, bcd):
+            if sets is not None:
+                sets[label] = _distance_sets(label, icd, bcd)
+            return _scores(stats, icd, bcd, threads)
+
+        per_label = _each_class(ds, m, threads, max_points, visit)
     return _reports(ds, m, stats, per_label, t0)
-
-
-def _dsi_and_sets(
-    ds: Dataset,
-    metric: DistanceMetric | str,
-    stat: str,
-    workers: int,
-    max_points: int | None,
-) -> tuple[SeparabilityReport, dict[int, tuple[DistanceSet, DistanceSet]]]:
-    """``dsi`` and the ``class_distance_sets`` it reads, from one pass."""
-    t0 = time.perf_counter()
-    m = resolve_metric(metric)
-    _check_stat(stat)
-    sets = class_distance_sets(ds, m, workers, max_points)
-    per_label = {
-        label: _scores((stat,), icd.values, bcd.values) for label, (icd, bcd) in sets.items()
-    }
-    (report,) = _reports(ds, m, (stat,), per_label, t0)
-    return report, sets
 
 
 def dsi(

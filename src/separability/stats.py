@@ -8,8 +8,9 @@ Both statistics compare the empirical CDFs P and Q of two real samples:
 
 Empirical CDFs are right-continuous step functions that break only at pooled
 sample values, so both statistics reduce |P - Q| there, found in one merge
-of the two sorted samples.  The merge runs in pieces of bounded size, so its
-scratch memory does not grow with the samples.
+of the two sorted samples.  The merge runs in pieces of about
+``2 * _PIECE_VALUES`` values, plus any run of equal values that crosses a
+cut, so its scratch memory grows only with the longest such tie run.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ._threads import SERIAL, Threads
 from .errors import EmptySample
 
 __all__ = [
@@ -64,9 +66,11 @@ class EmpiricalCdf:
 
 
 # A merge walks the two sorted runs in pieces of about this many values of
-# each, so its scratch arrays stay small however large the samples are.  At
-# 2**16 each scratch array is about 1 MiB and fits a 2 MiB L2 cache; on a
-# 2-vCPU x86-64 guest, 2**15 and 2**16 merged fastest, 2**18 ~30% slower.
+# each.  A piece also takes the rest of any run of equal values that crosses
+# its cut, so on tie-heavy data (say chebyshev distances between integer
+# points) one piece can hold most of a multiset.  At 2**16 each scratch array
+# is about 1 MiB and fits a 2 MiB L2 cache; on a 2-vCPU x86-64 guest, 2**15
+# and 2**16 merged fastest, 2**18 ~30% slower.
 _PIECE_VALUES = 1 << 16
 
 
@@ -122,32 +126,48 @@ def _piece_gap(a, b, i, ia, j, jb) -> tuple[NDArray[np.float64], NDArray[np.floa
     return grid, np.abs(count_a, out=count_a)
 
 
-def _gap_statistics(a, b, names) -> dict[str, float]:
+def _piece_summary(a, b, bounds, want_ks: bool, want_area: bool) -> tuple:
+    """(sup, area, first value, last value, last height) of one piece's |P - Q|."""
+    grid, heights = _piece_gap(a, b, *bounds)
+    sup = float(heights.max()) if want_ks else 0.0
+    area = 0.0
+    if want_area:
+        # an elementwise product and a sum, not np.dot: a BLAS dot can
+        # wake worker threads that spin without shortening the wall time
+        gaps = np.diff(grid)
+        gaps *= heights[:-1]
+        area = float(gaps.sum())
+    return sup, area, float(grid[0]), float(grid[-1]), float(heights[-1])
+
+
+def _gap_statistics(a, b, names, threads: Threads = SERIAL) -> dict[str, float]:
     """Statistics of |P - Q| for sorted runs ``a`` and ``b``, from one merge.
 
     ``names`` holds any of "ks" (the supremum), "w1" (the integral) and
     "w1_normalized" (the integral over the pooled range).  ``a`` and ``b``
     must be sorted, finite and non-empty float64 arrays; they are neither
-    checked nor copied.  The merge runs piece by piece (``_piece_bounds``):
-    KS is the largest piece maximum, and W1 sums the pieces' areas plus the
-    step from each piece's last value to the next piece's first.
+    checked nor copied.  The merge runs piece by piece (``_piece_bounds``),
+    on ``threads``: KS is the largest piece maximum, and W1 sums, in piece
+    order, the pieces' areas plus the step from each piece's last value to
+    the next piece's first, so every worker count gives the same bits.
     """
+    want_ks = "ks" in names
     want_area = "w1" in names or "w1_normalized" in names
+    pieces = list(_piece_bounds(a, b))
+
+    def summary(bounds):
+        return _piece_summary(a, b, bounds, want_ks, want_area)
+
+    # threads contend more than they help unless each gets several pieces
+    summaries = (threads if len(pieces) > threads.workers else SERIAL).map(summary, pieces)
     sup = area = 0.0
-    last = None  # the previous piece's last grid value and height
-    for bounds in _piece_bounds(a, b):
-        grid, heights = _piece_gap(a, b, *bounds)
-        if "ks" in names:
-            sup = max(sup, float(heights.max()))
-        if want_area:
-            # an elementwise product and a sum, not np.dot: a BLAS dot can
-            # wake worker threads that spin without shortening the wall time
-            if last is not None:
-                area += float((grid[0] - last[0]) * last[1])
-            gaps = np.diff(grid)
-            gaps *= heights[:-1]
-            area += float(gaps.sum())
-            last = grid[-1], heights[-1]
+    last = None  # the previous piece's last value and height
+    for piece_sup, piece_area, first, end, end_height in summaries:
+        sup = max(sup, piece_sup)
+        if last is not None:
+            area += (first - last[0]) * last[1]
+        area += piece_area
+        last = end, end_height
     out = {"ks": sup, "w1": area}
     if "w1_normalized" in names:
         pooled_range = float(max(a[-1], b[-1]) - min(a[0], b[0]))

@@ -47,7 +47,7 @@ class TestClassDistanceSets:
             assert icd.label == label and bcd.label == label
 
     def test_matches_direct_computation(self):
-        # gathering from the condensed vector equals computing each set alone
+        # the class-by-class sets equal computing each set alone
         ds = random_dataset(n_per_class=10, classes=2, seed=2)
         sets = class_distance_sets(ds)
         for label in (0, 1):
@@ -146,7 +146,7 @@ class TestClassDistanceSets:
 
     @pytest.mark.parametrize("classes", [2, 3, 5])
     def test_every_pair_computed_once(self, classes, computed_pairs):
-        # 150 rows per class span two kernel blocks; labels are interleaved
+        # 150 rows per class span several kernel blocks; labels are interleaved
         ds = random_dataset(n_per_class=150, classes=classes, seed=25).subset(
             rng(26).permutation(150 * classes)
         )
