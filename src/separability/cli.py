@@ -47,7 +47,7 @@ from .dsi import (
 )
 from .errors import DomainError, ParseError, SeparabilityError
 from .fetch import fetch_dataset
-from .generators import SHAPES, GeneratorSpec, generate
+from .generators import SHAPES, GeneratorSpec, _philox, generate
 from .measures import MEASURE_CODES, compute_measures
 
 SCHEMA_VERSION = 1
@@ -194,6 +194,21 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# (tar archive, binary batch) loader of each CIFAR input format
+_CIFAR_LOADERS = {
+    "cifar10": (load_cifar10_tar, load_cifar10_batch),
+    "cifar100": (load_cifar100_tar, load_cifar100_batch),
+}
+
+
+def _load_cifar(path: str, input_format: str = "cifar10") -> Dataset:
+    """The training records of a CIFAR tar archive, or one binary batch."""
+    from_tar, from_batch = _CIFAR_LOADERS[input_format]
+    p = Path(path)
+    load = from_tar if p.name.endswith((".tar", ".tar.gz", ".tgz")) else from_batch
+    return load(p.read_bytes())
+
+
 def _load_labeled(args) -> Dataset:
     path = Path(args.input)
     if args.input_format == "csv":
@@ -206,15 +221,8 @@ def _load_labeled(args) -> Dataset:
         return load_csv(
             path, label_column=label, delimiter=args.delimiter, header=not args.no_header
         )
-    data = path.read_bytes()
-    if args.input_format == "cifar10":
-        if path.name.endswith((".tar", ".tar.gz", ".tgz")):
-            return load_cifar10_tar(data)
-        return load_cifar10_batch(data)
-    if args.input_format == "cifar100":
-        if path.name.endswith((".tar", ".tar.gz", ".tgz")):
-            return load_cifar100_tar(data)
-        return load_cifar100_batch(data)
+    if args.input_format in _CIFAR_LOADERS:
+        return _load_cifar(args.input, args.input_format)
     raise ParseError(f"unknown input format {args.input_format!r}")
 
 
@@ -281,17 +289,9 @@ def _cmd_measure(args) -> int:
             sets = class_distance_sets(
                 ds, metric, workers=args.threads, max_points=args.max_points
             )
-    elif args.histogram:  # the index and the histogram read the same multisets
+    else:  # the index and the histogram read the same multisets
         (report,) = _dsi_reports(
             ds, metric, (args.stat,), args.threads, args.max_points, sets
-        )
-    else:
-        report = dsi(
-            ds,
-            metric=metric,
-            stat=args.stat,
-            workers=args.threads,
-            max_points=args.max_points,
         )
     if args.histogram:
         _write_histogram(args.histogram, sets, args.bins)
@@ -447,13 +447,6 @@ def _cmd_fetch(args) -> int:
 # subcommand: repro
 
 
-def _load_cifar_train(path: str) -> Dataset:
-    p = Path(path)
-    if p.name.endswith((".tar", ".tar.gz", ".tgz")):
-        return load_cifar10_tar(p.read_bytes(), split="train")
-    return load_cifar10_batch(p.read_bytes())
-
-
 def _repro_table2(args) -> list[list]:
     rows: list[list] = [["measure"] + list(_TABLE2_SHAPES)]
     datasets = {
@@ -506,7 +499,7 @@ def _repro_figure7(args) -> list[list]:
 def _repro_figure12(args) -> list[list]:
     if not args.data:
         raise ParseError("repro figure12 needs --data pointing to a CIFAR-10 archive or batch")
-    ds = _load_cifar_train(args.data)
+    ds = _load_cifar(args.data)
     sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
     rows: list[list] = [["subset_size", "mean_dsi", "sd_dsi", "trials", "seed"]]
     for size in sizes:
@@ -518,14 +511,11 @@ def _repro_figure12(args) -> list[list]:
     return rows
 
 
-def _uniform_identity_scores(n: int, seeds: int, threads: int) -> list[float]:
+def _uniform_identity_scores(n: int, seed: int, seeds: int, threads: int) -> list[float]:
+    """Identity scores of two uniform samples, run s keyed by ``[seed + s, class]``."""
     scores = []
-    for seed in range(seeds):
-        streams = [
-            np.random.Generator(np.random.Philox(key=np.array([seed, c], dtype=np.uint64)))
-            for c in (0, 1)
-        ]
-        a, b = (rng.random((n, 2)) for rng in streams)
+    for s in range(seeds):
+        a, b = (_philox(seed + s, c).random((n, 2)) for c in (0, 1))
         scores.append(distribution_identity_score(a, b, workers=threads))
     return scores
 
@@ -533,12 +523,12 @@ def _uniform_identity_scores(n: int, seeds: int, threads: int) -> list[float]:
 def _repro_section5_2(args) -> list[list]:
     rows: list[list] = [["experiment", "mean", "sd", "n_seeds"]]
     for n in (1000, 2000):
-        scores = _uniform_identity_scores(n, args.seeds, args.threads)
+        scores = _uniform_identity_scores(n, args.seed, args.seeds, args.threads)
         mean = float(np.mean(scores))
         sd = float(np.std(scores, ddof=1)) if len(scores) > 1 else 0.0
         rows.append([f"uniform_{n}_per_class", mean, sd, len(scores)])
     if args.data:
-        ds = _load_cifar_train(args.data)
+        ds = _load_cifar(args.data)
         airplanes = ds.points[ds.labels == 0]
         autos = ds.points[ds.labels == 1]
         half = airplanes.shape[0] // 2
@@ -666,7 +656,8 @@ def build_parser() -> _Parser:
 
     r = sub.add_parser("repro", help="regenerate the benchmark tables")
     r.add_argument("target", choices=["table2", "figure4", "figure7", "figure12", "section5_2"])
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=int, default=0,
+                   help="seed of the generated data and the random draws (default %(default)s)")
     r.add_argument("--n-per-class", type=int, default=1000)
     r.add_argument("--seeds", type=int, default=10,
                    help="seed count for the uniform identity runs (section5_2)")

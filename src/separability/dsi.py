@@ -13,18 +13,21 @@ statistic is near 0; when the class sits apart it approaches 1.  The
 dataset's separability index is the unweighted mean over classes, and
 ``complexity = 1 - separability``.
 
-Each multiset is computed where it lives, in row blocks: ICD(i) from
-the pairwise distances among class i's rows, BCD(i) from class i's rows
-against the other classes' rows.  Each is sorted once, in its own buffer,
-and made read-only.  With two classes both BCDs are the same multiset,
-computed and sorted once and shared.  With three or more classes each
-class's BCD is built, merged and freed before the next class's; the
-distances to later classes are computed on the earlier class's turn and
-kept until the later class's turn.  Either way every pair of points is
-computed exactly once.  Each class then costs one merge of its two sorted
-multisets, run in pieces that ``workers`` threads can share, from which KS
-and the normalized 1-Wasserstein distance are both read.  The points are
-checked once, for the whole dataset, so an error names the dataset's row.
+One private function, ``_dsi_reports``, does this for ``dsi``,
+``class_distance_sets`` and the CLI.  It checks the points once, for the
+whole dataset, so an error names the dataset's row, then walks the
+classes in ascending label order.  Each multiset is computed where it
+lives, in row blocks: ICD(i) from the pairwise distances among
+class i's rows, BCD(i) from class i's rows against the other classes'
+rows.  Each is sorted once, in its own buffer, and made read-only.  With
+two classes both BCDs are the same multiset, computed and sorted once and
+shared.  With three or more classes each class's BCD is built, scored and
+freed before the next class's; the distances to later classes are
+computed on the earlier class's turn and kept until the later class's
+turn.  Either way every pair of points is computed exactly once.  Each
+class then costs one merge of its two sorted multisets, run in pieces
+that ``workers`` threads can share, from which KS and the normalized
+1-Wasserstein distance are both read.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .distances import (
     resolve_metric,
 )
 from .errors import DegenerateClass, DegenerateSubset, DistanceCapError, DomainError
+from .generators import _philox
 from .stats import _gap_statistics
 
 __all__ = [
@@ -74,13 +78,6 @@ _GAP_STATISTICS = {
     "ks": "ks",
     "wasserstein": "w1_normalized",
 }
-
-
-def _check_stat(stat):
-    if not callable(stat) and stat not in _GAP_STATISTICS:
-        raise ValueError(
-            f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
-        )
 
 
 def _stat_name(stat) -> str:
@@ -153,15 +150,29 @@ def _sorted_read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _each_class(
-    ds: Dataset, m: DistanceMetric, threads: Threads, max_points: int | None, visit
-) -> dict:
-    """``{label: visit(label, icd, bcd)}``, classes in ascending label order.
+def _dsi_reports(
+    ds: Dataset,
+    metric: DistanceMetric | str,
+    stats: tuple,
+    workers: int,
+    max_points: int | None,
+    sets: dict | None = None,
+) -> list[SeparabilityReport]:
+    """One report per entry of ``stats``, all from one pass over the classes.
 
-    ``icd`` and ``bcd`` are the class's sorted, read-only multisets.  A
-    class's own multisets are released once ``visit`` returns, unless it
-    keeps them; the two-class BCD is shared by both visits.
+    Each class is scored from its sorted, read-only ICD and BCD multisets:
+    every named statistic from one merge, a callable from the two value
+    arrays.  A class's own multisets are released once it is scored, unless
+    ``sets`` is given: then it receives what ``class_distance_sets``
+    returns, from the same pass.
     """
+    t0 = time.perf_counter()
+    m = resolve_metric(metric)
+    for stat in stats:
+        if not callable(stat) and stat not in _GAP_STATISTICS:
+            raise ValueError(
+                f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
+            )
     groups = partition(ds).groups
     for label, rows in groups.items():
         if rows.size < 2:
@@ -181,43 +192,72 @@ def _each_class(
     labels = list(groups)
     points = ds.points[np.concatenate(list(groups.values()))]
     starts = np.cumsum([0] + [groups[label].size for label in labels]).tolist()
-    if len(groups) == 2:  # both classes' BCD is the one cross block
-        first, second = classes = [points[: starts[1]], points[starts[1] :]]
-        bcd = _sorted_read_only(_cross(first, second, m, threads))
-        return {
-            label: visit(label, _sorted_read_only(_condensed(mine, m, threads)), bcd)
-            for label, mine in zip(labels, classes)
-        }
+    names = {_GAP_STATISTICS[stat] for stat in stats if not callable(stat)}
+    scores: dict[int, list[float]] = {}
 
-    # Class c's turn computes its distances to every later class, in blocks of
-    # the later rows, and keeps a copy of each later class's part until that
-    # class's turn: every pair of points is computed once.
-    kept: dict[int, list[np.ndarray]] = {label: [] for label in labels}
-    out = {}
-    for turn, label in enumerate(labels):
-        mine = points[starts[turn] : starts[turn + 1]]
-        size = mine.shape[0]
-        bcd = np.empty(size * (ds.n - size))
-        earlier = kept.pop(label)
-        at = sum(part.size for part in earlier)
-        if earlier:
-            np.concatenate(earlier, out=bcd[:at])
-        del earlier
-        if turn + 1 < len(labels):
-            _cross(points[starts[turn + 1] :], mine, m, threads, out=bcd[at:])
-            for c in labels[turn + 1 :]:
-                end = at + groups[c].size * size
-                kept[c].append(bcd[at:end].copy())
-                at = end
-        out[label] = visit(
-            label, _sorted_read_only(_condensed(mine, m, threads)), _sorted_read_only(bcd)
+    with Threads(workers) as threads:
+
+        def score(label, icd, bcd):  # icd and bcd are sorted and read-only
+            named = _gap_statistics(icd, bcd, names, threads) if names else {}
+            scores[label] = [
+                float(stat(icd, bcd)) if callable(stat) else named[_GAP_STATISTICS[stat]]
+                for stat in stats
+            ]
+            if sets is not None:
+                sets[label] = (
+                    DistanceSet._presorted(icd, "icd", label),
+                    DistanceSet._presorted(bcd, "bcd", label),
+                )
+
+        if len(labels) == 2:  # both classes' BCD is the one cross block
+            first, second = classes = [points[: starts[1]], points[starts[1] :]]
+            bcd = _sorted_read_only(_cross(first, second, m, threads))
+            for label, mine in zip(labels, classes):
+                score(label, _sorted_read_only(_condensed(mine, m, threads)), bcd)
+        else:
+            # Class c's turn computes its distances to every later class, in
+            # blocks of the later rows, and keeps a copy of each later class's
+            # part until that class's turn: every pair of points is computed once.
+            kept: dict[int, list[np.ndarray]] = {label: [] for label in labels}
+            for turn, label in enumerate(labels):
+                mine = points[starts[turn] : starts[turn + 1]]
+                size = mine.shape[0]
+                bcd = np.empty(size * (ds.n - size))
+                earlier = kept.pop(label)
+                at = sum(part.size for part in earlier)
+                if earlier:
+                    np.concatenate(earlier, out=bcd[:at])
+                del earlier
+                if turn + 1 < len(labels):
+                    _cross(points[starts[turn + 1] :], mine, m, threads, out=bcd[at:])
+                    for c in labels[turn + 1 :]:
+                        end = at + groups[c].size * size
+                        kept[c].append(bcd[at:end].copy())
+                        at = end
+                score(
+                    label,
+                    _sorted_read_only(_condensed(mine, m, threads)),
+                    _sorted_read_only(bcd),
+                )
+                del bcd  # a class's own BCD is freed before the next one is built
+
+    wall_time_s = time.perf_counter() - t0
+    reports = []
+    for stat, values in zip(stats, zip(*scores.values())):
+        index = float(np.mean(values))
+        reports.append(
+            SeparabilityReport(
+                per_class_similarity=dict(zip(labels, values)),
+                dsi=index,
+                complexity=1.0 - index,
+                metric=m.name,
+                stat=_stat_name(stat),
+                n_points=ds.n,
+                dim=ds.dim,
+                wall_time_s=wall_time_s,
+            )
         )
-        del bcd  # a class's own BCD is freed before the next one is built
-    return out
-
-
-def _distance_sets(label: int, icd: np.ndarray, bcd: np.ndarray) -> tuple[DistanceSet, DistanceSet]:
-    return DistanceSet._presorted(icd, "icd", label), DistanceSet._presorted(bcd, "bcd", label)
+    return reports
 
 
 def class_distance_sets(
@@ -232,71 +272,9 @@ def class_distance_sets(
     Every multiset's values are sorted ascending and read-only; with exactly
     two classes both BCDs hold the same array.
     """
-    with Threads(workers) as threads:
-        return _each_class(ds, resolve_metric(metric), threads, max_points, _distance_sets)
-
-
-def _scores(stats: tuple, icd: np.ndarray, bcd: np.ndarray, threads: Threads) -> list[float]:
-    """Each entry of ``stats`` for one class: every named statistic from one
-    merge, and a callable from the class's (icd, bcd) values."""
-    names = {_GAP_STATISTICS[stat] for stat in stats if not callable(stat)}
-    named = _gap_statistics(icd, bcd, names, threads) if names else {}
-    return [
-        float(stat(icd, bcd)) if callable(stat) else named[_GAP_STATISTICS[stat]]
-        for stat in stats
-    ]
-
-
-def _reports(
-    ds: Dataset, m: DistanceMetric, stats: tuple, per_label: dict, t0: float
-) -> list[SeparabilityReport]:
-    labels = sorted(per_label)
-    wall_time_s = time.perf_counter() - t0
-    reports = []
-    for stat, scores in zip(stats, zip(*(per_label[c] for c in labels))):
-        index = float(np.mean(scores))
-        reports.append(
-            SeparabilityReport(
-                per_class_similarity=dict(zip(labels, scores)),
-                dsi=index,
-                complexity=1.0 - index,
-                metric=m.name,
-                stat=_stat_name(stat),
-                n_points=ds.n,
-                dim=ds.dim,
-                wall_time_s=wall_time_s,
-            )
-        )
-    return reports
-
-
-def _dsi_reports(
-    ds: Dataset,
-    metric: DistanceMetric | str,
-    stats: tuple,
-    workers: int,
-    max_points: int | None,
-    sets: dict | None = None,
-) -> list[SeparabilityReport]:
-    """One report per entry of ``stats``, all from one pass over the classes.
-
-    When ``sets`` is given, it receives what ``class_distance_sets`` would
-    return, from the same pass.
-    """
-    t0 = time.perf_counter()
-    m = resolve_metric(metric)
-    for stat in stats:
-        _check_stat(stat)
-
-    with Threads(workers) as threads:
-
-        def visit(label, icd, bcd):
-            if sets is not None:
-                sets[label] = _distance_sets(label, icd, bcd)
-            return _scores(stats, icd, bcd, threads)
-
-        per_label = _each_class(ds, m, threads, max_points, visit)
-    return _reports(ds, m, stats, per_label, t0)
+    sets: dict[int, tuple[DistanceSet, DistanceSet]] = {}
+    _dsi_reports(ds, metric, (), workers, max_points, sets)
+    return sets
 
 
 def dsi(
@@ -336,7 +314,7 @@ def dsi_subsampled(
 
     Each trial draws ``subset_size`` rows without replacement using a
     Philox stream keyed by ``[seed, trial]``, then computes the exact index
-    on the subset.  Draws leaving fewer than 2 classes or a singleton class
+    on the subset; ``seed`` must be in [0, 2**64).  Draws leaving fewer than 2 classes or a singleton class
     are rejected and redrawn (same stream) up to ``max_retries`` times.
 
     The report's ``dsi`` aggregates trials: ``per_class_similarity`` holds
@@ -363,7 +341,7 @@ def dsi_subsampled(
     trial_values: list[float] = []
     class_scores: dict[int, list[float]] = {}
     for t in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
+        rng = _philox(seed, t)
         for _ in range(max_retries):
             idx = np.sort(rng.choice(ds.n, size=subset_size, replace=False))
             sub = ds.subset(idx)

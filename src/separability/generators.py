@@ -107,10 +107,15 @@ class GeneratorSpec:
         return DEFAULT_NOISE[self.shape] if self.noise is None else float(self.noise)
 
 
-def _class_rng(seed: int, class_index: int) -> np.random.Generator:
-    # Philox key [seed, class]: independent stream per class.
-    key = np.array([seed, class_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    """The package's one source of randomness: Philox keyed by ``[seed, stream]``.
+
+    Both key words are unsigned 64-bit, so a seed outside [0, 2**64) raises
+    ``DomainError``.
+    """
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def _gen_random(rng: np.random.Generator, n: int, c: int, noise: float) -> np.ndarray:
@@ -188,7 +193,7 @@ def generate(spec: GeneratorSpec) -> Dataset:
         float(spec.cluster_sd) if spec.shape == "blobsd" else spec.effective_noise
     )
     parts = [
-        fn(_class_rng(int(spec.seed), c), spec.n_per_class, c, param) for c in (0, 1)
+        fn(_philox(int(spec.seed), c), spec.n_per_class, c, param) for c in (0, 1)
     ]
     points = np.vstack(parts)
     labels = np.repeat(np.arange(2, dtype=np.int64), spec.n_per_class)

@@ -44,6 +44,7 @@ from scipy.spatial.distance import cdist, squareform
 from .dataset import Dataset, partition
 from .distances import pairwise_condensed
 from .errors import DegenerateClass, DomainError
+from .generators import _philox
 
 __all__ = [
     "MEASURE_CODES",
@@ -272,13 +273,14 @@ def n4(
     Draws ``n_synthetic`` points (default: n), each uniform on the segment
     between two distinct points of a random class, labels it with that
     class, and classifies it by 1-NN against the original data.  Separable
-    classes with convex regions give errors near 0.
+    classes with convex regions give errors near 0.  Draws come from the
+    Philox stream keyed by ``[seed, 0]``, ``seed`` in [0, 2**64).
     """
     part = _validate(ds, need_class_pairs=True)
     n_syn = ds.n if n_synthetic is None else int(n_synthetic)
     if n_syn < 1:
         raise DomainError(f"n_synthetic must be >= 1, got {n_syn}")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = _philox(seed, 0)
     class_labels = sorted(part.groups)
     X = ds.points
     synth = np.empty((n_syn, ds.dim))

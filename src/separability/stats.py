@@ -94,14 +94,18 @@ def _piece_bounds(a, b):
         i, j = ia, jb
 
 
-def _piece_gap(a, b, i, ia, j, jb) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Grid and |P - Q| (right limits) on the pooled values of one piece.
+def _piece_summary(a, b, bounds, want_ks: bool, want_area: bool) -> tuple:
+    """(sup, area, first value, last value, last height) of one piece's |P - Q|.
 
     A stable argsort of the two slices merges them in linear time
     (timsort).  Counts are float64, exact below 2**53, offset by the values
     before the piece, so each height has the same bits as in one merge of
-    the whole runs.
+    the whole runs.  Inside a run of tied values the heights are partial,
+    but only the run's last one is read: KS takes the maximum over run
+    ends, and W1 weighs each height by the step to the next value, which is
+    zero inside a run.
     """
+    i, ia, j, jb = bounds
     grid = np.concatenate([a[i:ia], b[j:jb]])
     order = np.argsort(grid, kind="stable")
     grid = grid[order]
@@ -112,24 +116,15 @@ def _piece_gap(a, b, i, ia, j, jb) -> tuple[NDArray[np.float64], NDArray[np.floa
     count_b -= count_a
     count_a += i
     count_b += j
-    # Right limits: tied values take the counts at their run's last member,
-    # which, as counts never decrease, is a reverse running minimum of run ends.
-    inside_run = np.append(grid[:-1] == grid[1:], False)
-    if inside_run.any():
-        for count in (count_a, count_b):
-            count[inside_run] = np.inf
-            np.minimum.accumulate(count[::-1], out=count[::-1])
-    del inside_run
     count_a /= a.size
     count_b /= b.size
     count_a -= count_b
-    return grid, np.abs(count_a, out=count_a)
-
-
-def _piece_summary(a, b, bounds, want_ks: bool, want_area: bool) -> tuple:
-    """(sup, area, first value, last value, last height) of one piece's |P - Q|."""
-    grid, heights = _piece_gap(a, b, *bounds)
-    sup = float(heights.max()) if want_ks else 0.0
+    heights = np.abs(count_a, out=count_a)
+    del count_b
+    sup = 0.0
+    if want_ks:
+        run_end = np.append(grid[:-1] != grid[1:], True)
+        sup = float(heights.max(where=run_end, initial=0.0))
     area = 0.0
     if want_area:
         # an elementwise product and a sum, not np.dot: a BLAS dot can

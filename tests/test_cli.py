@@ -317,6 +317,12 @@ class TestUserErrors:
             (["repro", "section5_2", "--seeds", "0"], None),
             (["measure", "--input", "{data}", "--subsample", "30", "--max-points", "20"], None),
             (["measure", "--input", "{data}"], "timing = maybe"),
+            (["compare", "--input", "{data}", "--seed", "-1"], None),
+            (["compare", "--input", "{data}", "--seed", "18446744073709551616"], None),
+            (["measure", "--input", "{data}", "--subsample", "10", "--seed", "-1"], None),
+            (["measure", "--input", "{data}", "--subsample", "10",
+              "--seed", "18446744073709551616"], None),
+            (["repro", "section5_2", "--seeds", "1", "--seed", "-1"], None),
         ],
         ids=[
             "subsample-above-n", "subsample-0", "trials-0", "threads-0", "threads-neg",
@@ -327,6 +333,8 @@ class TestUserErrors:
             "compare-density-quantile-0-unselected", "compare-config-n4-synthetic-neg",
             "compare-config-density-quantile-1", "repro-seeds-0",
             "subsample-above-max-points", "config-timing-maybe",
+            "compare-seed-neg", "compare-seed-2-64", "subsample-seed-neg",
+            "subsample-seed-2-64", "repro-seed-neg",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, capsys, argv, config):

@@ -16,6 +16,7 @@ from separability import (
     DegenerateSubset,
     DegenerateVector,
     DistanceCapError,
+    DomainError,
     class_distance_sets,
     distribution_identity_score,
     dsi,
@@ -328,6 +329,17 @@ class TestDsiSubsampled:
         ds = random_dataset(n_per_class=10, seed=17)
         with pytest.raises(ValueError, match="trials"):
             dsi_subsampled(ds, subset_size=10, trials=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        ds = random_dataset(n_per_class=10, seed=17)
+        with pytest.raises(DomainError, match=r"seed must be in \[0, 2\*\*64\)"):
+            dsi_subsampled(ds, subset_size=10, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        ds = random_dataset(n_per_class=10, seed=17)
+        report = dsi_subsampled(ds, subset_size=10, trials=1, seed=2**64 - 1)
+        assert report.subsample.seed == 2**64 - 1
 
     def test_no_cap_on_subsets(self):
         # the exact cap bounds subset_size, not the size of the whole dataset

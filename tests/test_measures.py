@@ -27,7 +27,7 @@ from separability import (
     t1,
 )
 
-from conftest import random_dataset, rng
+from conftest import random_dataset
 from oracles import brute_mst_edges, brute_n1, brute_n3
 
 
@@ -166,6 +166,11 @@ class TestN4:
     def test_synthetic_count_validated(self):
         with pytest.raises(DomainError, match="n_synthetic"):
             n4(EASY, n_synthetic=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(DomainError, match=r"seed must be in \[0, 2\*\*64\)"):
+            n4(EASY, seed=seed)
 
     def test_singleton_class_rejected(self):
         ds = _line([0.0, 1.0, 5.0], [0, 0, 1])
