@@ -71,6 +71,15 @@ class _Parser(argparse.ArgumentParser):
                     break
         super().error(message)  # prints usage to stderr and exits 2
 
+    def _get_values(self, action, arg_strings):
+        # argparse strips the "--" of "--flag=--" and would store an empty
+        # list unchecked; parse and check "--" like any other value instead
+        if action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def _collect_option_strings(parser: argparse.ArgumentParser):
     for action in parser._actions:
@@ -147,6 +156,14 @@ def _check_positive(args, *dests: str):
             raise DomainError(f"{flag} must be >= 1, got {value}")
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma list of integers, as an argparse type."""
+    try:
+        return [int(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+
+
 def _fitted_metric(name: str, *point_sets):
     """The metric to use; mahalanobis is fitted once on all the points."""
     if name == "mahalanobis":
@@ -210,20 +227,15 @@ def _load_cifar(path: str, input_format: str = "cifar10") -> Dataset:
 
 
 def _load_labeled(args) -> Dataset:
-    path = Path(args.input)
-    if args.input_format == "csv":
-        label: int | str = args.label_col
-        if isinstance(label, str):
-            try:
-                label = int(label)
-            except ValueError:
-                pass
-        return load_csv(
-            path, label_column=label, delimiter=args.delimiter, header=not args.no_header
-        )
-    if args.input_format in _CIFAR_LOADERS:
+    if args.input_format != "csv":
         return _load_cifar(args.input, args.input_format)
-    raise ParseError(f"unknown input format {args.input_format!r}")
+    try:
+        label: int | str = int(args.label_col)
+    except ValueError:
+        label = args.label_col
+    return load_csv(
+        Path(args.input), label_column=label, delimiter=args.delimiter, header=not args.no_header
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +339,14 @@ def _cmd_measure(args) -> int:
 # subcommand: compare
 
 
-def _measure_rows(ds: Dataset, codes, seed, n4_synthetic, density_quantile, threads):
-    results = compute_measures(
-        ds,
-        codes,
-        n4_synthetic=n4_synthetic,
-        seed=seed,
-        density_quantile=density_quantile,
-        workers=threads,
-    )
+def _complexity_rows(ds: Dataset, codes, threads: int, **options) -> list[list]:
+    """``[code, value, params]`` of each measure in ``codes``, then of 1-DSI."""
     rows = []
-    for res in results:
+    for res in compute_measures(ds, codes, workers=threads, **options):
         params = ";".join(f"{k}={v}" for k, v in sorted(res.params.items()))
         rows.append([res.code, res.value, params])
+    report = dsi(ds, workers=threads)
+    rows.append(["1-DSI", report.complexity, f"metric={report.metric};stat={report.stat}"])
     return rows
 
 
@@ -365,11 +372,10 @@ def _cmd_compare(args) -> int:
                 f"expected some of {', '.join(MEASURE_CODES)}"
             )
     rows: list[list] = [["measure", "value", "params"]]
-    rows += _measure_rows(
-        ds, codes, args.seed, args.n4_synthetic, args.density_quantile, args.threads
+    rows += _complexity_rows(
+        ds, codes, args.threads, seed=args.seed, n4_synthetic=args.n4_synthetic,
+        density_quantile=args.density_quantile,
     )
-    report = dsi(ds, workers=args.threads)
-    rows.append(["1-DSI", report.complexity, f"metric={report.metric};stat={report.stat}"])
     text = _csv_text(rows) if args.format == "csv" else _aligned_text(rows)
     _emit(text, args.output)
     return 0
@@ -448,47 +454,41 @@ def _cmd_fetch(args) -> int:
 
 
 def _repro_table2(args) -> list[list]:
-    rows: list[list] = [["measure"] + list(_TABLE2_SHAPES)]
-    datasets = {
-        shape: generate(GeneratorSpec(shape, args.n_per_class, seed=args.seed))
+    columns = [
+        _complexity_rows(
+            generate(GeneratorSpec(shape, args.n_per_class, seed=args.seed)),
+            MEASURE_CODES,
+            args.threads,
+            seed=args.seed,
+        )
         for shape in _TABLE2_SHAPES
-    }
-    columns = {
-        shape: {
-            res.code: res.value
-            for res in compute_measures(ds, seed=args.seed, workers=args.threads)
-        }
-        for shape, ds in datasets.items()
-    }
-    for shape, ds in datasets.items():
-        columns[shape]["1-DSI"] = dsi(ds, workers=args.threads).complexity
-    for code in list(MEASURE_CODES) + ["1-DSI"]:
-        rows.append([code] + [columns[shape][code] for shape in _TABLE2_SHAPES])
+    ]
+    rows: list[list] = [["measure"] + list(_TABLE2_SHAPES)]
+    for cells in zip(*columns):
+        rows.append([cells[0][0]] + [value for _, value, _ in cells])
     return rows
+
+
+def _blobsd_sweep(args):
+    """The blobsd datasets of figures 4 and 7, by cluster_sd from 1 to 9."""
+    for sd in range(1, 10):
+        yield sd, generate(
+            GeneratorSpec("blobsd", args.n_per_class, seed=args.seed, cluster_sd=float(sd))
+        )
 
 
 def _repro_figure4(args) -> list[list]:
     codes = ["N2", "N4", "T1", "LSC", "Density"]
     rows: list[list] = [["cluster_sd"] + codes + ["1-DSI"]]
-    for sd in range(1, 10):
-        ds = generate(
-            GeneratorSpec("blobsd", args.n_per_class, seed=args.seed, cluster_sd=float(sd))
-        )
-        values = {
-            res.code: res.value
-            for res in compute_measures(ds, codes, seed=args.seed, workers=args.threads)
-        }
-        complexity = dsi(ds, workers=args.threads).complexity
-        rows.append([sd] + [values[c] for c in codes] + [complexity])
+    for sd, ds in _blobsd_sweep(args):
+        complexity = _complexity_rows(ds, codes, args.threads, seed=args.seed)
+        rows.append([sd] + [value for _, value, _ in complexity])
     return rows
 
 
 def _repro_figure7(args) -> list[list]:
     rows: list[list] = [["cluster_sd", "dsi_ks", "dsi_wasserstein"]]
-    for sd in range(1, 10):
-        ds = generate(
-            GeneratorSpec("blobsd", args.n_per_class, seed=args.seed, cluster_sd=float(sd))
-        )
+    for sd, ds in _blobsd_sweep(args):
         ks, wasserstein = _dsi_reports(
             ds, "euclidean", ("ks", "wasserstein"), args.threads, DEFAULT_MAX_POINTS
         )
@@ -500,9 +500,8 @@ def _repro_figure12(args) -> list[list]:
     if not args.data:
         raise ParseError("repro figure12 needs --data pointing to a CIFAR-10 archive or batch")
     ds = _load_cifar(args.data)
-    sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
     rows: list[list] = [["subset_size", "mean_dsi", "sd_dsi", "trials", "seed"]]
-    for size in sizes:
+    for size in args.sizes:
         report = dsi_subsampled(
             ds, subset_size=size, trials=args.trials, seed=args.seed, workers=args.threads
         )
@@ -662,7 +661,7 @@ def build_parser() -> _Parser:
     r.add_argument("--seeds", type=int, default=10,
                    help="seed count for the uniform identity runs (section5_2)")
     r.add_argument("--data", default=None, help="local CIFAR-10 archive or batch file")
-    r.add_argument("--sizes", default="100,500,1000,5000",
+    r.add_argument("--sizes", type=_int_list, default="100,500,1000,5000",
                    help="comma list of subset sizes (figure12)")
     r.add_argument("--trials", type=int, default=8, help="trials per subset size (figure12)")
     r.add_argument("--threads", type=int, default=1)

@@ -212,8 +212,12 @@ def _read_text(source) -> str:
 
 
 def _parse_rows(text: str, delimiter: str) -> list[list[str]]:
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    return [row for row in reader if row]
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ParseError(f"delimiter must be one character, got {delimiter!r}")
+    try:
+        return [row for row in csv.reader(io.StringIO(text), delimiter=delimiter) if row]
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from None
 
 
 def _float_cells(rows: list[list[str]], ncol: int, columns) -> NDArray[np.float64]:
@@ -251,6 +255,7 @@ def load_csv(
 ) -> Dataset:
     """Parse delimited text into a Dataset.
 
+    A ``str`` ``source`` is the text itself; pass a file as a ``Path``.
     ``label_column`` selects the class column by header name or by index
     (negative indices count from the right; default: last column).  With
     ``header=False`` the first row is data and the label column must be an

@@ -80,10 +80,6 @@ _GAP_STATISTICS = {
 }
 
 
-def _stat_name(stat) -> str:
-    return stat if isinstance(stat, str) else getattr(stat, "__name__", "custom")
-
-
 @dataclass(frozen=True)
 class SubsampleStats:
     """Aggregate of repeated random-subset runs."""
@@ -153,23 +149,23 @@ def _sorted_read_only(values: np.ndarray) -> np.ndarray:
 def _dsi_reports(
     ds: Dataset,
     metric: DistanceMetric | str,
-    stats: tuple,
+    stats: tuple[str, ...],
     workers: int,
     max_points: int | None,
     sets: dict | None = None,
 ) -> list[SeparabilityReport]:
     """One report per entry of ``stats``, all from one pass over the classes.
 
-    Each class is scored from its sorted, read-only ICD and BCD multisets:
-    every named statistic from one merge, a callable from the two value
-    arrays.  A class's own multisets are released once it is scored, unless
-    ``sets`` is given: then it receives what ``class_distance_sets``
-    returns, from the same pass.
+    Each class is scored by one merge of its sorted, read-only ICD and BCD
+    multisets, which yields every statistic in ``stats``.  A class's own
+    multisets are released once it is scored, unless ``sets`` is given:
+    then it receives what ``class_distance_sets`` returns, from the same
+    pass.
     """
     t0 = time.perf_counter()
     m = resolve_metric(metric)
     for stat in stats:
-        if not callable(stat) and stat not in _GAP_STATISTICS:
+        if stat not in _GAP_STATISTICS:
             raise ValueError(
                 f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
             )
@@ -192,17 +188,14 @@ def _dsi_reports(
     labels = list(groups)
     points = ds.points[np.concatenate(list(groups.values()))]
     starts = np.cumsum([0] + [groups[label].size for label in labels]).tolist()
-    names = {_GAP_STATISTICS[stat] for stat in stats if not callable(stat)}
+    names = {_GAP_STATISTICS[stat] for stat in stats}
     scores: dict[int, list[float]] = {}
 
     with Threads(workers) as threads:
 
         def score(label, icd, bcd):  # icd and bcd are sorted and read-only
             named = _gap_statistics(icd, bcd, names, threads) if names else {}
-            scores[label] = [
-                float(stat(icd, bcd)) if callable(stat) else named[_GAP_STATISTICS[stat]]
-                for stat in stats
-            ]
+            scores[label] = [named[_GAP_STATISTICS[stat]] for stat in stats]
             if sets is not None:
                 sets[label] = (
                     DistanceSet._presorted(icd, "icd", label),
@@ -251,7 +244,7 @@ def _dsi_reports(
                 dsi=index,
                 complexity=1.0 - index,
                 metric=m.name,
-                stat=_stat_name(stat),
+                stat=stat,
                 n_points=ds.n,
                 dim=ds.dim,
                 wall_time_s=wall_time_s,
@@ -366,7 +359,7 @@ def dsi_subsampled(
         dsi=mean,
         complexity=1.0 - mean,
         metric=m.name,
-        stat=_stat_name(stat),
+        stat=stat,
         n_points=ds.n,
         dim=ds.dim,
         subsample=SubsampleStats(

@@ -27,9 +27,9 @@ N1 is deterministic; N3 breaks nearest-neighbor ties by the lower row
 index, and coincident points with different labels always count as
 errors.
 
-``compute_measures`` computes the euclidean distances once per dataset and
-shares them, read-only, among N1, N2, N3, T1, LSC and Density; a measure
-called on its own computes them itself.
+``compute_measures`` computes the euclidean distance matrix once per
+dataset and shares it, read-only, among N1, N2, N3, T1, LSC and Density; a
+measure called on its own computes it itself.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial.distance import cdist, squareform
+from scipy.spatial.distance import squareform
 
 from .dataset import Dataset, partition
-from .distances import pairwise_condensed
+from .distances import pairwise_condensed, pairwise_cross
 from .errors import DegenerateClass, DomainError
 from .generators import _philox
 
@@ -108,7 +108,7 @@ def _nearest(masked: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np
 
 @dataclass(frozen=True)
 class _DistanceContext(Dataset):
-    """A dataset carrying its euclidean distances, computed once on first use.
+    """A dataset carrying its euclidean distance matrix, built on first use.
 
     Every array is read-only, since the measures share them.
     """
@@ -116,12 +116,10 @@ class _DistanceContext(Dataset):
     workers: int = 1
 
     @cached_property
-    def condensed(self) -> NDArray[np.float64]:
-        return _read_only(pairwise_condensed(self.points, "euclidean", workers=self.workers))
-
-    @cached_property
     def square(self) -> NDArray[np.float64]:
-        return _read_only(squareform(self.condensed))
+        return _read_only(
+            squareform(pairwise_condensed(self.points, "euclidean", workers=self.workers))
+        )
 
     @cached_property
     def same(self) -> NDArray[np.bool_]:
@@ -292,7 +290,7 @@ def n4(
         t = rng.random()
         synth[k] = X[a] + t * (X[b] - X[a])
         synth_labels[k] = c
-    nn = cdist(synth, X).argmin(axis=1)
+    nn = pairwise_cross(synth, X).argmin(axis=1)
     value = float(np.mean(ds.labels[nn] != synth_labels))
     return MeasureResult(
         code="N4", value=value, params={"n_synthetic": n_syn, "seed": seed}
@@ -349,11 +347,11 @@ def t1(ds: Dataset, workers: int = 1) -> MeasureResult:
     r = _touching_radii(*ctx.enemy)
     n = ds.n
     cover = (D <= r[:, None]).astype(np.float32)
-    # uncovered[i, j] = how many points sphere i covers that j does not
-    uncovered = cover @ (1.0 - cover.T)
-    subset = uncovered < 0.5
-    np.fill_diagonal(subset, False)
     size = cover.sum(axis=1)
+    # sphere i's cover is a subset of j's when j covers all of i's points;
+    # the counts are integers below 2**24, exact in float32
+    subset = (cover @ cover.T) == size[:, None]
+    np.fill_diagonal(subset, False)
     proper = subset & (size[:, None] < size[None, :])
     equal_cover = subset & subset.T
     lower = np.arange(n)[None, :] < np.arange(n)[:, None]
@@ -371,8 +369,9 @@ def lsc(ds: Dataset, workers: int = 1) -> MeasureResult:
     """
     _validate(ds)
     ctx = _context(ds, workers)
-    # the diagonal counts x itself
-    counts = (ctx.same & (ctx.square < ctx.enemy[1][:, None])).sum(axis=1)
+    # a point strictly closer than x's nearest enemy is of x's class; the
+    # diagonal counts x itself
+    counts = (ctx.square < ctx.enemy[1][:, None]).sum(axis=1)
     value = float(1.0 - counts.sum() / (ds.n**2))
     return MeasureResult(code="LSC", value=value, params={})
 
@@ -393,11 +392,12 @@ def density(
     if not 0.0 < quantile < 1.0:
         raise DomainError(f"quantile must be in (0, 1), got {quantile}")
     ctx = _context(ds, workers)
-    cut = np.quantile(ctx.condensed, quantile)
+    # the cut is a quantile over each pair once: the upper triangle
+    cut = np.quantile(squareform(ctx.square, checks=False), quantile)
     # the square matrix holds each pair twice and each point once with
     # itself, at distance 0 <= cut
     edges = (int(np.count_nonzero(ctx.same & (ctx.square <= cut))) - ds.n) // 2
-    value = 1.0 - edges / ctx.condensed.size
+    value = 1.0 - edges / (ds.n * (ds.n - 1) // 2)
     return MeasureResult(code="Density", value=value, params={"quantile": quantile})
 
 

@@ -167,3 +167,47 @@ def brute_dsi(points, labels, stat) -> float:
                 bcd.append(math.sqrt(float(((mine[i] - rest[j]) ** 2).sum())))
         scores.append(stat(icd, bcd))
     return sum(scores) / len(scores)
+
+
+def nearest_enemy(D, labels):
+    """Each row's nearest other-class column (lowest index on ties) and its
+    distance, from a square distance matrix."""
+    labels = np.asarray(labels)
+    masked = np.where(labels[:, None] == labels[None, :], np.inf, D)
+    enemy = masked.argmin(axis=1)
+    return enemy, masked[np.arange(enemy.size), enemy]
+
+
+def dense_complement_t1(D, radii) -> float:
+    """T1 with subsets found by the dense complement product: sphere i lies
+    inside sphere j when no point i covers is left uncovered by j."""
+    n = D.shape[0]
+    cover = (D <= np.asarray(radii)[:, None]).astype(np.float32)
+    subset = (cover @ (1.0 - cover.T)) < 0.5
+    np.fill_diagonal(subset, False)
+    size = cover.sum(axis=1)
+    proper = subset & (size[:, None] < size[None, :])
+    lower = np.arange(n)[None, :] < np.arange(n)[:, None]
+    absorbed = (proper | (subset & subset.T & lower)).any(axis=1)
+    return float(np.mean(~absorbed))
+
+
+def class_masked_lsc(D, labels) -> float:
+    """LSC counting only same-class points closer than the nearest enemy."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    counts = (same & (D < nearest_enemy(D, labels)[1][:, None])).sum(axis=1)
+    return float(1.0 - counts.sum() / (D.shape[0] ** 2))
+
+
+def condensed_density(condensed, labels, quantile) -> float:
+    """Density with its cut taken over the condensed vector of all pairs."""
+    labels = np.asarray(labels)
+    n = labels.size
+    D = np.zeros((n, n))
+    D[np.triu_indices(n, 1)] = condensed
+    D = D + D.T
+    cut = np.quantile(condensed, quantile)
+    same = labels[:, None] == labels[None, :]
+    edges = (int(np.count_nonzero(same & (D <= cut))) - n) // 2
+    return 1.0 - edges / condensed.size

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import separability
 from separability import (
@@ -323,6 +325,10 @@ class TestUserErrors:
             (["measure", "--input", "{data}", "--subsample", "10",
               "--seed", "18446744073709551616"], None),
             (["repro", "section5_2", "--seeds", "1", "--seed", "-1"], None),
+            (["measure", "--input", "{data}", "--delimiter", ""], None),
+            (["compare", "--input", "{data}", "--delimiter", "ab"], None),
+            (["identity", "--a", "{a}", "--b", "{a}", "--delimiter", ""], None),
+            (["measure", "--input", "{data}"], "delimiter = ab"),
         ],
         ids=[
             "subsample-above-n", "subsample-0", "trials-0", "threads-0", "threads-neg",
@@ -335,6 +341,8 @@ class TestUserErrors:
             "subsample-above-max-points", "config-timing-maybe",
             "compare-seed-neg", "compare-seed-2-64", "subsample-seed-neg",
             "subsample-seed-2-64", "repro-seed-neg",
+            "measure-delimiter-empty", "compare-delimiter-ab", "identity-delimiter-empty",
+            "config-delimiter-ab",
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, capsys, argv, config):
@@ -401,6 +409,13 @@ class TestConfig:
         assert len(capsys.readouterr().out.splitlines()) == 7
 
 
+def _cifar_batch(path):
+    """A CIFAR-10 batch of 12 random images in two classes of 6."""
+    pixels = rng(8).integers(0, 256, size=(12, 3072)).astype(float)
+    path.write_bytes(to_cifar10_bytes(Dataset(pixels, np.repeat([0, 1], 6))))
+    return path
+
+
 def _config_files(tmp_path):
     """Input files for the config cases, keyed by their placeholder names."""
     data = _write_shape_csv(tmp_path / "d.csv", n=20)
@@ -410,9 +425,7 @@ def _config_files(tmp_path):
     named = tmp_path / "named.csv"
     named.write_text("\n".join(moved) + "\n")
 
-    batch = tmp_path / "batch.bin"
-    pixels = rng(8).integers(0, 256, size=(12, 3072)).astype(float)
-    batch.write_bytes(to_cifar10_bytes(Dataset(pixels, np.repeat([0, 1], 6))))
+    batch = _cifar_batch(tmp_path / "batch.bin")
 
     files = {
         "data": data,
@@ -593,6 +606,63 @@ class TestConfigMatchesFlags:
             assert covered == long_options - {"config", "help"}
 
 
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return {
+        "data": _write_shape_csv(root / "d.csv", n=20),
+        "batch": _cifar_batch(root / "batch.bin"),
+        "hist": root / "h.csv",
+    }
+
+
+def _value(strategy):
+    """A flag value: one from ``strategy`` or up to three arbitrary characters."""
+    return strategy.map(str) | st.text(st.characters(codec="utf-8"), max_size=3)
+
+
+# (subcommand argv with file placeholders, the flags whose values are drawn)
+_FUZZ_COMMANDS = {
+    "measure": (
+        ["measure", "--input", "{data}", "--histogram", "{hist}"],
+        ("delimiter", "label_col", "bins", "subsample", "trials", "threads"),
+    ),
+    "compare": (["compare", "--input", "{data}"], ("delimiter", "label_col", "threads")),
+    "identity": (["identity", "--a", "{data}", "--b", "{data}"], ("delimiter", "threads")),
+    "figure12": (["repro", "figure12", "--data", "{batch}"], ("sizes", "trials", "threads")),
+}
+
+_FUZZ_VALUES = {
+    "delimiter": _value(st.sampled_from([",", ";", "\t"])),
+    "label_col": _value(st.sampled_from(["label", "x0", "-1", "0", "2", "-4"])),
+    "bins": _value(st.integers(-1, 10**4)),
+    "subsample": _value(st.integers(-1, 45)),
+    "trials": _value(st.integers(-1, 3)),
+    "threads": _value(st.integers(-1, 4)),
+    "sizes": _value(st.lists(st.integers(-1, 14), max_size=3).map(lambda v: str(v)[1:-1])),
+}
+
+
+class TestFlagFuzz:
+    """Any flag values end in exit 0, 1 or 2: a traceback fails the search."""
+
+    @pytest.mark.parametrize("command", list(_FUZZ_COMMANDS))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exits_0_1_or_2(self, fuzz_files, command, data):
+        argv, keys = _FUZZ_COMMANDS[command]
+        argv = [token.format(**fuzz_files) for token in argv]
+        for key in keys:
+            if data.draw(st.booleans(), label=f"pass --{key}"):
+                value = data.draw(_FUZZ_VALUES[key], label=key)
+                argv.append(f"--{key.replace('_', '-')}={value}")
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code in (0, 1, 2)
+
+
 class TestArgparseBehavior:
     def test_unknown_flag_exits_2_with_suggestion(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -604,6 +674,17 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "--input", "x.csv", "--threads=--"], ["generate", "--shape=--"]],
+        ids=["type", "choices"],
+    )
+    def test_double_dash_value_is_checked(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "'--'" in capsys.readouterr().err
 
     def test_version_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -697,6 +778,21 @@ class TestRepro:
     def test_figure12_needs_data(self, capsys):
         assert run(["repro", "figure12"]) == 1
         assert "--data" in capsys.readouterr().err
+
+    def test_figure12_sizes(self, tmp_path, capsys):
+        batch = _cifar_batch(tmp_path / "batch.bin")
+        argv = ["repro", "figure12", "--data", str(batch), "--trials", "2"]
+        assert run(argv + ["--sizes", "4, 6,"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["4", "6"]
+
+    @pytest.mark.parametrize("sizes", ["abc", "10,x"])
+    def test_figure12_bad_sizes_is_usage_error(self, tmp_path, capsys, sizes):
+        batch = _cifar_batch(tmp_path / "batch.bin")
+        with pytest.raises(SystemExit) as exc:
+            run(["repro", "figure12", "--data", str(batch), "--sizes", sizes])
+        assert exc.value.code == 2
+        assert "argument --sizes: not a comma list of integers" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("separability") is None, reason="entry point not on PATH")

@@ -175,6 +175,11 @@ class TestLoadCsv:
         ds = load_csv("x;y;label\n1;2;a\n3;4;b\n", delimiter=";")
         assert ds.points[1].tolist() == [3.0, 4.0]
 
+    def test_cell_past_csv_field_limit(self):
+        # the csv module rejects fields over its limit (128 KiB by default)
+        with pytest.raises(ParseError, match="malformed CSV"):
+            load_csv("x,label\n" + "1" * 200_000 + ",a\n2,b\n")
+
     def test_path_source(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(CSV_TEXT)

@@ -246,10 +246,6 @@ class TestDsi:
         with pytest.raises(ValueError, match="unknown statistic"):
             dsi(small_two_class, stat="cramer")
 
-    def test_callable_stat(self, small_two_class):
-        report = dsi(small_two_class, stat=ks_statistic)
-        assert report.dsi == pytest.approx(dsi(small_two_class, stat="ks").dsi)
-
     def test_to_dict_shape(self, small_two_class):
         d = dsi(small_two_class).to_dict()
         assert list(d) == [

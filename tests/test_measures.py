@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import squareform
+from scipy.spatial.distance import pdist, squareform
 
 import separability.measures
 
@@ -27,8 +27,16 @@ from separability import (
     t1,
 )
 
-from conftest import random_dataset
-from oracles import brute_mst_edges, brute_n1, brute_n3
+from conftest import random_dataset, rng
+from oracles import (
+    brute_mst_edges,
+    brute_n1,
+    brute_n3,
+    class_masked_lsc,
+    condensed_density,
+    dense_complement_t1,
+    nearest_enemy,
+)
 
 
 def _line(coords, labels):
@@ -258,6 +266,42 @@ class TestDensity:
 
     def test_params_record_quantile(self):
         assert density(EASY, quantile=0.3).params == {"quantile": 0.3}
+
+
+@st.composite
+def _shuffled_classes(draw):
+    """2-4 classes of 2-8 points in shuffled order: gaussian, small-integer
+    (tie-heavy) or drawn from a few distinct points (coincident)."""
+    sizes = draw(st.lists(st.integers(2, 8), min_size=2, max_size=4))
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["gaussian", "integer", "coincident"]))
+    g = rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    if kind == "gaussian":
+        points = g.normal(size=(n, dim))
+    elif kind == "integer":
+        points = g.integers(0, 3, size=(n, dim)).astype(float)
+    else:
+        points = g.normal(size=(3, dim))[g.integers(0, 3, size=n)]
+    labels = g.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return Dataset(points=points, labels=labels)
+
+
+class TestDenseReferences:
+    """T1, LSC and Density read one shared square matrix; the references
+    hold the dense complement, the class mask and the condensed cut."""
+
+    @given(_shuffled_classes(), st.sampled_from([0.05, 0.15, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_match_references(self, ds, quantile):
+        condensed = pdist(ds.points)
+        D = squareform(condensed)
+        radii = separability.measures._touching_radii(*nearest_enemy(D, ds.labels))
+        assert t1(ds).value == dense_complement_t1(D, radii)
+        assert lsc(ds).value == class_masked_lsc(D, ds.labels)
+        assert density(ds, quantile).value == condensed_density(
+            condensed, ds.labels, quantile
+        )
 
 
 class TestBounds:
