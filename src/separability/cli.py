@@ -229,12 +229,11 @@ def _load_cifar(path: str, input_format: str = "cifar10") -> Dataset:
 def _load_labeled(args) -> Dataset:
     if args.input_format != "csv":
         return _load_cifar(args.input, args.input_format)
-    try:
-        label: int | str = int(args.label_col)
-    except ValueError:
-        label = args.label_col
     return load_csv(
-        Path(args.input), label_column=label, delimiter=args.delimiter, header=not args.no_header
+        Path(args.input),
+        label_column=args.label_col,
+        delimiter=args.delimiter,
+        header=not args.no_header,
     )
 
 
@@ -575,7 +574,8 @@ def build_parser() -> _Parser:
             help="input layout (default %(default)s)",
         )
         p.add_argument("--label-col", default="-1",
-                       help="label column name or index (default: last column)")
+                       help="label column: a header name, else an integer index "
+                       "(negative counts from the right; default: last column)")
         p.add_argument("--delimiter", default=",", help="CSV delimiter (default %(default)s)")
         p.add_argument("--no-header", action="store_true",
                        help="treat the first CSV row as data")

@@ -226,7 +226,25 @@ def _float_cells(rows: list[list[str]], ncol: int, columns) -> NDArray[np.float6
     Every row must have ``ncol`` cells and every selected cell must parse as
     a finite float; the first row or cell that does not raises
     ``ParseError`` with its 0-based data-row index (and column index).
+    Rows are converted whole; only input that fails goes through the cell
+    loop, which finds the first bad row or cell.  ``float`` ignores the
+    whitespace that the cell loop strips, so both give the same values.
     """
+    if all(len(row) == ncol for row in rows):
+        points = np.empty((len(rows), len(columns)), dtype=np.float64)
+        try:
+            for r, row in enumerate(rows):
+                points[r] = [float(row[c]) for c in columns]
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(points).all():
+                return points
+    return _float_cells_by_cell(rows, ncol, columns)
+
+
+def _float_cells_by_cell(rows: list[list[str]], ncol: int, columns) -> NDArray[np.float64]:
+    """``_float_cells`` one cell at a time, raising at the first bad row or cell."""
     points = np.empty((len(rows), len(columns)), dtype=np.float64)
     for r, row in enumerate(rows):
         if len(row) != ncol:
@@ -257,7 +275,9 @@ def load_csv(
 
     A ``str`` ``source`` is the text itself; pass a file as a ``Path``.
     ``label_column`` selects the class column by header name or by index
-    (negative indices count from the right; default: last column).  With
+    (negative indices count from the right; default: last column).  A
+    ``str`` that names a header column selects that column; one that names
+    none but reads as an integer (``"1"``, ``"-2"``) is an index.  With
     ``header=False`` the first row is data and the label column must be an
     index.  Feature cells must parse as finite floats; violations raise
     ``ParseError`` carrying the 0-based data-row index.
@@ -266,25 +286,17 @@ def load_csv(
     if not rows:
         raise ParseError("no rows found")
 
-    if header:
-        head, rows = rows[0], rows[1:]
-        ncol = len(head)
-        if isinstance(label_column, str):
-            try:
-                label_idx = head.index(label_column)
-            except ValueError:
-                raise ParseError(
-                    f"label column {label_column!r} not in header {head}"
-                ) from None
-        else:
-            label_idx = int(label_column)
+    head = rows.pop(0) if header else None
+    ncol = len(head if header else rows[0])
+    if head is not None and label_column in head:
+        label_idx = head.index(label_column)
     else:
-        if isinstance(label_column, str):
-            raise ParseError("label column by name requires a header row")
-        if not rows:
-            raise ParseError("no rows found")
-        ncol = len(rows[0])
-        label_idx = int(label_column)
+        try:
+            label_idx = int(label_column)
+        except ValueError:
+            if head is None:
+                raise ParseError("label column by name requires a header row") from None
+            raise ParseError(f"label column {label_column!r} not in header {head}") from None
 
     if label_idx < 0:
         label_idx += ncol

@@ -64,11 +64,12 @@ __all__ = [
 
 # Exact computation holds one class's ICD and BCD multisets at a time, as
 # float64, plus, with three or more classes, the distances kept for later
-# classes.  CLI `measure` (KS, one thread) peaks at 361 MiB RSS on 2x5000
-# moons points and at 722 MiB on 2x7500; three equal 2-D Gaussian classes
-# take 455 MiB at 10k points and 934 MiB at 15k (2-vCPU Intel Xeon KVM
-# guest, numpy 2.4.6).  Memory grows with n**2.  Beyond the cap callers must
-# subsample or raise it knowingly.
+# classes, and one block-by-n float64 scratch array per thread in the numpy
+# distance kernel.  CLI `measure` (KS, one thread) peaks at 333 MiB RSS on
+# 2x5000 moons points and at 697 MiB on 2x7500; three equal 2-D Gaussian
+# classes take 425 MiB at 10k points and 906 MiB at 15k (2-vCPU Intel Xeon
+# KVM guest, numpy 2.4.6).  Memory grows with n**2.  Beyond the cap callers
+# must subsample or raise it knowingly.
 DEFAULT_MAX_POINTS = 15_000
 
 STAT_NAMES = ("ks", "wasserstein")

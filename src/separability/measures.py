@@ -39,7 +39,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial.distance import squareform
 
 from .dataset import Dataset, partition
 from .distances import pairwise_condensed, pairwise_cross
@@ -117,9 +116,16 @@ class _DistanceContext(Dataset):
 
     @cached_property
     def square(self) -> NDArray[np.float64]:
-        return _read_only(
-            squareform(pairwise_condensed(self.points, "euclidean", workers=self.workers))
-        )
+        n = self.n
+        condensed = pairwise_condensed(self.points, "euclidean", workers=self.workers)
+        square = np.zeros((n, n))
+        start = 0
+        for i in range(n - 1):
+            row = condensed[start : start + n - i - 1]
+            square[i, i + 1 :] = row
+            square[i + 1 :, i] = row
+            start += n - i - 1
+        return _read_only(square)
 
     @cached_property
     def same(self) -> NDArray[np.bool_]:
@@ -393,11 +399,13 @@ def density(
         raise DomainError(f"quantile must be in (0, 1), got {quantile}")
     ctx = _context(ds, workers)
     # the cut is a quantile over each pair once: the upper triangle
-    cut = np.quantile(squareform(ctx.square, checks=False), quantile)
+    n = ds.n
+    upper = np.concatenate([ctx.square[i, i + 1 :] for i in range(n - 1)])
+    cut = np.quantile(upper, quantile, overwrite_input=True)
     # the square matrix holds each pair twice and each point once with
     # itself, at distance 0 <= cut
-    edges = (int(np.count_nonzero(ctx.same & (ctx.square <= cut))) - ds.n) // 2
-    value = 1.0 - edges / (ds.n * (ds.n - 1) // 2)
+    edges = (int(np.count_nonzero(ctx.same & (ctx.square <= cut))) - n) // 2
+    value = 1.0 - edges / upper.size
     return MeasureResult(code="Density", value=value, params={"quantile": quantile})
 
 

@@ -165,6 +165,15 @@ class TestMeasure:
         assert payload["dim"] == 2
         assert payload["label_names"] == {"0": "a", "1": "b"}
 
+    def test_label_col_header_named_like_an_integer(self, tmp_path, capsys):
+        csv_file = tmp_path / "digits.csv"
+        csv_file.write_text("x,y,1\n0.0,0.1,a\n0.2,0.0,a\n5.0,5.1,b\n5.2,5.0,b\n")
+        assert run(["measure", "--input", str(csv_file), "--label-col", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["label_names"] == {"0": "a", "1": "b"}
+        # no header column is named "0", so it is an index: column x
+        assert run(["measure", "--input", str(csv_file), "--label-col", "0"]) == 1
+        assert "not a number" in capsys.readouterr().err
+
     def test_wasserstein_stat(self, tmp_path, capsys):
         data = _write_shape_csv(tmp_path / "d.csv")
         assert run(["measure", "--input", str(data), "--stat", "wasserstein"]) == 0
@@ -843,3 +852,34 @@ def test_import_leaves_network_stack_unloaded(tmp_path):
     proc = _run_child(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_SCIPY_AFTER_MEASURE = """
+import contextlib, io, sys
+from pathlib import Path
+import numpy as np
+from separability import load_csv, pairwise_condensed
+from separability.cli import run
+path, metric = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["measure", "--input", path, "--metric", metric]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+if metric == "cosine":
+    from scipy.spatial.distance import pdist
+    points = load_csv(Path(path)).points
+    want = np.clip(pdist(points, "cosine"), 0.0, 2.0)
+    print(np.array_equal(pairwise_condensed(points, "cosine").view(np.uint64), want.view(np.uint64)))
+"""
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_scipy_loads_only_when_a_kernel_needs_it(tmp_path, metric):
+    data = _write_shape_csv(tmp_path / "d.csv", n=150)  # 2-D, above one row block
+    proc = _run_child(["-c", _SCIPY_AFTER_MEASURE, str(data), metric], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    if metric == "euclidean":
+        assert lines == ["[]"]
+    else:
+        assert "scipy.spatial.distance" in lines[0]
+        assert lines[1] == "True"

@@ -155,6 +155,41 @@ class TestLoadCsv:
             load_csv(text)
         assert exc.value.row == 1
 
+    @staticmethod
+    def _wide_rows(n_rows=40, n_features=64):
+        g = rng(30)
+        cells = g.integers(-500, 500, size=(n_rows, n_features)).astype(str).tolist()
+        return [row + [f"c{r % 2}"] for r, row in enumerate(cells)]
+
+    @staticmethod
+    def _text(rows):
+        head = [f"x{c}" for c in range(len(rows[0]) - 1)] + ["label"]
+        return "\n".join(",".join(row) for row in [head, *rows]) + "\n"
+
+    @pytest.mark.parametrize(
+        "edit, message, col",
+        [
+            (lambda row: row.__setitem__(37, "1e"), "not a number", 37),
+            (lambda row: row.__setitem__(37, "-inf"), "not finite", 37),
+            (lambda row: row.pop(37), "cells, expected", None),
+        ],
+        ids=["bad", "inf", "short"],
+    )
+    def test_wide_file_reports_first_bad_cell(self, edit, message, col):
+        rows = self._wide_rows()
+        edit(rows[21])
+        rows[30][5] = "nan"  # a later error must not be the one reported
+        with pytest.raises(ParseError, match=message) as exc:
+            load_csv(self._text(rows))
+        assert (exc.value.row, exc.value.col) == (21, col)
+
+    def test_wide_file_values_match_cells(self):
+        rows = self._wide_rows()
+        rows[3][7] = " 12.5 "  # whitespace around a number is ignored
+        ds = load_csv(self._text(rows))
+        want = [[float(cell.strip()) for cell in row[:-1]] for row in rows]
+        assert ds.points.tolist() == want
+
     def test_empty_input(self):
         with pytest.raises(ParseError, match="no rows"):
             load_csv("")

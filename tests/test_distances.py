@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist as scipy_cdist
+from scipy.spatial.distance import pdist as scipy_pdist
 
+from separability import distances
 from separability import (
     DegenerateClass,
     DegenerateVector,
@@ -196,6 +199,31 @@ class TestPairwiseCross:
         with pytest.raises(DegenerateVector) as exc:
             pairwise_cross(a, b, "cosine")
         assert exc.value.index == 3 + 2
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestNumpyKernel:
+    """Narrow rows under euclidean, cityblock and chebyshev are measured in
+    numpy, wider rows in scipy; both give scipy's bits."""
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer"])
+    @pytest.mark.parametrize("dim", range(1, distances._NUMPY_MAX_DIM + 2))
+    @pytest.mark.parametrize("metric", ["euclidean", "cityblock", "chebyshev"])
+    def test_bits_match_scipy(self, metric, dim, integer):
+        pts = rng(dim).normal(size=(300, dim)) * 4.0  # 300 rows cross block boundaries
+        if integer:
+            pts = np.round(pts)  # many tied distances
+        assert distances._numpy_serves(pts, metric) == (dim <= distances._NUMPY_MAX_DIM)
+        want = scipy_pdist(pts, metric)
+        for workers in (1, 3):
+            assert _same_bits(pairwise_condensed(pts, metric, workers=workers), want)
+        a, b = pts[:70], pts[70:]
+        assert _same_bits(pairwise_cross(a, b, metric), scipy_cdist(a, b, metric))
+        assert _same_bits(distances.cdist(a[:1], b[:1], metric), scipy_cdist(a[:1], b[:1], metric))
+        assert _same_bits(distances.pdist(a, metric), scipy_pdist(a, metric))
 
 
 class TestDistanceSets:
