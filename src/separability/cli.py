@@ -54,22 +54,8 @@ SCHEMA_VERSION = 1
 
 _TABLE2_SHAPES = ("random", "spirals", "xor", "moons", "circles", "blobs")
 
-_ALL_OPTION_STRINGS: list[str] = []
-
-
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that suggests a close flag on unknown options."""
-
-    def error(self, message):
-        if "unrecognized arguments" in message:
-            _, _, extras = message.partition(":")
-            for token in extras.split():
-                if token.startswith("-"):
-                    close = difflib.get_close_matches(token, _ALL_OPTION_STRINGS, n=1)
-                    if close:
-                        message += f" (did you mean {close[0]}?)"
-                    break
-        super().error(message)  # prints usage to stderr and exits 2
+    """ArgumentParser that checks the value of ``--flag=--``."""
 
     def _get_values(self, action, arg_strings):
         # argparse strips the "--" of "--flag=--" and would store an empty
@@ -79,14 +65,6 @@ class _Parser(argparse.ArgumentParser):
             self._check_value(action, value)
             return value
         return super()._get_values(action, arg_strings)
-
-
-def _collect_option_strings(parser: argparse.ArgumentParser):
-    for action in parser._actions:
-        _ALL_OPTION_STRINGS.extend(action.option_strings)
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                _collect_option_strings(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +106,7 @@ def _config_flags(subparser: argparse.ArgumentParser, path: str) -> list[str]:
     """
     actions = {
         flag: action
-        for action in subparser._actions
-        for flag in action.option_strings
+        for flag, action in subparser._option_string_actions.items()
         if flag.startswith("--") and flag not in ("--config", "--help")
     }
     config = _load_config(path)
@@ -362,14 +339,8 @@ def _cmd_compare(args) -> int:
     ds = _load_labeled(args)
     if args.measures.strip().lower() == "all":
         codes = list(MEASURE_CODES)
-    else:
+    else:  # compute_measures rejects unknown codes
         codes = [c.strip() for c in args.measures.split(",") if c.strip()]
-        unknown = [c for c in codes if c not in MEASURE_CODES]
-        if unknown:
-            raise ParseError(
-                f"unknown measure codes {', '.join(unknown)}; "
-                f"expected some of {', '.join(MEASURE_CODES)}"
-            )
     rows: list[list] = [["measure", "value", "params"]]
     rows += _complexity_rows(
         ds, codes, args.threads, seed=args.seed, n4_synthetic=args.n4_synthetic,
@@ -541,16 +512,18 @@ def _repro_section5_2(args) -> list[list]:
     return rows
 
 
+_REPRO_TARGETS = {
+    "table2": _repro_table2,
+    "figure4": _repro_figure4,
+    "figure7": _repro_figure7,
+    "figure12": _repro_figure12,
+    "section5_2": _repro_section5_2,
+}
+
+
 def _cmd_repro(args) -> int:
     _check_positive(args, "threads", "seeds")
-    fns = {
-        "table2": _repro_table2,
-        "figure4": _repro_figure4,
-        "figure7": _repro_figure7,
-        "figure12": _repro_figure12,
-        "section5_2": _repro_section5_2,
-    }
-    rows = fns[args.target](args)
+    rows = _REPRO_TARGETS[args.target](args)
     text = _aligned_text(rows) if args.format == "text" else _csv_text(rows)
     _emit(text, args.output)
     return 0
@@ -569,7 +542,7 @@ def build_parser() -> _Parser:
         p.add_argument("--input", help="path to the dataset file")
         p.add_argument(
             "--input-format",
-            choices=["csv", "cifar10", "cifar100"],
+            choices=["csv", *_CIFAR_LOADERS],
             default="csv",
             help="input layout (default %(default)s)",
         )
@@ -654,7 +627,7 @@ def build_parser() -> _Parser:
     f.set_defaults(fn=_cmd_fetch)
 
     r = sub.add_parser("repro", help="regenerate the benchmark tables")
-    r.add_argument("target", choices=["table2", "figure4", "figure7", "figure12", "section5_2"])
+    r.add_argument("target", choices=list(_REPRO_TARGETS))
     r.add_argument("--seed", type=int, default=0,
                    help="seed of the generated data and the random draws (default %(default)s)")
     r.add_argument("--n-per-class", type=int, default=1000)
@@ -668,29 +641,44 @@ def build_parser() -> _Parser:
     r.add_argument("--format", choices=["csv", "text"], default="csv")
     r.add_argument("--output", default=None)
     r.set_defaults(fn=_cmd_repro)
-
-    _ALL_OPTION_STRINGS.clear()
-    _collect_option_strings(parser)
     return parser
+
+
+def _parse(parser: _Parser, argv: list[str]) -> tuple[argparse.Namespace, _Parser]:
+    """The parsed argv and the subcommand's parser.
+
+    A token the subcommand does not take exits 2: its parser reports the
+    error with its own usage and names the closest of its own flags.
+    """
+    args, extras = parser.parse_known_args(argv)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices[args.command]
+    if extras:
+        message = f"unrecognized arguments: {' '.join(extras)}"
+        flag = next((token for token in extras if token.startswith("-")), "")
+        close = difflib.get_close_matches(flag, command._option_string_actions, n=1)
+        if close:
+            message += f" (did you mean {close[0]}?)"
+        command.error(message)  # prints usage to stderr and exits 2
+    return args, command
 
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code.
 
+    Each subcommand's parser is the one table of its flags, read for
+    parsing, for the hint on an unknown flag and for ``--config`` keys.
     With ``--config``, the file's flags go right after the subcommand name
     and argv is parsed again, so explicit flags, coming later, win.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args, command = _parse(parser, argv)
     try:
         if getattr(args, "config", None):
-            commands = next(
-                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            )
             at = argv.index(args.command) + 1
-            argv[at:at] = _config_flags(commands.choices[args.command], args.config)
-            args = parser.parse_args(argv)
+            argv[at:at] = _config_flags(command, args.config)
+            args, _ = _parse(parser, argv)
         return args.fn(args)
     except (SeparabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

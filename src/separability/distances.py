@@ -46,6 +46,8 @@ __all__ = [
     "bcd_set",
     "fit_mahalanobis",
     "pairwise_condensed",
+    "pairwise_cross",
+    "resolve_metric",
     "condensed_index",
 ]
 
@@ -247,10 +249,7 @@ def distance(a, b, metric: DistanceMetric | str = "euclidean") -> float:
         raise ValueError("a and b must be single vectors of equal dimension")
     _check_vectors(av, m)
     _check_vectors(bv, m)
-    d = float(cdist(av, bv, **_scipy_kwargs(m))[0, 0])
-    if m.name in _CLAMPED_METRICS:
-        d = min(max(d, 0.0), 2.0)
-    return d
+    return float(_cross(av, bv, m)[0])
 
 
 def condensed_index(n: int, i, j):
@@ -392,12 +391,14 @@ class DistanceSet:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def _presorted(cls, values: NDArray[np.float64], kind: str, label: int | None) -> "DistanceSet":
-        """Wrap a sorted, read-only multiset from the distance kernels as is.
+    def _adopt(cls, values: NDArray[np.float64], kind: str, label: int | None) -> "DistanceSet":
+        """Wrap a fresh float64 vector from the distance kernels without a copy.
 
-        The kernels already yield finite, non-negative float64 values, so
-        the checks and the copy of ``__post_init__`` are skipped.
+        The kernels already yield finite, non-negative values, so the checks
+        and the copy of ``__post_init__`` are skipped; ``values`` is made
+        read-only in place, and no caller may keep a writable view of it.
         """
+        values.setflags(write=False)
         dset = object.__new__(cls)
         object.__setattr__(dset, "values", values)
         object.__setattr__(dset, "kind", kind)
@@ -422,7 +423,7 @@ def icd_set(
             "ICD needs at least 2 points in the class", label=label
         )
     values = pairwise_condensed(pts, metric, workers=workers)
-    return DistanceSet(values=values, kind="icd", label=label)
+    return DistanceSet._adopt(values, "icd", label)
 
 
 def bcd_set(
@@ -437,7 +438,7 @@ def bcd_set(
     if pa.shape[0] < 1 or pb.shape[0] < 1:
         raise DegenerateClass("BCD needs at least 1 point on each side", label=label)
     values = pairwise_cross(pa, pb, metric).ravel()
-    return DistanceSet(values=values, kind="bcd", label=label)
+    return DistanceSet._adopt(values, "bcd", label)
 
 
 def fit_mahalanobis(points, ridge: float | None = None) -> DistanceMetric:

@@ -199,8 +199,8 @@ def _dsi_reports(
             scores[label] = [named[_GAP_STATISTICS[stat]] for stat in stats]
             if sets is not None:
                 sets[label] = (
-                    DistanceSet._presorted(icd, "icd", label),
-                    DistanceSet._presorted(bcd, "bcd", label),
+                    DistanceSet._adopt(icd, "icd", label),
+                    DistanceSet._adopt(bcd, "bcd", label),
                 )
 
         if len(labels) == 2:  # both classes' BCD is the one cross block

@@ -6,6 +6,23 @@ can catch data-level failures with a single except clause.
 
 from __future__ import annotations
 
+__all__ = [
+    "SeparabilityError",
+    "ParseError",
+    "FormatError",
+    "DegenerateDataset",
+    "DegenerateClass",
+    "DegenerateVector",
+    "DegenerateSubset",
+    "SingularCovariance",
+    "EmptySample",
+    "DomainError",
+    "SpecError",
+    "FetchError",
+    "IntegrityError",
+    "DistanceCapError",
+]
+
 
 class SeparabilityError(Exception):
     """Base class for all data-level errors raised by this package."""

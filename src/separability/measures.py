@@ -424,8 +424,9 @@ def compute_measures(
     wanted = list(MEASURE_CODES) if codes is None else list(codes)
     unknown = [c for c in wanted if c not in MEASURE_CODES]
     if unknown:
-        raise ValueError(
-            f"unknown measure codes {unknown}; expected some of {', '.join(MEASURE_CODES)}"
+        raise DomainError(
+            f"unknown measure codes {', '.join(map(str, unknown))}; "
+            f"expected some of {', '.join(MEASURE_CODES)}"
         )
     ds = _context(ds, workers)
     fns = {

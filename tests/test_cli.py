@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -672,12 +673,75 @@ class TestFlagFuzz:
         assert code in (0, 1, 2)
 
 
+# the arguments each subcommand needs before it reaches an unknown flag
+_REQUIRED_ARGS = {"fetch": ["--url", "u", "--digest", "d"], "repro": ["table2"]}
+
+
+def _subcommands():
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [line for line in lines if line.startswith("separability ")]
+
+
 class TestArgparseBehavior:
     def test_unknown_flag_exits_2_with_suggestion(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["measure", "--inptu", "x.csv"])
         assert exc.value.code == 2
         assert "did you mean --input?" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, other_flag",
+        [
+            (["generate", "--shape", "moons", "--bins", "3"], "--bins"),
+            (["identity", "--a", "x", "--b", "y", "--histogram", "h.csv"], "--histogram"),
+        ],
+        ids=["generate", "identity"],
+    )
+    def test_no_hint_names_another_subcommands_flag(self, capsys, argv, other_flag):
+        err = _usage_error(argv, capsys)
+        assert f"unrecognized arguments: {other_flag}" in err
+        assert f"did you mean {other_flag}" not in err
+
+    def test_every_hint_names_a_flag_of_the_subcommand(self, capsys):
+        commands = _subcommands()
+        flags = {flag for command in commands.values() for flag in command._option_string_actions}
+        typos = {flag[:-1] + ("y" if flag.endswith("x") else "x") for flag in flags}
+        for name, command in commands.items():
+            accepted = command._option_string_actions
+            for token in sorted((flags - set(accepted)) | typos):
+                err = _usage_error([name, *_REQUIRED_ARGS.get(name, []), token], capsys)
+                for hint in re.findall(r"did you mean (\S+)\?", err):
+                    assert hint in accepted, (name, token, hint)
+
+    @pytest.mark.parametrize("name", list(_subcommands()))
+    def test_error_line_names_the_subcommand(self, capsys, name):
+        err = _usage_error([name, *_REQUIRED_ARGS.get(name, []), "--bogus"], capsys)
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert line.startswith(f"separability {name}: error: unrecognized arguments: --bogus")
+        assert err.startswith(f"usage: separability {name} ")
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_readme_example_parses(self, line):
+        try:
+            _, extras = build_parser().parse_known_args(shlex.split(line)[1:])
+        except SystemExit as exc:
+            pytest.fail(f"{line!r} exits {exc.code}")
+        assert extras == []
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Pairwise distance engine against a hand-rolled per-pair oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,22 @@ class TestDistanceSets:
         s = icd_set(rng(15).normal(size=(4, 2)))
         with pytest.raises(ValueError):
             s.values[0] = -1.0
+
+    @pytest.mark.parametrize("kind", ["icd", "bcd"])
+    def test_sets_keep_the_kernel_output(self, kind):
+        # the values are the kernel's own array, frozen in place: no checked
+        # copy doubles the peak
+        own, rest = rng(16).normal(size=(3000, 2)), rng(17).normal(size=(2000, 2))
+        tracemalloc.start()
+        try:
+            dset = icd_set(own) if kind == "icd" else bcd_set(own, rest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kernel = pairwise_condensed(own) if kind == "icd" else pairwise_cross(own, rest).ravel()
+        assert peak < 1.5 * dset.values.nbytes
+        assert not dset.values.flags.writeable
+        assert _same_bits(dset.values, kernel)
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError, match="kind"):

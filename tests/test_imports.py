@@ -1,9 +1,13 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and the package
+exports exactly the names its modules list."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import separability
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
@@ -41,3 +45,16 @@ def test_no_unused_imports(path):
 def test_finds_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, tau)\n"
     assert _unused_imports(source) == ["os (line 1)", "pi (line 3)"]
+
+
+PUBLIC_MODULES = (
+    "dataset", "fetch", "generators", "distances", "stats", "dsi", "measures", "errors"
+)
+
+
+def test_package_exports_what_the_modules_list():
+    modules = {name: importlib.import_module(f"separability.{name}") for name in PUBLIC_MODULES}
+    listed = {name: module for module in modules.values() for name in module.__all__}
+    assert set(separability.__all__) - {"__version__"} == set(listed)
+    for name, module in listed.items():
+        assert getattr(separability, name) is getattr(module, name), name
