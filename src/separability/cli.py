@@ -39,6 +39,7 @@ from .distances import METRIC_NAMES, fit_mahalanobis
 from .dsi import (
     DEFAULT_MAX_POINTS,
     STAT_NAMES,
+    _check_cap,
     _dsi_reports,
     class_distance_sets,
     distribution_identity_score,
@@ -241,14 +242,17 @@ def _cmd_generate(args) -> int:
 
 
 def _write_histogram(path: str, sets: dict, bins: int):
-    # every multiset is sorted, so its ends are its extremes
+    # every multiset is sorted: its ends are its extremes, and bin b
+    # ([edges[b], edges[b + 1]), the last bin closed, as in np.histogram)
+    # starts at the insertion point of edges[b]
     lo = min(float(s.values[0]) for pair in sets.values() for s in pair)
     hi = max(float(s.values[-1]) for pair in sets.values() for s in pair)
     edges = np.linspace(lo, hi, bins + 1)
     rows: list[list] = [["bin_left", "bin_right", "count", "set_kind"]]
     for label in sorted(sets):
         for dset in sets[label]:
-            counts, _ = np.histogram(dset.values, bins=edges)
+            starts = np.searchsorted(dset.values, edges[:-1])
+            counts = np.diff(starts, append=dset.values.size)
             kind = f"{dset.kind}_{label}"
             for b in range(bins):
                 rows.append([repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b]), kind])
@@ -263,6 +267,10 @@ def _cmd_measure(args) -> int:
     metric = _fitted_metric(args.metric, ds.points)
     sets = {} if args.histogram else None  # the multisets the histogram reads
     if args.subsample is not None:
+        if args.histogram:  # the histogram covers the whole dataset, not a subset
+            _check_cap(
+                ds.n, args.max_points, "--histogram reads every point; pass a larger --max-points"
+            )
         report = dsi_subsampled(
             ds,
             subset_size=args.subsample,
@@ -273,7 +281,7 @@ def _cmd_measure(args) -> int:
             workers=args.threads,
             max_points=args.max_points,
         )
-        if args.histogram:  # the histogram covers the whole dataset, not a subset
+        if args.histogram:
             sets = class_distance_sets(
                 ds, metric, workers=args.threads, max_points=args.max_points
             )
@@ -317,6 +325,7 @@ def _cmd_measure(args) -> int:
 
 def _complexity_rows(ds: Dataset, codes, threads: int, **options) -> list[list]:
     """``[code, value, params]`` of each measure in ``codes``, then of 1-DSI."""
+    _check_cap(ds.n, DEFAULT_MAX_POINTS)  # before the measures' n x n matrices
     rows = []
     for res in compute_measures(ds, codes, workers=threads, **options):
         params = ";".join(f"{k}={v}" for k, v in sorted(res.params.items()))

@@ -101,8 +101,8 @@ class Dataset:
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
+        pts = np.array(self.points, dtype=np.float64)
+        labs = np.array(self.labels, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] < 1:
             raise ValueError("points must be a 2-D array with at least one feature")
         if not np.all(np.isfinite(pts)):
@@ -111,8 +111,6 @@ class Dataset:
             raise ValueError("labels must be 1-D and aligned with points")
         if labs.size and labs.min() < 0:
             raise ValueError("labels must be non-negative integers")
-        pts = pts.copy()
-        labs = labs.copy()
         pts.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -226,43 +224,44 @@ def _float_cells(rows: list[list[str]], ncol: int, columns) -> NDArray[np.float6
     Every row must have ``ncol`` cells and every selected cell must parse as
     a finite float; the first row or cell that does not raises
     ``ParseError`` with its 0-based data-row index (and column index).
-    Rows are converted whole; only input that fails goes through the cell
-    loop, which finds the first bad row or cell.  ``float`` ignores the
-    whitespace that the cell loop strips, so both give the same values.
+    Rows are converted whole until one is short or fails to parse; the first
+    non-finite row before it, else that row, is the first faulty one, and
+    only it is read cell by cell.  ``float`` ignores the whitespace that the
+    cell reader strips, so both give the same values.
     """
-    if all(len(row) == ncol for row in rows):
-        points = np.empty((len(rows), len(columns)), dtype=np.float64)
-        try:
-            for r, row in enumerate(rows):
-                points[r] = [float(row[c]) for c in columns]
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(points).all():
-                return points
-    return _float_cells_by_cell(rows, ncol, columns)
-
-
-def _float_cells_by_cell(rows: list[list[str]], ncol: int, columns) -> NDArray[np.float64]:
-    """``_float_cells`` one cell at a time, raising at the first bad row or cell."""
     points = np.empty((len(rows), len(columns)), dtype=np.float64)
-    for r, row in enumerate(rows):
-        if len(row) != ncol:
-            raise ParseError(f"row {r} has {len(row)} cells, expected {ncol}", row=r)
-        for out_c, c in enumerate(columns):
-            cell = row[c].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"row {r}, column {c}: {cell!r} is not a number", row=r, col=c
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"row {r}, column {c}: {cell!r} is not finite", row=r, col=c
-                )
-            points[r, out_c] = value
+    bad = 0  # ends as the index of the row that stopped the loop, else len(rows)
+    try:
+        for bad, row in enumerate(rows):
+            if len(row) != ncol:
+                break
+            points[bad] = [float(row[c]) for c in columns]
+        else:
+            bad = len(rows)
+    except ValueError:
+        pass
+    finite = np.isfinite(points[:bad]).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+    if bad < len(rows):
+        _raise_row_fault(rows[bad], bad, ncol, columns)
     return points
+
+
+def _raise_row_fault(row: list[str], r: int, ncol: int, columns) -> None:
+    """Raise ``ParseError`` for the first fault of data row ``r``."""
+    if len(row) != ncol:
+        raise ParseError(f"row {r} has {len(row)} cells, expected {ncol}", row=r)
+    for c in columns:
+        cell = row[c].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"row {r}, column {c}: {cell!r} is not a number", row=r, col=c
+            ) from None
+        if not math.isfinite(value):
+            raise ParseError(f"row {r}, column {c}: {cell!r} is not finite", row=r, col=c)
 
 
 def load_csv(
@@ -338,7 +337,8 @@ def load_points_csv(
 
 def _load_cifar_records(
     data: bytes, record_bytes: int, label_offset: int, max_label: int, what: str
-) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+) -> tuple[NDArray[np.uint8], NDArray[np.int64]]:
+    """Pixels (a uint8 view of ``data``) and labels of each record."""
     if len(data) == 0:
         raise FormatError(f"{what} stream is empty")
     if len(data) % record_bytes != 0:
@@ -353,8 +353,7 @@ def _load_cifar_records(
         raise FormatError(
             f"{what} record {rec} has label {labels[rec]} > {max_label}", record=rec
         )
-    points = raw[:, record_bytes - CIFAR_PIXELS :].astype(np.float64)
-    return points, labels
+    return raw[:, record_bytes - CIFAR_PIXELS :], labels
 
 
 def load_cifar10_batch(source) -> Dataset:

@@ -147,6 +147,16 @@ def _sorted_read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_cap(
+    n: int, max_points: int | None, remedy: str = "use dsi_subsampled or pass a larger max_points"
+) -> None:
+    """Refuse ``n`` points above ``max_points``, before any distance is computed."""
+    if max_points is not None and n > max_points:
+        raise DistanceCapError(
+            f"{n} points exceed the exact-computation cap of {max_points}; {remedy}"
+        )
+
+
 def _dsi_reports(
     ds: Dataset,
     metric: DistanceMetric | str,
@@ -177,11 +187,7 @@ def _dsi_reports(
                 f"class {label} has {rows.size} point(s); ICD needs at least 2",
                 label=label,
             )
-    if max_points is not None and ds.n > max_points:
-        raise DistanceCapError(
-            f"{ds.n} points exceed the exact-computation cap of {max_points}; "
-            "use dsi_subsampled or pass a larger max_points"
-        )
+    _check_cap(ds.n, max_points)
     _check_vectors(ds.points, m)
 
     # One copy of the points, class after class, so every class's rows and

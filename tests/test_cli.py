@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import separability
 from separability import (
+    DEFAULT_MAX_POINTS,
     Dataset,
     GeneratorSpec,
     class_distance_sets,
@@ -29,6 +30,7 @@ from separability import (
     load_csv,
     to_cifar10_bytes,
 )
+from separability import cli
 from separability.cli import build_parser, run
 
 from conftest import rng
@@ -149,6 +151,51 @@ class TestMeasure:
         assert kinds == {"icd_0", "bcd_0", "icd_1", "bcd_1"}
         assert len(lines) == 1 + 10 * 4
 
+    @pytest.mark.parametrize(
+        "points, labels, metric",
+        [
+            (rng(40).normal(size=(60, 3)), np.repeat([0, 1], 30), "euclidean"),
+            (rng(41).integers(0, 4, size=(90, 2)), np.repeat([0, 1, 2], 30), "chebyshev"),
+            (np.eye(4), [0, 0, 1, 1], "chebyshev"),  # every distance is 1
+        ],
+        ids=["random", "ties", "all-equal"],
+    )
+    def test_histogram_counts_match_np_histogram(self, tmp_path, points, labels, metric):
+        data = tmp_path / "d.csv"
+        lines = [",".join(f"x{i}" for i in range(points.shape[1])) + ",label"]
+        lines += [",".join(repr(float(v)) for v in row) + f",{c}" for row, c in zip(points, labels)]
+        data.write_text("\n".join(lines) + "\n")
+        hist = tmp_path / "h.csv"
+        argv = ["measure", "--input", str(data), "--metric", metric,
+                "--histogram", str(hist), "--bins", "7"]
+        assert run(argv) == 0
+
+        sets = class_distance_sets(load_csv(data), metric)
+        values = np.concatenate([s.values for pair in sets.values() for s in pair])
+        edges = np.linspace(values.min(), values.max(), 8)
+        want = [
+            [repr(float(edges[b])), repr(float(edges[b + 1])), str(count), f"{dset.kind}_{label}"]
+            for label in sorted(sets)
+            for dset in sets[label]
+            for b, count in enumerate(np.histogram(dset.values, bins=edges)[0])
+        ]
+        assert [line.split(",") for line in hist.read_text().splitlines()[1:]] == want
+
+    def test_subsample_histogram_checks_the_cap_first(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the trials ran before the cap check")
+
+        monkeypatch.setattr(cli, "dsi_subsampled", no_trials)
+        data = _write_shape_csv(tmp_path / "d.csv", n=30)
+        hist = tmp_path / "h.csv"
+        argv = ["measure", "--input", str(data), "--subsample", "10", "--max-points", "20",
+                "--histogram", str(hist)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 60 points exceed the exact-computation cap of 20;")
+        assert "--histogram" in err
+        assert not hist.exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert run(["measure", "--input", str(tmp_path / "gone.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -217,6 +264,31 @@ class TestCompare:
         data = _write_shape_csv(tmp_path / "d.csv")
         assert run(["compare", "--input", str(data), "--measures", "Q7"]) == 1
         assert "unknown measure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--input", "{data}"],
+            ["repro", "table2", "--n-per-class", "{half}"],
+            ["repro", "figure4", "--n-per-class", "{half}"],
+        ],
+        ids=["compare", "table2", "figure4"],
+    )
+    def test_cap_checked_before_the_measures(self, tmp_path, capsys, monkeypatch, argv):
+        def no_measures(*args, **kwargs):
+            raise AssertionError("the measures ran before the cap check")
+
+        monkeypatch.setattr(cli, "compute_measures", no_measures)
+        n = DEFAULT_MAX_POINTS + 1
+        data = tmp_path / "big.csv"
+        data.write_text("x,label\n" + "".join(f"{i},{i % 2}\n" for i in range(n)))
+        half = n // 2 + 1  # two classes of this size exceed the cap
+        assert run([a.format(data=data, half=half) for a in argv]) == 1
+        count = n if argv[0] == "compare" else 2 * half
+        assert capsys.readouterr().err == (
+            f"error: {count} points exceed the exact-computation cap of {DEFAULT_MAX_POINTS}; "
+            "use dsi_subsampled or pass a larger max_points\n"
+        )
 
     def test_text_format_default(self, tmp_path, capsys):
         data = _write_shape_csv(tmp_path / "d.csv")

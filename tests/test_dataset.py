@@ -23,7 +23,7 @@ from separability import (
     to_cifar10_bytes,
 )
 
-from conftest import rng
+from conftest import rng, traced_peak
 
 
 class TestDataset:
@@ -183,6 +183,19 @@ class TestLoadCsv:
             load_csv(self._text(rows))
         assert (exc.value.row, exc.value.col) == (21, col)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda row: row.__setitem__(37, "oops"), lambda row: row.pop(37)],
+        ids=["bad", "short"],
+    )
+    def test_wide_file_reports_earlier_non_finite_row(self, edit):
+        rows = self._wide_rows()
+        rows[10][5] = "nan"  # converts, so the fault of row 21 is found first
+        edit(rows[21])
+        with pytest.raises(ParseError, match="not finite") as exc:
+            load_csv(self._text(rows))
+        assert (exc.value.row, exc.value.col) == (10, 5)
+
     def test_wide_file_values_match_cells(self):
         rows = self._wide_rows()
         rows[3][7] = " 12.5 "  # whitespace around a number is ignored
@@ -256,6 +269,14 @@ class TestCifar10:
         assert np.array_equal(back.points, ds.points)
         assert np.array_equal(back.labels, ds.labels)
         assert back.label_names == CIFAR10_CLASS_NAMES
+
+    def test_load_converts_the_pixels_once(self):
+        ds = _synthetic_cifar10(2000)
+        data = to_cifar10_bytes(ds)
+        back, peak = traced_peak(lambda: load_cifar10_batch(data))
+        assert peak < 1.5 * back.points.nbytes  # one float64 copy, no second one
+        assert not back.points.flags.writeable
+        assert np.array_equal(back.points, ds.points)
 
     def test_truncated_stream(self):
         data = to_cifar10_bytes(_synthetic_cifar10(3))

@@ -1,7 +1,5 @@
 """Pairwise distance engine against a hand-rolled per-pair oracle."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +25,7 @@ from separability import (
     resolve_metric,
 )
 
-from conftest import rng
+from conftest import rng, traced_peak
 from oracles import naive_distance, naive_pairwise
 
 PLAIN_METRICS = [m for m in METRIC_NAMES if m != "mahalanobis"]
@@ -264,12 +262,7 @@ class TestDistanceSets:
         # the values are the kernel's own array, frozen in place: no checked
         # copy doubles the peak
         own, rest = rng(16).normal(size=(3000, 2)), rng(17).normal(size=(2000, 2))
-        tracemalloc.start()
-        try:
-            dset = icd_set(own) if kind == "icd" else bcd_set(own, rest)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        dset, peak = traced_peak(lambda: icd_set(own) if kind == "icd" else bcd_set(own, rest))
         kernel = pairwise_condensed(own) if kind == "icd" else pairwise_cross(own, rest).ravel()
         assert peak < 1.5 * dset.values.nbytes
         assert not dset.values.flags.writeable
