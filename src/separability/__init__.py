@@ -9,169 +9,25 @@ synthetic benchmark shapes; loaders cover CSV and the CIFAR binary
 formats.
 """
 
-from .dataset import (
-    CIFAR10_CLASS_NAMES,
-    CIFAR100_COARSE_NAMES,
-    ClassPartition,
-    Dataset,
-    load_cifar10_batch,
-    load_cifar10_tar,
-    load_cifar100_batch,
-    load_cifar100_tar,
-    load_csv,
-    load_points_csv,
-    partition,
-    to_cifar10_bytes,
-)
-from .distances import (
-    METRIC_NAMES,
-    DistanceMetric,
-    DistanceSet,
-    bcd_set,
-    condensed_index,
-    distance,
-    fit_mahalanobis,
-    icd_set,
-    pairwise_condensed,
-    pairwise_cross,
-    resolve_metric,
-)
-from .dsi import (
-    DEFAULT_MAX_POINTS,
-    STAT_NAMES,
-    SeparabilityReport,
-    SubsampleStats,
-    class_distance_sets,
-    distribution_identity_score,
-    dsi,
-    dsi_subsampled,
-)
-from .errors import (
-    DegenerateClass,
-    DegenerateDataset,
-    DegenerateSubset,
-    DegenerateVector,
-    DistanceCapError,
-    DomainError,
-    EmptySample,
-    FetchError,
-    FormatError,
-    IntegrityError,
-    ParseError,
-    SeparabilityError,
-    SingularCovariance,
-    SpecError,
-)
-from .fetch import CACHE_ENV, cache_dir, fetch_dataset
-from .generators import (
-    BLOB_CENTERS,
-    BLOBSD_CENTERS,
-    DEFAULT_NOISE,
-    SHAPES,
-    GeneratorSpec,
-    generate,
-    normalize_accuracy,
-)
-from .measures import (
-    MEASURE_CODES,
-    MeasureResult,
-    compute_measures,
-    density,
-    f1,
-    lsc,
-    n1,
-    n2,
-    n3,
-    n4,
-    t1,
-)
-from .stats import (
-    EmpiricalCdf,
-    ks_statistic,
-    wasserstein1,
-    wasserstein1_normalized,
-)
+from . import dataset, distances, errors, fetch, generators, measures, stats
+from . import dsi as _dsi  # before the function dsi takes the module's name
+from .dataset import *
+from .distances import *
+from .dsi import *
+from .errors import *
+from .fetch import *
+from .generators import *
+from .measures import *
+from .stats import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # dataset
-    "Dataset",
-    "ClassPartition",
-    "partition",
-    "load_csv",
-    "load_points_csv",
-    "load_cifar10_batch",
-    "load_cifar10_tar",
-    "load_cifar100_batch",
-    "load_cifar100_tar",
-    "to_cifar10_bytes",
-    "CIFAR10_CLASS_NAMES",
-    "CIFAR100_COARSE_NAMES",
-    # fetch
-    "fetch_dataset",
-    "cache_dir",
-    "CACHE_ENV",
-    # generators
-    "SHAPES",
-    "DEFAULT_NOISE",
-    "BLOB_CENTERS",
-    "BLOBSD_CENTERS",
-    "GeneratorSpec",
-    "generate",
-    "normalize_accuracy",
-    # distances
-    "METRIC_NAMES",
-    "DistanceMetric",
-    "DistanceSet",
-    "distance",
-    "icd_set",
-    "bcd_set",
-    "fit_mahalanobis",
-    "pairwise_condensed",
-    "pairwise_cross",
-    "resolve_metric",
-    "condensed_index",
-    # statistics
-    "EmpiricalCdf",
-    "ks_statistic",
-    "wasserstein1",
-    "wasserstein1_normalized",
-    # separability
-    "DEFAULT_MAX_POINTS",
-    "STAT_NAMES",
-    "SeparabilityReport",
-    "SubsampleStats",
-    "dsi",
-    "dsi_subsampled",
-    "class_distance_sets",
-    "distribution_identity_score",
-    # measures
-    "MEASURE_CODES",
-    "MeasureResult",
-    "compute_measures",
-    "f1",
-    "n1",
-    "n2",
-    "n3",
-    "n4",
-    "t1",
-    "lsc",
-    "density",
-    # errors
-    "SeparabilityError",
-    "ParseError",
-    "FormatError",
-    "DegenerateDataset",
-    "DegenerateClass",
-    "DegenerateVector",
-    "DegenerateSubset",
-    "SingularCovariance",
-    "EmptySample",
-    "DomainError",
-    "SpecError",
-    "FetchError",
-    "IntegrityError",
-    "DistanceCapError",
-]
+__all__ = ["__version__"]
+__all__ += dataset.__all__
+__all__ += fetch.__all__
+__all__ += generators.__all__
+__all__ += distances.__all__
+__all__ += stats.__all__
+__all__ += _dsi.__all__
+__all__ += measures.__all__
+__all__ += errors.__all__

@@ -262,7 +262,7 @@ def _write_histogram(path: str, sets: dict, bins: int):
 def _cmd_measure(args) -> int:
     if args.input is None:
         raise ParseError("measure needs --input (flag or config)")
-    _check_positive(args, "threads", "bins")
+    _check_positive(args, "threads", "bins", "max_points")
     ds = _load_labeled(args)
     metric = _fitted_metric(args.metric, ds.points)
     sets = {} if args.histogram else None  # the multisets the histogram reads
@@ -286,6 +286,7 @@ def _cmd_measure(args) -> int:
                 ds, metric, workers=args.threads, max_points=args.max_points
             )
     else:  # the index and the histogram read the same multisets
+        _check_cap(ds.n, args.max_points, "use --subsample or pass a larger --max-points")
         (report,) = _dsi_reports(
             ds, metric, (args.stat,), args.threads, args.max_points, sets
         )
@@ -325,7 +326,8 @@ def _cmd_measure(args) -> int:
 
 def _complexity_rows(ds: Dataset, codes, threads: int, **options) -> list[list]:
     """``[code, value, params]`` of each measure in ``codes``, then of 1-DSI."""
-    _check_cap(ds.n, DEFAULT_MAX_POINTS)  # before the measures' n x n matrices
+    # before the measures' n x n matrices; the remedy names no flag, as compare has none
+    _check_cap(ds.n, DEFAULT_MAX_POINTS, "the measures need every pairwise distance; use fewer rows")
     rows = []
     for res in compute_measures(ds, codes, workers=threads, **options):
         params = ";".join(f"{k}={v}" for k, v in sorted(res.params.items()))
@@ -367,7 +369,7 @@ def _cmd_compare(args) -> int:
 def _cmd_identity(args) -> int:
     if args.a is None or args.b is None:
         raise ParseError("identity needs --a and --b (flag or config)")
-    _check_positive(args, "threads")
+    _check_positive(args, "threads", "max_points")
     header = not args.no_header
     sample_a = load_points_csv(Path(args.a), delimiter=args.delimiter, header=header)
     sample_b = load_points_csv(Path(args.b), delimiter=args.delimiter, header=header)
@@ -375,6 +377,7 @@ def _cmd_identity(args) -> int:
         raise ParseError(
             f"--a has {sample_a.shape[1]} columns but --b has {sample_b.shape[1]}"
         )
+    _check_cap(len(sample_a) + len(sample_b), args.max_points, "pass a larger --max-points")
     score = distribution_identity_score(
         sample_a,
         sample_b,

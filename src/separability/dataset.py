@@ -133,16 +133,27 @@ class Dataset:
     def n_classes(self) -> int:
         return int(self.class_labels.size)
 
+    @classmethod
+    def _adopt(cls, points, labels, label_names=None, **fields):
+        """A dataset on arrays that a valid dataset owns or has just handed
+        out, made read-only in place; skips ``__post_init__``'s copy and
+        checks, which outside input must go through."""
+        points.setflags(write=False)
+        labels.setflags(write=False)
+        ds = object.__new__(cls)
+        ds.__dict__.update(points=points, labels=labels, label_names=label_names, **fields)
+        return ds
+
     def subset(self, indices) -> "Dataset":
         """New dataset from a row-index selection (names carried over)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.points[idx], self.labels[idx], self.label_names)
+        return Dataset._adopt(self.points[idx], self.labels[idx], self.label_names)
 
     def restrict_to(self, labels) -> "Dataset":
         """New dataset keeping only rows whose label is in ``labels``."""
         wanted = np.asarray(labels, dtype=np.int64)
         mask = np.isin(self.labels, wanted)
-        return Dataset(self.points[mask], self.labels[mask], self.label_names)
+        return Dataset._adopt(self.points[mask], self.labels[mask], self.label_names)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,10 @@ index, and coincident points with different labels always count as
 errors.
 
 ``compute_measures`` computes the euclidean distance matrix once per
-dataset and shares it, read-only, among N1, N2, N3, T1, LSC and Density; a
-measure called on its own computes it itself.
+dataset, on ``workers`` threads, and shares it, read-only, among N1, N2,
+N3, T1, LSC and Density; a measure called on its own computes it itself on
+one thread.  N4 classifies its synthetic points by a one-thread cross
+kernel either way.
 """
 
 from __future__ import annotations
@@ -146,12 +148,12 @@ class _DistanceContext(Dataset):
         return _nearest(masked)
 
 
-def _context(ds: Dataset, workers: int) -> _DistanceContext:
-    """The distances shared by ``compute_measures``, or fresh ones for a
-    measure called on its own."""
+def _context(ds: Dataset, workers: int = 1) -> _DistanceContext:
+    """The distances shared by ``compute_measures``, or fresh ones, built on
+    one thread, for a measure called on its own."""
     if isinstance(ds, _DistanceContext):
         return ds
-    return _DistanceContext(points=ds.points, labels=ds.labels, workers=workers)
+    return _DistanceContext._adopt(ds.points, ds.labels, workers=workers)
 
 
 def f1(ds: Dataset) -> MeasureResult:
@@ -218,16 +220,16 @@ def _mst_edges(D: NDArray[np.float64]) -> NDArray[np.int64]:
     return edges
 
 
-def n1(ds: Dataset, workers: int = 1) -> MeasureResult:
+def n1(ds: Dataset) -> MeasureResult:
     """Fraction of points touching a class-crossing MST edge."""
     _validate(ds)
-    edges = _mst_edges(_context(ds, workers).square)
+    edges = _mst_edges(_context(ds).square)
     labels = ds.labels
     crossing = edges[labels[edges[:, 0]] != labels[edges[:, 1]]]
     return MeasureResult(code="N1", value=np.unique(crossing).size / ds.n, params={})
 
 
-def n2(ds: Dataset, workers: int = 1) -> MeasureResult:
+def n2(ds: Dataset) -> MeasureResult:
     """Ratio of intra-class to inter-class nearest-neighbor distances.
 
     r = sum_i d(x_i, nearest same class) / sum_i d(x_i, nearest other
@@ -235,7 +237,7 @@ def n2(ds: Dataset, workers: int = 1) -> MeasureResult:
     values.
     """
     _validate(ds, need_class_pairs=True)
-    ctx = _context(ds, workers)
+    ctx = _context(ds)
     intra = float(ctx.friend[1].sum())
     inter = float(ctx.enemy[1].sum())
     if inter == 0.0:
@@ -248,7 +250,7 @@ def n2(ds: Dataset, workers: int = 1) -> MeasureResult:
     return MeasureResult(code="N2", value=value, params={})
 
 
-def n3(ds: Dataset, workers: int = 1) -> MeasureResult:
+def n3(ds: Dataset) -> MeasureResult:
     """Leave-one-out 1-NN error rate.
 
     Nearest-neighbor ties go to the lower row index; a point coinciding
@@ -256,7 +258,7 @@ def n3(ds: Dataset, workers: int = 1) -> MeasureResult:
     irresolvable in feature space).
     """
     _validate(ds)
-    ctx = _context(ds, workers)
+    ctx = _context(ds)
     friend, d_friend = ctx.friend
     enemy, d_enemy = ctx.enemy
     # the nearest neighbor is the enemy when it is closer, or equally close
@@ -266,12 +268,7 @@ def n3(ds: Dataset, workers: int = 1) -> MeasureResult:
     return MeasureResult(code="N3", value=value, params={})
 
 
-def n4(
-    ds: Dataset,
-    n_synthetic: int | None = None,
-    seed: int = 0,
-    workers: int = 1,
-) -> MeasureResult:
+def n4(ds: Dataset, n_synthetic: int | None = None, seed: int = 0) -> MeasureResult:
     """1-NN error on same-class interpolants.
 
     Draws ``n_synthetic`` points (default: n), each uniform on the segment
@@ -338,7 +335,7 @@ def _touching_radii(
     return radii
 
 
-def t1(ds: Dataset, workers: int = 1) -> MeasureResult:
+def t1(ds: Dataset) -> MeasureResult:
     """Fraction of hyperspheres retained after absorbing redundant ones.
 
     Each point gets a sphere with the touching radius (see
@@ -348,7 +345,7 @@ def t1(ds: Dataset, workers: int = 1) -> MeasureResult:
     interleaved classes keep almost one sphere per point.
     """
     _validate(ds)
-    ctx = _context(ds, workers)
+    ctx = _context(ds)
     D = ctx.square
     r = _touching_radii(*ctx.enemy)
     n = ds.n
@@ -366,7 +363,7 @@ def t1(ds: Dataset, workers: int = 1) -> MeasureResult:
     return MeasureResult(code="T1", value=value, params={})
 
 
-def lsc(ds: Dataset, workers: int = 1) -> MeasureResult:
+def lsc(ds: Dataset) -> MeasureResult:
     """Local-set average cardinality, inverted onto [0, 1).
 
     The local set of x is every same-class point strictly closer to x than
@@ -374,7 +371,7 @@ def lsc(ds: Dataset, workers: int = 1) -> MeasureResult:
     local sets (close to the whole class) mean simple structure.
     """
     _validate(ds)
-    ctx = _context(ds, workers)
+    ctx = _context(ds)
     # a point strictly closer than x's nearest enemy is of x's class; the
     # diagonal counts x itself
     counts = (ctx.square < ctx.enemy[1][:, None]).sum(axis=1)
@@ -382,9 +379,7 @@ def lsc(ds: Dataset, workers: int = 1) -> MeasureResult:
     return MeasureResult(code="LSC", value=value, params={})
 
 
-def density(
-    ds: Dataset, quantile: float = DENSITY_QUANTILE, workers: int = 1
-) -> MeasureResult:
+def density(ds: Dataset, quantile: float = DENSITY_QUANTILE) -> MeasureResult:
     """Sparseness of the same-class epsilon-neighborhood graph.
 
     Connect every pair closer than or equal to the ``quantile`` cut of all
@@ -397,7 +392,7 @@ def density(
         raise DegenerateClass("density needs at least 2 points")
     if not 0.0 < quantile < 1.0:
         raise DomainError(f"quantile must be in (0, 1), got {quantile}")
-    ctx = _context(ds, workers)
+    ctx = _context(ds)
     # the cut is a quantile over each pair once: the upper triangle
     n = ds.n
     upper = np.concatenate([ctx.square[i, i + 1 :] for i in range(n - 1)])
@@ -419,7 +414,8 @@ def compute_measures(
 ) -> list[MeasureResult]:
     """Compute several measures in the order given (default: all eight).
 
-    The euclidean distances are computed once and shared by the measures.
+    The euclidean distances are computed once, on ``workers`` threads, and
+    shared by the measures.
     """
     wanted = list(MEASURE_CODES) if codes is None else list(codes)
     unknown = [c for c in wanted if c not in MEASURE_CODES]
@@ -431,12 +427,12 @@ def compute_measures(
     ds = _context(ds, workers)
     fns = {
         "F1": lambda: f1(ds),
-        "N1": lambda: n1(ds, workers=workers),
-        "N2": lambda: n2(ds, workers=workers),
-        "N3": lambda: n3(ds, workers=workers),
-        "N4": lambda: n4(ds, n_synthetic=n4_synthetic, seed=seed, workers=workers),
-        "T1": lambda: t1(ds, workers=workers),
-        "LSC": lambda: lsc(ds, workers=workers),
-        "Density": lambda: density(ds, quantile=density_quantile, workers=workers),
+        "N1": lambda: n1(ds),
+        "N2": lambda: n2(ds),
+        "N3": lambda: n3(ds),
+        "N4": lambda: n4(ds, n_synthetic=n4_synthetic, seed=seed),
+        "T1": lambda: t1(ds),
+        "LSC": lambda: lsc(ds),
+        "Density": lambda: density(ds, quantile=density_quantile),
     }
     return [fns[c]() for c in wanted]

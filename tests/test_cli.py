@@ -203,7 +203,10 @@ class TestMeasure:
     def test_max_points_cap(self, tmp_path, capsys):
         data = _write_shape_csv(tmp_path / "d.csv", n=30)
         assert run(["measure", "--input", str(data), "--max-points", "10"]) == 1
-        assert "exceed" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: 60 points exceed the exact-computation cap of 10; "
+            "use --subsample or pass a larger --max-points\n"
+        )
 
     def test_label_col_by_name(self, tmp_path, capsys):
         csv_file = tmp_path / "named.csv"
@@ -287,7 +290,7 @@ class TestCompare:
         count = n if argv[0] == "compare" else 2 * half
         assert capsys.readouterr().err == (
             f"error: {count} points exceed the exact-computation cap of {DEFAULT_MAX_POINTS}; "
-            "use dsi_subsampled or pass a larger max_points\n"
+            "the measures need every pairwise distance; use fewer rows\n"
         )
 
     def test_text_format_default(self, tmp_path, capsys):
@@ -319,6 +322,13 @@ class TestIdentity:
         a = _points_csv(tmp_path / "a.csv", rng(4).random((5, 2)))
         assert run(["identity", "--a", str(a)]) == 1
         assert "--b" in capsys.readouterr().err
+
+    def test_max_points_cap(self, tmp_path, capsys):
+        a = _points_csv(tmp_path / "a.csv", rng(4).random((6, 2)))
+        assert run(["identity", "--a", str(a), "--b", str(a), "--max-points", "10"]) == 1
+        assert capsys.readouterr().err == (
+            "error: 12 points exceed the exact-computation cap of 10; pass a larger --max-points\n"
+        )
 
 
 class TestMahalanobis:
@@ -444,6 +454,15 @@ class TestUserErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert not paths["hist"].exists()
+
+    @pytest.mark.parametrize("value", [0, -5])
+    @pytest.mark.parametrize("command", ["measure", "identity"])
+    def test_max_points_below_1(self, tmp_path, capsys, command, value):
+        data = _write_shape_csv(tmp_path / "d.csv", n=20)
+        a = _points_csv(tmp_path / "a.csv", rng(6).random((10, 2)))
+        inputs = ["--input", str(data)] if command == "measure" else ["--a", str(a), "--b", str(a)]
+        assert run([command, *inputs, "--max-points", str(value)]) == 1
+        assert capsys.readouterr().err == f"error: --max-points must be >= 1, got {value}\n"
 
 
 class TestConfig:

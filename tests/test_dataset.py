@@ -68,11 +68,19 @@ class TestDataset:
         assert sub.labels.tolist() == [0, 0]
         assert sub.label_names == ("a", "b")
 
+    def test_subset_copies_the_rows_once(self):
+        ds = Dataset(points=rng(3).random((2500, 3072)), labels=np.arange(2500) % 10)
+        sub, peak = traced_peak(lambda: ds.subset(np.arange(500, 2500)))
+        assert peak < 1.5 * sub.points.nbytes  # the fancy index's copy, no second one
+        assert not sub.points.flags.writeable and not sub.labels.flags.writeable
+        assert np.array_equal(sub.points, ds.points[500:])
+
     def test_restrict_to(self):
         ds = Dataset(points=np.arange(6.0).reshape(6, 1), labels=[0, 1, 2, 0, 1, 2])
         kept = ds.restrict_to([0, 2])
         assert kept.labels.tolist() == [0, 2, 0, 2]
         assert kept.points[:, 0].tolist() == [0.0, 2.0, 3.0, 5.0]
+        assert not kept.points.flags.writeable and not kept.labels.flags.writeable
 
 
 class TestPartition:

@@ -10,12 +10,7 @@ import pytest
 import separability
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    path
-    for folder in (ROOT / "src", ROOT / "tests")
-    for path in folder.rglob("*.py")
-    if path.name != "__init__.py"  # package files import names to re-export them
-)
+MODULES = sorted(path for folder in (ROOT / "src", ROOT / "tests") for path in folder.rglob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -27,7 +22,8 @@ def _unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":  # a star import binds no single name
+                    imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):  # names listed in __all__ count as used
         if isinstance(node, ast.Assign) and any(
@@ -43,7 +39,10 @@ def test_no_unused_imports(path):
 
 
 def test_finds_an_unused_import():
-    source = "import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, tau)\n"
+    source = (
+        "import os\nimport sys\nfrom math import pi, tau\nfrom cmath import *\n"
+        "print(sys.argv, tau)\n"
+    )
     assert _unused_imports(source) == ["os (line 1)", "pi (line 3)"]
 
 
@@ -55,6 +54,7 @@ PUBLIC_MODULES = (
 def test_package_exports_what_the_modules_list():
     modules = {name: importlib.import_module(f"separability.{name}") for name in PUBLIC_MODULES}
     listed = {name: module for module in modules.values() for name in module.__all__}
+    assert len(set(separability.__all__)) == len(separability.__all__)
     assert set(separability.__all__) - {"__version__"} == set(listed)
     for name, module in listed.items():
         assert getattr(separability, name) is getattr(module, name), name

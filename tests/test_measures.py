@@ -348,15 +348,22 @@ class TestComputeMeasures:
         return Dataset(points=pts, labels=(pts[:, 0] + pts[:, 1]) % 3 == 0)
 
     def test_one_pairwise_pass(self, shared_input, monkeypatch):
-        calls = []
+        workers = []
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            workers.append(kwargs["workers"])
             return pairwise_condensed(*args, **kwargs)
 
         monkeypatch.setattr(separability.measures, "pairwise_condensed", counted)
-        compute_measures(shared_input)
-        assert len(calls) == 1
+        compute_measures(shared_input, workers=3)
+        assert workers == [3]
+        t1(shared_input)  # a measure alone runs its pass on one thread
+        assert workers == [3, 1]
+
+    def test_context_shares_the_points(self, small_two_class):
+        ctx = separability.measures._context(small_two_class)
+        assert np.shares_memory(ctx.points, small_two_class.points)
+        assert np.shares_memory(ctx.labels, small_two_class.labels)
 
     def test_matches_each_measure_alone(self, shared_input):
         alone = [fn(shared_input) for fn in (f1, n1, n2, n3, n4, t1, lsc, density)]
