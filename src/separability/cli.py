@@ -46,7 +46,7 @@ from .dsi import (
     dsi,
     dsi_subsampled,
 )
-from .errors import DomainError, ParseError, SeparabilityError
+from .errors import DistanceCapError, DomainError, ParseError, SeparabilityError
 from .fetch import fetch_dataset
 from .generators import SHAPES, GeneratorSpec, _philox, generate
 from .measures import MEASURE_CODES, compute_measures
@@ -265,8 +265,12 @@ def _cmd_measure(args) -> int:
     _check_positive(args, "threads", "bins", "max_points")
     ds = _load_labeled(args)
     metric = _fitted_metric(args.metric, ds.points)
-    sets = {} if args.histogram else None  # the multisets the histogram reads
     if args.subsample is not None:
+        if args.subsample > args.max_points:
+            raise DistanceCapError(
+                f"--subsample {args.subsample} exceeds --max-points {args.max_points}; "
+                "pass a smaller --subsample or a larger --max-points"
+            )
         if args.histogram:  # the histogram covers the whole dataset, not a subset
             _check_cap(
                 ds.n, args.max_points, "--histogram reads every point; pass a larger --max-points"
@@ -281,16 +285,11 @@ def _cmd_measure(args) -> int:
             workers=args.threads,
             max_points=args.max_points,
         )
-        if args.histogram:
-            sets = class_distance_sets(
-                ds, metric, workers=args.threads, max_points=args.max_points
-            )
-    else:  # the index and the histogram read the same multisets
+    else:
         _check_cap(ds.n, args.max_points, "use --subsample or pass a larger --max-points")
-        (report,) = _dsi_reports(
-            ds, metric, (args.stat,), args.threads, args.max_points, sets
-        )
+        report = dsi(ds, metric, stat=args.stat, workers=args.threads, max_points=args.max_points)
     if args.histogram:
+        sets = class_distance_sets(ds, metric, workers=args.threads, max_points=args.max_points)
         _write_histogram(args.histogram, sets, args.bins)
 
     payload = {"schema_version": SCHEMA_VERSION, "command": "measure", "input": args.input}

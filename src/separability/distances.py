@@ -259,16 +259,54 @@ def condensed_index(n: int, i, j):
     return n * i - i * (i + 1) // 2 + (j - i - 1)
 
 
-def _run_blocks(fill_block, n: int, threads: Threads):
-    """Call ``fill_block(r0, r1)`` for each block of n rows."""
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """The fixed row blocks ``(r0, r1)`` of n rows."""
     step = max(1, min(_BLOCK_ROWS, -(-n // _MIN_BLOCKS)))
-    blocks = [(r, min(r + step, n)) for r in range(0, n, step)]
-    threads.map(lambda rr: fill_block(*rr), blocks)
+    return [(r, min(r + step, n)) for r in range(0, n, step)]
 
 
 def _clamp(values: NDArray[np.float64], metric: DistanceMetric):
     if metric.name in _CLAMPED_METRICS:
         np.clip(values, 0.0, 2.0, out=values)
+
+
+def _triangle_rows(pts, r0: int, r1: int, metric: DistanceMetric) -> tuple:
+    """Distances among rows r0:r1 of ``pts`` (condensed, or None for one
+    row) and from them to every later row (a block, or None for the last)."""
+    kwargs = _scipy_kwargs(metric)
+    block = pts[r0:r1]
+    tri = pdist(block, **kwargs) if r1 - r0 >= 2 else None
+    rect = cdist(block, pts[r1:], **kwargs) if r1 < pts.shape[0] else None
+    for values in (tri, rect):
+        if values is not None:
+            _clamp(values, metric)
+    return tri, rect
+
+
+def _condensed_blocks(pts: NDArray[np.float64], metric: DistanceMetric) -> list:
+    """The pairwise distances among ``pts``, unchecked, as one callable per
+    row block; each returns a list of fresh, flat float64 arrays."""
+
+    def block(r0: int, r1: int):
+        return lambda: [v.ravel() for v in _triangle_rows(pts, r0, r1, metric) if v is not None]
+
+    return [block(r0, r1) for r0, r1 in _row_blocks(pts.shape[0])]
+
+
+def _cross_blocks(pa: NDArray[np.float64], pb: NDArray[np.float64], metric: DistanceMetric) -> list:
+    """The distances from the rows of ``pa`` to those of ``pb``, unchecked, as
+    one callable per block of ``pa``'s rows, like ``_condensed_blocks``."""
+    kwargs = _scipy_kwargs(metric)
+
+    def block(r0: int, r1: int):
+        def values():
+            out = cdist(pa[r0:r1], pb, **kwargs)
+            _clamp(out, metric)
+            return [out.ravel()]
+
+        return values
+
+    return [block(r0, r1) for r0, r1 in _row_blocks(pa.shape[0])]
 
 
 def _condensed(
@@ -280,13 +318,11 @@ def _condensed(
     ``metric`` is defined (see ``_check_vectors``).
     """
     n = pts.shape[0]
-    kwargs = _scipy_kwargs(metric)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
 
-    def fill_block(r0: int, r1: int):
-        block = pts[r0:r1]
-        tri = pdist(block, **kwargs) if r1 - r0 >= 2 else None
-        rect = cdist(block, pts[r1:], **kwargs) if r1 < n else None
+    def fill_block(rows):
+        r0, r1 = rows
+        tri, rect = _triangle_rows(pts, r0, r1, metric)
         width = r1 - r0
         for local in range(width):
             i = r0 + local
@@ -297,8 +333,8 @@ def _condensed(
             if rect is not None:
                 out[start + width - local - 1 : start + n - i - 1] = rect[local]
 
-    _run_blocks(fill_block, n, threads)
-    _clamp(out, metric)
+    for _ in threads.map(fill_block, _row_blocks(n)):
+        pass
     return out
 
 
@@ -307,25 +343,51 @@ def _cross(
     pb: NDArray[np.float64],
     metric: DistanceMetric,
     threads: Threads = SERIAL,
-    out: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """All distances from the rows of ``pa`` to those of ``pb``, flat and row-major.
 
     Unchecked, like ``_condensed``.  Each block of ``pa``'s rows is computed
-    into its own slice of the result, or of ``out`` when given (a contiguous
-    float64 vector of len(pa)*len(pb) values), so no block-sized copy is made.
+    into its own slice of the result, so no block-sized copy is made.
     """
     width = pb.shape[0]
     kwargs = _scipy_kwargs(metric)
-    if out is None:
-        out = np.empty(pa.shape[0] * width, dtype=np.float64)
+    out = np.empty(pa.shape[0] * width, dtype=np.float64)
 
-    def fill_block(r0: int, r1: int):
+    def fill_block(rows):
+        r0, r1 = rows
         cdist(pa[r0:r1], pb, out=out[r0 * width : r1 * width].reshape(r1 - r0, width), **kwargs)
 
-    _run_blocks(fill_block, pa.shape[0], threads)
+    for _ in threads.map(fill_block, _row_blocks(pa.shape[0])):
+        pass
     _clamp(out, metric)
     return out
+
+
+def _diameter_bound(points: NDArray[np.float64], metric: DistanceMetric) -> float:
+    """An upper bound on the distance between any two rows of ``points``.
+
+    Correlation and cosine distances are at most 2.  The other metrics are
+    norms of x - y, so no distance exceeds twice the largest distance from
+    the centroid; that is computed in numpy, a few rows at a time, and
+    padded for rounding.  Only the DSI's binning reads it, and a distance
+    above it is still counted exactly (see ``stats._Bins``).
+    """
+    if metric.name in _CLAMPED_METRICS:
+        return 2.0
+    center = points.mean(axis=0)
+    radius = 0.0
+    step = max(1, (1 << 16) // points.shape[1])  # rows of at most 512 KiB
+    for r0 in range(0, points.shape[0], step):
+        u = points[r0 : r0 + step] - center
+        if metric.name == "cityblock":
+            lengths = np.abs(u, out=u).sum(axis=1)
+        elif metric.name == "chebyshev":
+            lengths = np.abs(u, out=u).max(axis=1)
+        else:
+            w = u if metric.name == "euclidean" else u @ metric.inverse_covariance
+            lengths = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, u), 0.0))
+        radius = max(radius, float(lengths.max()))
+    return 2.0 * radius * (1.0 + 2.0**-20)
 
 
 def pairwise_condensed(

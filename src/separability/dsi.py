@@ -13,25 +13,24 @@ statistic is near 0; when the class sits apart it approaches 1.  The
 dataset's separability index is the unweighted mean over classes, and
 ``complexity = 1 - separability``.
 
-One private function, ``_dsi_reports``, does this for ``dsi``,
-``class_distance_sets`` and the CLI.  It checks the points once, for the
-whole dataset, so an error names the dataset's row, then walks the
-classes in ascending label order.  Each multiset is computed where it
-lives, in row blocks: ICD(i) from the pairwise distances among
-class i's rows, BCD(i) from class i's rows against the other classes'
-rows.  Each is sorted once, in its own buffer, and made read-only.  With
-two classes both BCDs are the same multiset, computed and sorted once and
-shared.  With three or more classes each class's BCD is built, scored and
-freed before the next class's; the distances to later classes are
-computed on the earlier class's turn and kept until the later class's
-turn.  Either way every pair of points is computed exactly once.  Each
-class then costs one merge of its two sorted multisets, run in pieces
-that ``workers`` threads can share, from which KS and the normalized
-1-Wasserstein distance are both read.
+One private function, ``_dsi_reports``, does this for ``dsi`` and the
+CLI.  It checks the points once, for the whole dataset, so an error names
+the dataset's row, then streams the multisets through the distance kernel
+in row blocks without storing them: ICD(i) from the pairs among class i's
+rows, BCD(i) from the pairs between class i and each other class.  With
+two classes both BCDs are the same multiset, counted once.  Every pair of
+points is computed once per pass, and there are two passes at most: the
+first counts each multiset's distances per bin, the second, run only when
+some bin needs it, keeps the few distances in bins where |P - Q| must be
+read exactly (see ``stats``).  KS and the normalized 1-Wasserstein
+distance both come from the same passes, and ``workers`` threads share
+each pass's kernel blocks.  ``class_distance_sets`` materializes the
+multisets for export and inspection; the DSI never needs them.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -44,12 +43,15 @@ from .distances import (
     DistanceSet,
     _check_vectors,
     _condensed,
+    _condensed_blocks,
     _cross,
+    _cross_blocks,
+    _diameter_bound,
     resolve_metric,
 )
 from .errors import DegenerateClass, DegenerateSubset, DistanceCapError, DomainError
 from .generators import _philox
-from .stats import _gap_statistics
+from .stats import _Bins, _bin_target, _binned_statistics
 
 __all__ = [
     "DEFAULT_MAX_POINTS",
@@ -62,19 +64,20 @@ __all__ = [
     "distribution_identity_score",
 ]
 
-# Exact computation holds one class's ICD and BCD multisets at a time, as
-# float64, plus, with three or more classes, the distances kept for later
-# classes, and one block-by-n float64 scratch array per thread in the numpy
-# distance kernel.  CLI `measure` (KS, one thread) peaks at 333 MiB RSS on
-# 2x5000 moons points and at 697 MiB on 2x7500; three equal 2-D Gaussian
-# classes take 425 MiB at 10k points and 906 MiB at 15k (2-vCPU Intel Xeon
-# KVM guest, numpy 2.4.6).  Memory grows with n**2.  Beyond the cap callers
-# must subsample or raise it knowingly.
+# Exact computation stores no multiset: it streams every distance through the
+# kernel once or twice, so memory grows with the kernel's row blocks (up to
+# 128 rows by n float64 values, a few such arrays) and with the distances kept
+# in refined bins, not with n**2.  CLI `measure` (KS, one thread) peaks at
+# 73 MiB RSS in 2.2 s on 2x5000 moons points and at 117 MiB in 4.1-4.6 s on
+# 2x7500; three overlapping 2-D Gaussian classes of 10k points in all take
+# 167 MiB in 2.5 s (2-vCPU Intel Xeon KVM guest, numpy 2.4.6).  Time grows
+# with n**2, so the cap guards time: beyond it callers must subsample or
+# raise it knowingly.
 DEFAULT_MAX_POINTS = 15_000
 
 STAT_NAMES = ("ks", "wasserstein")
 
-# Each named statistic is read from one merge of a class's sorted multisets.
+# The names ``stats._binned_statistics`` reads each statistic under.
 _GAP_STATISTICS = {
     "ks": "ks",
     "wasserstein": "w1_normalized",
@@ -141,12 +144,6 @@ class SeparabilityReport:
         return out
 
 
-def _sorted_read_only(values: np.ndarray) -> np.ndarray:
-    values.sort()
-    values.setflags(write=False)
-    return values
-
-
 def _check_cap(
     n: int, max_points: int | None, remedy: str = "use dsi_subsampled or pass a larger max_points"
 ) -> None:
@@ -157,29 +154,13 @@ def _check_cap(
         )
 
 
-def _dsi_reports(
-    ds: Dataset,
-    metric: DistanceMetric | str,
-    stats: tuple[str, ...],
-    workers: int,
-    max_points: int | None,
-    sets: dict | None = None,
-) -> list[SeparabilityReport]:
-    """One report per entry of ``stats``, all from one pass over the classes.
+def _class_points(
+    ds: Dataset, m: DistanceMetric, max_points: int | None
+) -> dict[int, np.ndarray]:
+    """Each class's points, labels ascending, after checking the dataset once.
 
-    Each class is scored by one merge of its sorted, read-only ICD and BCD
-    multisets, which yields every statistic in ``stats``.  A class's own
-    multisets are released once it is scored, unless ``sets`` is given:
-    then it receives what ``class_distance_sets`` returns, from the same
-    pass.
+    A class whose rows are contiguous is a view of ``ds.points``, not a copy.
     """
-    t0 = time.perf_counter()
-    m = resolve_metric(metric)
-    for stat in stats:
-        if stat not in _GAP_STATISTICS:
-            raise ValueError(
-                f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
-            )
     groups = partition(ds).groups
     for label, rows in groups.items():
         if rows.size < 2:
@@ -189,61 +170,61 @@ def _dsi_reports(
             )
     _check_cap(ds.n, max_points)
     _check_vectors(ds.points, m)
+    return {
+        label: ds.points[rows[0] : rows[-1] + 1]
+        if rows[-1] - rows[0] + 1 == rows.size
+        else ds.points[rows]
+        for label, rows in groups.items()
+    }
 
-    # One copy of the points, class after class, so every class's rows and
-    # the rows of all later classes are contiguous slices.
-    labels = list(groups)
-    points = ds.points[np.concatenate(list(groups.values()))]
-    starts = np.cumsum([0] + [groups[label].size for label in labels]).tolist()
-    names = {_GAP_STATISTICS[stat] for stat in stats}
-    scores: dict[int, list[float]] = {}
 
+def _dsi_reports(
+    ds: Dataset,
+    metric: DistanceMetric | str,
+    stats: tuple[str, ...],
+    workers: int,
+    max_points: int | None,
+) -> list[SeparabilityReport]:
+    """One report per entry of ``stats``, all from the same two passes.
+
+    Multisets are numbered ICD(c) = c and BCD(c) = k + c for the k classes,
+    in ascending label order; with two classes both BCDs are the one cross
+    multiset, number 2.  The kernel blocks of each class's own pairs feed its
+    ICD, and those of each pair of classes feed both classes' BCDs, so every
+    pair of points is computed once per pass (see ``stats._binned_statistics``).
+    """
+    t0 = time.perf_counter()
+    m = resolve_metric(metric)
+    for stat in stats:
+        if stat not in _GAP_STATISTICS:
+            raise ValueError(
+                f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
+            )
+    classes = _class_points(ds, m, max_points)
+    labels = list(classes)
+    points = list(classes.values())
+    k = len(labels)
+    bcd = [k, k] if k == 2 else [k + c for c in range(k)]
+    sources = [(_condensed_blocks(mine, m), (c,)) for c, mine in enumerate(points)]
+    sources += [
+        (_cross_blocks(points[c], points[d], m), tuple(dict.fromkeys((bcd[c], bcd[d]))))
+        for c in range(k)
+        for d in range(c + 1, k)
+    ]
+    sizes = [mine.shape[0] for mine in points]
+    largest = max(max(s * (s - 1) // 2, s * (ds.n - s)) for s in sizes)
+    bound = _diameter_bound(ds.points, m)
+    if not math.isfinite(bound):
+        raise DomainError("distances between these points overflow float64; rescale the features")
+    bins = _Bins.spanning(0.0, bound, _bin_target(largest))
+    names = tuple(dict.fromkeys(_GAP_STATISTICS[stat] for stat in stats))
     with Threads(workers) as threads:
-
-        def score(label, icd, bcd):  # icd and bcd are sorted and read-only
-            named = _gap_statistics(icd, bcd, names, threads) if names else {}
-            scores[label] = [named[_GAP_STATISTICS[stat]] for stat in stats]
-            if sets is not None:
-                sets[label] = (
-                    DistanceSet._adopt(icd, "icd", label),
-                    DistanceSet._adopt(bcd, "bcd", label),
-                )
-
-        if len(labels) == 2:  # both classes' BCD is the one cross block
-            first, second = classes = [points[: starts[1]], points[starts[1] :]]
-            bcd = _sorted_read_only(_cross(first, second, m, threads))
-            for label, mine in zip(labels, classes):
-                score(label, _sorted_read_only(_condensed(mine, m, threads)), bcd)
-        else:
-            # Class c's turn computes its distances to every later class, in
-            # blocks of the later rows, and keeps a copy of each later class's
-            # part until that class's turn: every pair of points is computed once.
-            kept: dict[int, list[np.ndarray]] = {label: [] for label in labels}
-            for turn, label in enumerate(labels):
-                mine = points[starts[turn] : starts[turn + 1]]
-                size = mine.shape[0]
-                bcd = np.empty(size * (ds.n - size))
-                earlier = kept.pop(label)
-                at = sum(part.size for part in earlier)
-                if earlier:
-                    np.concatenate(earlier, out=bcd[:at])
-                del earlier
-                if turn + 1 < len(labels):
-                    _cross(points[starts[turn + 1] :], mine, m, threads, out=bcd[at:])
-                    for c in labels[turn + 1 :]:
-                        end = at + groups[c].size * size
-                        kept[c].append(bcd[at:end].copy())
-                        at = end
-                score(
-                    label,
-                    _sorted_read_only(_condensed(mine, m, threads)),
-                    _sorted_read_only(bcd),
-                )
-                del bcd  # a class's own BCD is freed before the next one is built
+        named = _binned_statistics(sources, [(c, bcd[c]) for c in range(k)], bins, names, threads)
 
     wall_time_s = time.perf_counter() - t0
     reports = []
-    for stat, values in zip(stats, zip(*scores.values())):
+    for stat in stats:
+        values = [scores[_GAP_STATISTICS[stat]] for scores in named]
         index = float(np.mean(values))
         reports.append(
             SeparabilityReport(
@@ -266,14 +247,27 @@ def class_distance_sets(
     workers: int = 1,
     max_points: int | None = DEFAULT_MAX_POINTS,
 ) -> dict[int, tuple[DistanceSet, DistanceSet]]:
-    """ICD and BCD multisets for every class, computed class by class.
+    """ICD and BCD multisets for every class, stored whole.
 
     Returns ``{label: (icd, bcd)}`` with cardinalities m*(m-1)/2 and m*r.
     Every multiset's values are sorted ascending and read-only; with exactly
-    two classes both BCDs hold the same array.
+    two classes both BCDs hold the same array.  The DSI never needs them
+    (see ``dsi``); this is for exporting and inspecting them.
     """
+    m = resolve_metric(metric)
+    classes = _class_points(ds, m, max_points)
     sets: dict[int, tuple[DistanceSet, DistanceSet]] = {}
-    _dsi_reports(ds, metric, (), workers, max_points, sets)
+    with Threads(workers) as threads:
+        for turn, (label, mine) in enumerate(classes.items()):
+            icd = _condensed(mine, m, threads)
+            icd.sort()
+            if turn == 0 or len(classes) > 2:  # two classes share one BCD
+                bcd = _cross(mine, ds.points[ds.labels != label], m, threads)
+                bcd.sort()
+            sets[label] = (
+                DistanceSet._adopt(icd, "icd", label),
+                DistanceSet._adopt(bcd, "bcd", label),
+            )
     return sets
 
 
@@ -409,9 +403,11 @@ def distribution_identity_score(
         raise ValueError(
             f"samples must share the feature dimension, got {a.shape[1]} and {b.shape[1]}"
         )
-    points = np.vstack([a, b])
-    labels = np.concatenate(
-        [np.zeros(a.shape[0], dtype=np.int64), np.ones(b.shape[0], dtype=np.int64)]
-    )
-    ds = Dataset(points=points, labels=labels)
+    # one copy of both samples, class 0 then class 1: contiguous classes,
+    # so the DSI reads them as views
+    points = np.concatenate([a, b])
+    if not np.all(np.isfinite(points)):
+        raise ValueError("points contain non-finite values")
+    labels = np.repeat(np.arange(2, dtype=np.int64), [a.shape[0], b.shape[0]])
+    ds = Dataset._adopt(points, labels)
     return dsi(ds, metric, stat=stat, workers=workers, max_points=max_points).dsi

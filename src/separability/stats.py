@@ -6,15 +6,35 @@ Both statistics compare the empirical CDFs P and Q of two real samples:
 * ``wasserstein1``      integral of |P(x) - Q(x)| dx, the 1-Wasserstein
   (earth mover's) distance between the empirical measures
 
-Empirical CDFs are right-continuous step functions that break only at pooled
-sample values, so both statistics reduce |P - Q| there, found in one merge
-of the two sorted samples.  The merge runs in pieces of about
-``2 * _PIECE_VALUES`` values, plus any run of equal values that crosses a
-cut, so its scratch memory grows only with the longest such tie run.
+Both are read from binned counts, so no sample is ever stored whole,
+sorted or merged: it only has to be produced, block by block, at most
+twice.  The distance multisets of the DSI are produced that way by the
+distance kernel; ``ks_statistic`` and friends feed each sample as one block.
+
+* Bins are intervals of one power-of-two width, so a value's bin is
+  ``floor(v * scale)``: monotone, equal values share a bin, and every bin
+  edge is an exact float.
+* Pass 1 counts each block's values per bin and, for W1, sums each value's
+  distance to its bin's upper edge and keeps the exact extremes.
+  Cumulative counts give P - Q exactly at every bin end.
+* A bin is refined when |P - Q| inside it could exceed the largest bin-end
+  value (KS), or could change sign (W1).  Every other bin is settled by its
+  counts: its KS candidates are bounded by the bin ends, and its share of
+  W1 is the integral of a one-signed step function, which its counts and
+  edge sums give exactly.
+* Pass 2, run only when some bin is refined, produces the blocks again and
+  keeps the values in refined bins, each block's as distinct values with
+  counts.  Their ranks, offset by the counts below each bin, give |P - Q|
+  at each kept value with the same float operations as a merge of the two
+  sorted samples, so KS has the same bits as that merge.
+
+Block partials are added in block order, so the number of threads that
+produce the blocks never changes a value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +51,15 @@ __all__ = [
 ]
 
 
+def _finite_sample(sample) -> NDArray[np.float64]:
+    values = np.asarray(sample, dtype=np.float64).ravel()
+    if values.size == 0:
+        raise EmptySample("cannot build a CDF from an empty sample")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("sample contains non-finite values")
+    return values
+
+
 @dataclass(frozen=True)
 class EmpiricalCdf:
     """Right-continuous empirical CDF of a finite sample.
@@ -43,12 +72,7 @@ class EmpiricalCdf:
     values: NDArray[np.float64]
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).ravel()
-        if vals.size == 0:
-            raise EmptySample("cannot build a CDF from an empty sample")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("sample contains non-finite values")
-        vals = np.sort(vals)
+        vals = np.sort(_finite_sample(self.values))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -65,115 +89,290 @@ class EmpiricalCdf:
         return self.evaluate(x)
 
 
-# A merge walks the two sorted runs in pieces of about this many values of
-# each.  A piece also takes the rest of any run of equal values that crosses
-# its cut, so on tie-heavy data (say chebyshev distances between integer
-# points) one piece can hold most of a multiset.  At 2**16 each scratch array
-# is about 1 MiB and fits a 2 MiB L2 cache; on a 2-vCPU x86-64 guest, 2**15
-# and 2**16 merged fastest, 2**18 ~30% slower.
-_PIECE_VALUES = 1 << 16
+# About this many values of the largest multiset per bin, within the bounds
+# below.  More bins leave fewer values to refine but cost time per block and
+# per bin.  On a 2-vCPU x86-64 guest, for the DSI of 1000 points in two
+# classes (multisets of 125k and 250k values, KS and W1), a target of 2**15
+# bins ran 1.3x faster than 2**12 and 2**16, which refined 20x and 0.15x as
+# many values; on 2x2500 points, 2**14 to 2**18 ran alike.
+_VALUES_PER_BIN = 4
+_MIN_BINS = 1 << 4
+_MAX_BINS = 1 << 16
+
+# Slack on float comparisons of |P - Q|: each height and bound is a few
+# roundings of values in [-2, 2] off its exact value, far below 2**-48.
+_PAD = 2.0**-48
 
 
-def _piece_bounds(a, b):
-    """Yield (i, ia, j, jb): ``a[i:ia]`` and ``b[j:jb]`` make the next piece.
+def _bin_target(largest: int) -> int:
+    """Bins for multisets of at most ``largest`` values: a power of two."""
+    wanted = max(largest // _VALUES_PER_BIN, 1)
+    return min(max(1 << (wanted.bit_length() - 1), _MIN_BINS), _MAX_BINS)
 
-    Each piece ends at the ``_PIECE_VALUES``-th next value of one run (the
-    smaller of the two such values) and takes every value <= it from both
-    runs, so a run of ties never spans two pieces.
+
+@dataclass(frozen=True)
+class _Bins:
+    """Bins of width ``1 / scale``, a power of two; bin i is the interval
+    ``[(first + i) / scale, (first + i + 1) / scale)``.
+
+    Values above the last bin are counted in it; W1 refines that bin when
+    they occur.  Positions are handled as ``t = v * scale``, which is exact,
+    so bin edges are the integers ``first + i``.
     """
-    na, nb = a.size, b.size
-    i = j = 0
-    while i < na or j < nb:
-        cut = min(
-            a[i + _PIECE_VALUES - 1] if i + _PIECE_VALUES <= na else np.inf,
-            b[j + _PIECE_VALUES - 1] if j + _PIECE_VALUES <= nb else np.inf,
-        )
-        ia = int(np.searchsorted(a, cut, "right"))
-        jb = int(np.searchsorted(b, cut, "right"))
-        yield i, ia, j, jb
-        i, j = ia, jb
+
+    scale: float
+    first: int
+    size: int
+
+    @classmethod
+    def spanning(cls, lo: float, hi: float, target: int) -> _Bins:
+        """About ``target / 2`` to ``target`` bins covering [lo, hi]."""
+        # |t| = |v| * scale stays below 2**52, so every integer edge is exact
+        e = 52 - math.frexp(max(abs(lo), abs(hi)))[1]
+        half_span = hi * 0.5 - lo * 0.5  # cannot overflow
+        if half_span > 0:  # span * scale in [target / 2, target)
+            e = min(e, target.bit_length() - 3 - math.frexp(half_span)[1])
+        scale = math.ldexp(1.0, min(e, 1023))
+        first = math.floor(lo * scale)
+        return cls(scale, first, math.floor(hi * scale) - first + 1)
+
+    def index(self, values: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+        """Each value's bin, and its position ``t = v * scale``."""
+        t = values * self.scale
+        if self.first < 0:  # truncation rounds negative positions up
+            idx = np.floor(t).astype(np.int64)
+        else:
+            idx = t.astype(np.int64)
+        if self.first:
+            idx -= self.first
+        np.minimum(idx, self.size - 1, out=idx)
+        return idx, t
 
 
-def _piece_summary(a, b, bounds, want_ks: bool, want_area: bool) -> tuple:
-    """(sup, area, first value, last value, last height) of one piece's |P - Q|.
+class _Counts:
+    """One multiset's pass-1 summary: per-bin counts and, for W1, per-bin
+    sums of ``upper edge - t`` and the exact extremes."""
 
-    A stable argsort of the two slices merges them in linear time
-    (timsort).  Counts are float64, exact below 2**53, offset by the values
-    before the piece, so each height has the same bits as in one merge of
-    the whole runs.  Inside a run of tied values the heights are partial,
-    but only the run's last one is read: KS takes the maximum over run
-    ends, and W1 weighs each height by the step to the next value, which is
-    zero inside a run.
+    def __init__(self, size: int, edges: bool):
+        self.counts = np.zeros(size, dtype=np.int64)
+        self.edge_sums = np.zeros(size) if edges else None
+        self.low, self.high = math.inf, -math.inf
+
+    def add(self, part: _Counts) -> None:
+        self.counts += part.counts
+        if self.edge_sums is not None:
+            self.edge_sums += part.edge_sums
+            self.low, self.high = min(self.low, part.low), max(self.high, part.high)
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+
+def _count_block(arrays, bins: _Bins, edges: bool) -> _Counts:
+    part = _Counts(bins.size, edges)
+    for values in arrays:
+        if not values.size:
+            continue
+        idx, t = bins.index(values)
+        part.counts += np.bincount(idx, minlength=bins.size)
+        if edges:
+            # (first + idx + 1) - t: the distance to the upper edge, in bin widths
+            np.subtract(bins.first + 1, t, out=t)
+            t += idx
+            part.edge_sums += np.bincount(idx, weights=t, minlength=bins.size)
+            part.low = min(part.low, float(values.min()))
+            part.high = max(part.high, float(values.max()))
+    return part
+
+
+def _keep_block(arrays, bins: _Bins, wanted: list) -> list[list]:
+    """For each refine table in ``wanted``, the block's values in its bins,
+    as (distinct values, counts) pairs."""
+    kept: list[list] = [[] for _ in wanted]
+    for values in arrays:
+        if not values.size:
+            continue
+        idx = bins.index(values)[0]
+        for parts, table in zip(kept, wanted):
+            chosen = values[table[idx]]
+            if chosen.size:
+                parts.append(np.unique(chosen, return_counts=True))
+    return kept
+
+
+def _distinct(parts: list) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """Merge (distinct values, counts) pairs into one sorted pair."""
+    if not parts:
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    values = np.concatenate([v for v, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    order = np.argsort(values, kind="stable")
+    values, counts = values[order], counts[order]
+    starts = np.flatnonzero(np.append(True, values[1:] != values[:-1]))
+    return values[starts], np.add.reduceat(counts, starts)
+
+
+class _Gap:
+    """P - Q for multisets ``a`` and ``b`` at bin resolution, and the bins
+    that pass 2 must refine for the statistics in ``names``.
+
+    Only the refine table is kept between the passes; the cumulative counts
+    are recomputed from ``a`` and ``b`` when they are needed.
     """
-    i, ia, j, jb = bounds
-    grid = np.concatenate([a[i:ia], b[j:jb]])
-    order = np.argsort(grid, kind="stable")
-    grid = grid[order]
-    count_a = (order < ia - i).astype(np.float64)
-    del order
-    np.cumsum(count_a, out=count_a)
-    count_b = np.arange(1.0, grid.size + 1.0)
-    count_b -= count_a
-    count_a += i
-    count_b += j
-    count_a /= a.size
-    count_b /= b.size
-    count_a -= count_b
-    heights = np.abs(count_a, out=count_a)
-    del count_b
-    sup = 0.0
-    if want_ks:
-        run_end = np.append(grid[:-1] != grid[1:], True)
-        sup = float(heights.max(where=run_end, initial=0.0))
-    area = 0.0
-    if want_area:
-        # an elementwise product and a sum, not np.dot: a BLAS dot can
-        # wake worker threads that spin without shortening the wall time
-        gaps = np.diff(grid)
-        gaps *= heights[:-1]
-        area = float(gaps.sum())
-    return sup, area, float(grid[0]), float(grid[-1]), float(heights[-1])
+
+    def __init__(self, a: _Counts, b: _Counts, bins: _Bins, names):
+        self.a, self.b, self.bins = a, b, bins
+        na, nb = self.na, self.nb = a.n, b.n
+        ha, hb = a.counts, b.counts
+        a_below, b_below, before, self.best = self._cumulative()
+        filled = (ha > 0) | (hb > 0)
+        # distinct heights differ by at least 1 / (na * nb); below 2**-50 that
+        # dwarfs the rounding of any height, so exact comparisons hold
+        exact = na * nb <= 2**50
+        refine = np.zeros(bins.size, dtype=bool)
+        rise, fall = ha / na, hb / nb
+        if "ks" in names:
+            # a bin holding only one sample's values is monotone: its heights
+            # lie strictly between its two ends, which are already counted
+            mixed = (ha > 0) & (hb > 0) if exact else filled
+            bound = np.maximum(np.abs(before + rise), np.abs(before - fall))
+            refine |= mixed & (bound + _PAD > self.best)
+        if "w1" in names or "w1_normalized" in names:
+            if exact:  # P - Q times na * nb, an integer below 2**50
+                scaled = a_below * nb - b_below * na
+                one_sign = (scaled - hb * na >= 0) | (scaled + ha * nb <= 0)
+            else:
+                one_sign = (before - fall > _PAD) | (before + rise < -_PAD)
+            refine |= filled & ~one_sign
+            # values past the last bin's nominal edge stretch it
+            self.top = max(a.high, b.high) * bins.scale
+            refine[-1] |= filled[-1] and self.top > bins.first + bins.size
+        self.refine = refine
+
+    def _cumulative(self) -> tuple:
+        """The counts of ``a`` and ``b`` below each bin, P - Q at each bin's
+        lower edge, and the largest |P - Q| at a bin end."""
+        ca, cb = np.cumsum(self.a.counts), np.cumsum(self.b.counts)
+        # the same float operations as on a merge's counts, so the same bits
+        ends = ca / self.na - cb / self.nb
+        best = float(np.abs(ends).max())
+        return np.append(0, ca[:-1]), np.append(0, cb[:-1]), np.append(0.0, ends[:-1]), best
+
+    def statistics(self, kept_a, kept_b, names) -> dict[str, float]:
+        """The named statistics, given each multiset's kept values (a superset
+        of those in this gap's refined bins)."""
+        bins, refine = self.bins, self.refine
+        kept_a, kept_b = (_restrict(kept, bins, refine) for kept in (kept_a, kept_b))
+        grid, count_a, count_b = _merge(kept_a, kept_b)
+        at = bins.index(grid)[0]
+        a_below, b_below, before, _ = self._cumulative()
+        count_a += _skipped(a_below, self.a.counts, refine)[at]
+        count_b += _skipped(b_below, self.b.counts, refine)[at]
+        heights = np.abs(count_a / self.na - count_b / self.nb)
+        out = {"ks": max(self.best, float(heights.max(initial=0.0)))}
+        if "w1" in names or "w1_normalized" in names:
+            out["w1"] = self._area(grid, at, heights, before)
+            low, high = min(self.a.low, self.b.low), max(self.a.high, self.b.high)
+            pooled_range = float(high - low)
+            out["w1_normalized"] = out["w1"] / pooled_range if pooled_range else 0.0
+        return {name: out[name] for name in names}
+
+    def _area(self, grid, at, heights, before) -> float:
+        """The integral of |P - Q|, summed bin by bin in bin order."""
+        bins, a, b = self.bins, self.a, self.b
+        # settled bins: |P - Q| keeps one sign, so the integral of P - Q over
+        # the bin, one bin width, is taken whole; grouped so that swapping
+        # the samples negates every rounding step and W1 stays symmetric
+        shares = np.abs(before + (a.edge_sums / self.na - b.edge_sums / self.nb))
+        if grid.size:
+            t = grid * bins.scale
+            upper = (at + (bins.first + 1)).astype(np.float64)
+            upper[at == bins.size - 1] = max(bins.first + bins.size, self.top)
+            last = np.append(at[1:] != at[:-1], True)
+            first = np.append(True, last[:-1])
+            step_to = np.append(t[1:], 0.0)
+            step_to[last] = upper[last]
+            pieces = (step_to - t) * heights
+            lower = at[first] + bins.first
+            pieces[first] += (t[first] - lower) * np.abs(before[at[first]])
+            shares[self.refine] = np.bincount(at, weights=pieces, minlength=bins.size)[self.refine]
+        return float(shares.sum()) / bins.scale
 
 
-def _gap_statistics(a, b, names, threads: Threads = SERIAL) -> dict[str, float]:
-    """Statistics of |P - Q| for sorted runs ``a`` and ``b``, from one merge.
+def _restrict(kept, bins: _Bins, refine) -> tuple:
+    values, counts = kept
+    inside = refine[bins.index(values)[0]]
+    return values[inside], counts[inside]
 
-    ``names`` holds any of "ks" (the supremum), "w1" (the integral) and
-    "w1_normalized" (the integral over the pooled range).  ``a`` and ``b``
-    must be sorted, finite and non-empty float64 arrays; they are neither
-    checked nor copied.  The merge runs piece by piece (``_piece_bounds``),
-    on ``threads``: KS is the largest piece maximum, and W1 sums, in piece
-    order, the pieces' areas plus the step from each piece's last value to
-    the next piece's first, so every worker count gives the same bits.
+
+def _skipped(below, counts, refine) -> NDArray[np.int64]:
+    """How many values lie in unrefined bins below each bin."""
+    held = np.where(refine, counts, 0)
+    return below - (np.cumsum(held) - held)
+
+
+def _merge(kept_a, kept_b) -> tuple:
+    """The distinct values of two kept sets, ascending, and how many kept
+    values of each set are <= each of them.
+
+    A stable argsort of the two sorted runs merges them in linear time.
     """
-    want_ks = "ks" in names
-    want_area = "w1" in names or "w1_normalized" in names
-    pieces = list(_piece_bounds(a, b))
+    values = np.concatenate([kept_a[0], kept_b[0]])
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    from_a = np.concatenate([kept_a[1], np.zeros_like(kept_b[1])])[order]
+    from_b = np.concatenate([np.zeros_like(kept_a[1]), kept_b[1]])[order]
+    run_end = np.append(values[1:] != values[:-1], True)[: values.size]
+    return values[run_end], np.cumsum(from_a)[run_end], np.cumsum(from_b)[run_end]
 
-    def summary(bounds):
-        return _piece_summary(a, b, bounds, want_ks, want_area)
 
-    # threads contend more than they help unless each gets several pieces
-    summaries = (threads if len(pieces) > threads.workers else SERIAL).map(summary, pieces)
-    sup = area = 0.0
-    last = None  # the previous piece's last value and height
-    for piece_sup, piece_area, first, end, end_height in summaries:
-        sup = max(sup, piece_sup)
-        if last is not None:
-            area += (first - last[0]) * last[1]
-        area += piece_area
-        last = end, end_height
-    out = {"ks": sup, "w1": area}
-    if "w1_normalized" in names:
-        pooled_range = float(max(a[-1], b[-1]) - min(a[0], b[0]))
-        out["w1_normalized"] = area / pooled_range if pooled_range else 0.0
-    return {name: out[name] for name in names}
+def _binned_statistics(
+    sources: list, pairs: list, bins: _Bins, names, threads: Threads = SERIAL
+) -> list[dict[str, float]]:
+    """Statistics of |P - Q| for each pair of multisets, from binned counts.
+
+    ``sources`` lists ``(blocks, feeds)``: each block is a callable that
+    returns a list of float64 arrays of values, the same each time it is
+    called; those values belong to every multiset numbered in ``feeds``.
+    ``pairs`` lists ``(a, b)`` multiset numbers; the result has one dict of
+    the ``names`` ("ks", "w1", "w1_normalized") per pair.  Blocks run on
+    ``threads``, once to count and, if any bin needs it, once more to refine.
+    """
+    edges = "w1" in names or "w1_normalized" in names
+    tasks = [(block, feeds) for blocks, feeds in sources for block in blocks]
+    sets = [_Counts(bins.size, edges) for _ in range(1 + max(max(f) for _, f in sources))]
+    partials = threads.map(lambda task: _count_block(task[0](), bins, edges), tasks)
+    for (_, feeds), part in zip(tasks, partials):  # in block order
+        for f in feeds:
+            sets[f].add(part)
+
+    gaps = [_Gap(sets[a], sets[b], bins, names) for a, b in pairs]
+    wanted = [np.zeros(bins.size, dtype=bool) for _ in sets]
+    for (a, b), gap in zip(pairs, gaps):
+        wanted[a] |= gap.refine
+        wanted[b] |= gap.refine
+    kept: list[list] = [[] for _ in sets]
+    if any(table.any() for table in wanted):
+
+        def keep(task):
+            block, feeds = task
+            return _keep_block(block(), bins, [wanted[f] for f in feeds])
+
+        for (_, feeds), parts in zip(tasks, threads.map(keep, tasks)):
+            for f, found in zip(feeds, parts):
+                kept[f] += found
+    kept = [_distinct(parts) for parts in kept]
+    return [gap.statistics(kept[a], kept[b], names) for (a, b), gap in zip(pairs, gaps)]
 
 
 def _statistic(sample_a, sample_b, name: str) -> float:
-    """Validate and sort both samples, then reduce one named statistic."""
-    a, b = EmpiricalCdf(sample_a).values, EmpiricalCdf(sample_b).values
-    return _gap_statistics(a, b, (name,))[name]
+    """Validate both samples, then reduce one named statistic, each sample one block."""
+    a, b = _finite_sample(sample_a), _finite_sample(sample_b)
+    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
+    bins = _Bins.spanning(float(lo), float(hi), _bin_target(max(a.size, b.size)))
+    sources = [([lambda: [a]], (0,)), ([lambda: [b]], (1,))]
+    return _binned_statistics(sources, [(0, 1)], bins, (name,))[0][name]
 
 
 def ks_statistic(sample_a, sample_b) -> float:

@@ -32,6 +32,7 @@ from separability import (
 )
 from separability import cli
 from separability.cli import build_parser, run
+from separability.dsi import _dsi_reports
 
 from conftest import rng
 
@@ -463,6 +464,15 @@ class TestUserErrors:
         inputs = ["--input", str(data)] if command == "measure" else ["--a", str(a), "--b", str(a)]
         assert run([command, *inputs, "--max-points", str(value)]) == 1
         assert capsys.readouterr().err == f"error: --max-points must be >= 1, got {value}\n"
+
+    def test_subsample_above_max_points_names_the_flags(self, tmp_path, capsys):
+        data = _write_shape_csv(tmp_path / "d.csv", n=20)
+        argv = ["measure", "--input", str(data), "--subsample", "30", "--max-points", "20"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --subsample 30 exceeds --max-points 20; "
+            "pass a smaller --subsample or a larger --max-points\n"
+        )
 
 
 class TestConfig:
@@ -913,11 +923,21 @@ class TestRepro:
         assert lines[0] == "cluster_sd,dsi_ks,dsi_wasserstein"
         assert len(lines) == 10  # header + sd 1..9
 
-    def test_figure7_one_pairwise_pass_per_dataset(self, capsys, computed_pairs):
+    def test_figure7_pairs_per_dataset(self, capsys, computed_pairs):
         # the pairs the distance kernels compute, however they block the
-        # work: each dataset's n(n-1)/2 pairs, every pair exactly once
+        # work: each dataset's n(n-1)/2 pairs once per pass, in one pass
+        # when no bin needs refining and in two otherwise
+        pairs = 60 * 59 // 2
+        per_dataset = []
+        for sd in range(1, 10):
+            ds = generate(GeneratorSpec("blobsd", 30, seed=0, cluster_sd=float(sd)))
+            computed_pairs.clear()
+            _dsi_reports(ds, "euclidean", ("ks", "wasserstein"), 1, None)
+            assert sum(computed_pairs) in (pairs, 2 * pairs)
+            per_dataset.append(sum(computed_pairs))
+        computed_pairs.clear()
         assert run(["repro", "figure7", "--n-per-class", "30"]) == 0
-        assert sum(computed_pairs) == 9 * (60 * 59 // 2)
+        assert sum(computed_pairs) == sum(per_dataset)
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         for sd, ks, wasserstein in rows:
             ds = generate(GeneratorSpec("blobsd", 30, seed=0, cluster_sd=float(sd)))

@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from separability import (
     Dataset,
+    GeneratorSpec,
     DegenerateClass,
     DegenerateDataset,
     DegenerateSubset,
@@ -22,13 +23,14 @@ from separability import (
     dsi,
     dsi_subsampled,
     fit_mahalanobis,
+    generate,
     ks_statistic,
     wasserstein1_normalized,
 )
 
 from separability.dsi import _dsi_reports
 
-from conftest import random_dataset, rng
+from conftest import random_dataset, rng, traced_peak
 from oracles import brute_dsi, grid_ks, grid_wasserstein1
 
 
@@ -117,22 +119,22 @@ class TestClassDistanceSets:
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_bounded_merge_tied_shuffled(self, data):
-        # pieces of at most a few values per run force many piece boundaries
-        # inside and between runs of tied distances; kernel blocks of two
-        # rows give the second worker blocks of its own
+    def test_coarse_bins_tied_shuffled(self, data):
+        # one to a few bins put most distances, runs of ties among them, in
+        # refined bins; kernel blocks of two rows give the second worker
+        # blocks of its own
         k = data.draw(st.integers(2, 5), label="classes")
         n = data.draw(st.integers(2 * k, 6 * k), label="n")
         dim = data.draw(st.integers(1, 3), label="dim")
         coords = data.draw(st.lists(st.integers(0, 3), min_size=n * dim, max_size=n * dim))
         points = np.asarray(coords, dtype=float).reshape(n, dim)
         labels = np.asarray(data.draw(st.permutations((np.arange(n) % k).tolist()), label="labels"))
-        piece = data.draw(st.integers(1, 7), label="piece values")
+        target = data.draw(st.sampled_from([1, 2, 4, 8]), label="bins")
         ds = Dataset(points, labels)
 
         results = []
         with (
-            mock.patch.object(sys.modules["separability.stats"], "_PIECE_VALUES", piece),
+            mock.patch.object(sys.modules["separability.dsi"], "_bin_target", lambda largest: target),
             mock.patch.object(sys.modules["separability.distances"], "_BLOCK_ROWS", 2),
         ):
             for workers in (1, 2):
@@ -147,12 +149,29 @@ class TestClassDistanceSets:
 
     @pytest.mark.parametrize("classes", [2, 3, 5])
     def test_every_pair_computed_once(self, classes, computed_pairs):
-        # 150 rows per class span several kernel blocks; labels are interleaved
-        ds = random_dataset(n_per_class=150, classes=classes, seed=25).subset(
-            rng(26).permutation(150 * classes)
-        )
-        class_distance_sets(ds)
-        assert sum(computed_pairs) == ds.n * (ds.n - 1) // 2
+        # every pair once per pass: one pass when every bin is settled by its
+        # counts, as for classes far apart, and two when some bin is refined,
+        # as for overlapping classes.  150 rows per class span several kernel
+        # blocks; labels are interleaved.
+        order = rng(26).permutation(150 * classes)
+        pairs = 150 * classes * (150 * classes - 1) // 2
+        for spread, passes in ((1000.0, 1), (0.0, 2)):
+            ds = random_dataset(n_per_class=150, classes=classes, seed=25, spread=spread)
+            computed_pairs.clear()
+            _dsi_reports(ds.subset(order), "euclidean", ("ks", "wasserstein"), 1, None)
+            assert sum(computed_pairs) == passes * pairs
+
+    def test_memory_below_a_quarter_of_one_class_multisets(self):
+        # the multisets are streamed, never stored: 2x2500 moons hold 3.1M
+        # ICD and 6.25M BCD distances per class, 75 MB as float64
+        ds = generate(GeneratorSpec("moons", 2500, seed=1, noise=0.1))
+        report, peak = traced_peak(lambda: dsi(ds))
+        assert peak < 0.25 * 8 * (2500 * 2499 // 2 + 2500 * 2500)
+        # the values that sorting and merging the stored multisets gave
+        assert [v.hex() for v in report.per_class_similarity.values()] == [
+            "0x1.613d3a831d1a2p-2",
+            "0x1.5e07e5ec94c50p-2",
+        ]
 
     @pytest.mark.parametrize("metric", ["cosine", "correlation"])
     def test_degenerate_vector_names_the_dataset_row(self, metric):
@@ -165,6 +184,67 @@ class TestClassDistanceSets:
             dsi(ds, metric=metric)
         assert exc.value.index == 5
         assert "index 5" in str(exc.value)
+
+
+def _tied_points(classes: int, seed: int, per_class: int | None = None) -> Dataset:
+    """Integer points in 0..3 in three features, shuffled labels: distances
+    tie heavily under every metric.  No row is constant or zero, so cosine
+    and correlation are defined."""
+    n = (per_class or {2: 150, 3: 90}[classes]) * classes
+    g = rng(seed)
+    points = g.integers(0, 4, size=(n, 3)).astype(float)
+    constant = np.all(points == points[:, :1], axis=1)
+    points[constant, 0] = (points[constant, 0] + 1) % 4
+    return Dataset(points, g.permutation(np.arange(n) % classes))
+
+
+# Per-class KS of _tied_points(classes, 40 + classes), as float.hex, from the
+# sorted-merge implementation that stored each multiset whole
+KS_PINS = {
+    (2, "euclidean"): ["0x1.1342cf347f100p-8", "0x1.93d9af156c900p-8"],
+    (2, "cityblock"): ["0x1.917c271cd85e0p-9", "0x1.30a4682ad3f80p-8"],
+    (2, "chebyshev"): ["0x1.43a9ad8dd4a00p-8", "0x1.bb5b8e22fea40p-9"],
+    (2, "correlation"): ["0x1.64107421d3c80p-7", "0x1.8a981affb0000p-7"],
+    (2, "cosine"): ["0x1.2a63009315060p-6", "0x1.312cc6c9f3410p-6"],
+    (2, "mahalanobis"): ["0x1.415126b4ed080p-7", "0x1.19522b8f800c0p-7"],
+    (3, "euclidean"): ["0x1.f750bd5700f80p-7", "0x1.a80b08b62b600p-7", "0x1.30227a2202240p-8"],
+    (3, "cityblock"): ["0x1.b3053343ed5c0p-7", "0x1.75683265bf210p-7", "0x1.3cdca40cdba00p-8"],
+    (3, "chebyshev"): ["0x1.a4c5387277200p-8", "0x1.7dc546a0fd980p-8", "0x1.12e8563726780p-8"],
+    (3, "correlation"): ["0x1.0b28590899ce0p-5", "0x1.91453f89ba5c0p-7", "0x1.d23f56749abe0p-7"],
+    (3, "cosine"): ["0x1.1379ca5f59520p-5", "0x1.09257109a85a0p-6", "0x1.a68df1faedd40p-6"],
+    (3, "mahalanobis"): ["0x1.0ad11356e1b20p-6", "0x1.046572c3d6440p-6", "0x1.3239bf30d1c00p-7"],
+}
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("classes,metric", sorted(KS_PINS))
+    def test_ks_bits(self, classes, metric, workers):
+        ds = _tied_points(classes, 40 + classes)
+        m = fit_mahalanobis(ds) if metric == "mahalanobis" else metric
+        report = dsi(ds, m, stat="ks", workers=workers)
+        assert [v.hex() for v in report.per_class_similarity.values()] == KS_PINS[classes, metric]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("metric", ["euclidean", "chebyshev", "cosine"])
+    def test_wasserstein_tied(self, metric, workers):
+        ds = _tied_points(3, 43, per_class=20)
+        report = dsi(ds, metric, stat="wasserstein", workers=workers)
+        for label, score in report.per_class_similarity.items():
+            mine, rest = ds.points[ds.labels == label], ds.points[ds.labels != label]
+            icd, bcd = pdist(mine, metric).tolist(), cdist(mine, rest, metric).ravel().tolist()
+            assert score == pytest.approx(_grid_w1_normalized(icd, bcd), rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [1e-4, 1e-9])
+    def test_wasserstein_near_identical(self, shift):
+        # the second sample is the first moved a little: ICD and BCD nearly
+        # coincide and |P - Q| changes sign throughout
+        a = rng(44).normal(size=(60, 2))
+        b = a + shift * rng(45).normal(size=(60, 2))
+        points = np.concatenate([a, b])
+        labels = np.repeat([0, 1], 60)
+        score = distribution_identity_score(a, b, stat="wasserstein")
+        assert score == pytest.approx(brute_dsi(points, labels, _grid_w1_normalized), rel=1e-12)
 
 
 class TestDsi:
@@ -241,6 +321,11 @@ class TestDsi:
         report = dsi(small_two_class, metric=metric)
         assert report.metric == "mahalanobis"
         assert 0.0 <= report.dsi <= 1.0
+
+    def test_overflowing_distances_rejected(self):
+        ds = Dataset(rng(28).normal(size=(40, 2)) * 1e160, np.arange(40) % 2)
+        with pytest.raises(DomainError, match="overflow"):
+            dsi(ds)
 
     def test_unknown_stat(self, small_two_class):
         with pytest.raises(ValueError, match="unknown statistic"):
@@ -375,6 +460,18 @@ class TestDistributionIdentity:
     def test_tiny_samples_rejected(self):
         with pytest.raises(DegenerateClass):
             distribution_identity_score(np.ones((1, 2)), np.ones((5, 2)))
+
+    def test_points_copied_once(self):
+        # both samples go into one array, which the DSI reads in place;
+        # CIFAR-wide rows, as in section 5.2's airplane halves
+        g = rng(27)
+        a, b = g.normal(size=(100, 3072)), g.normal(size=(100, 3072))
+        _, peak = traced_peak(lambda: distribution_identity_score(a, b))
+        assert peak < 1.5 * (a.nbytes + b.nbytes)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            distribution_identity_score(np.ones((3, 2)), np.full((3, 2), np.nan))
 
     def test_symmetry(self):
         g = rng(23)
