@@ -266,11 +266,14 @@ def _cmd_measure(args) -> int:
     ds = _load_labeled(args)
     metric = _fitted_metric(args.metric, ds.points)
     if args.subsample is not None:
+        _check_positive(args, "subsample", "trials")
         if args.subsample > args.max_points:
             raise DistanceCapError(
                 f"--subsample {args.subsample} exceeds --max-points {args.max_points}; "
                 "pass a smaller --subsample or a larger --max-points"
             )
+        if args.subsample > ds.n:
+            raise DomainError(f"--subsample {args.subsample} exceeds the dataset's {ds.n} points")
         if args.histogram:  # the histogram covers the whole dataset, not a subset
             _check_cap(
                 ds.n, args.max_points, "--histogram reads every point; pass a larger --max-points"
@@ -480,6 +483,7 @@ def _repro_figure7(args) -> list[list]:
 def _repro_figure12(args) -> list[list]:
     if not args.data:
         raise ParseError("repro figure12 needs --data pointing to a CIFAR-10 archive or batch")
+    _check_positive(args, "trials")
     ds = _load_cifar(args.data)
     rows: list[list] = [["subset_size", "mean_dsi", "sd_dsi", "trials", "seed"]]
     for size in args.sizes:

@@ -6,17 +6,16 @@ cosine, and mahalanobis.  Correlation and cosine distances are clamped to
 mahalanobis requires a fitted inverse-covariance context (see
 ``fit_mahalanobis``).
 
-Pairwise distances over a point set are stored in condensed form: a flat
-float64 vector holding the strict upper triangle row by row, entry
-``n*i - i*(i+1)//2 + (j - i - 1)`` for the pair (i, j) with i < j.  The
-condensed vector is computed in row blocks, each block a triangle (pdist)
-plus a rectangle (cdist) against the remaining rows; distances between two
-point sets are computed in blocks of the first set's rows (cdist), written
-straight into one flat row-major array.  The blocks depend only on the row
-count, never on the worker count, so every entry is produced by the same
-library call regardless of parallelism and results are bit-identical for
-any ``workers`` value.  pdist and cdist give the same bits for the same
-pair, whichever block computes it.
+Pairwise distances are computed in row blocks: among one point set, each
+block is a triangle (pdist) plus a rectangle (cdist) against the later
+rows; between two point sets, a block of the first set's rows against the
+second (cdist).  The blocks depend only on the row count, never on the
+worker count, so every entry is produced by the same library call
+regardless of parallelism and results are bit-identical for any
+``workers`` value.  pdist and cdist give the same bits for the same pair,
+whichever block computes it and in either order.  Only
+``pairwise_condensed`` and ``icd_set`` return the condensed form, the
+strict upper triangle row by row (see ``condensed_index``).
 
 The module's ``pdist`` and ``cdist`` are the only kernel entry points.
 Euclidean, cityblock and chebyshev distances between rows of at most
@@ -309,35 +308,6 @@ def _cross_blocks(pa: NDArray[np.float64], pb: NDArray[np.float64], metric: Dist
     return [block(r0, r1) for r0, r1 in _row_blocks(pa.shape[0])]
 
 
-def _condensed(
-    pts: NDArray[np.float64], metric: DistanceMetric, threads: Threads = SERIAL
-) -> NDArray[np.float64]:
-    """``pairwise_condensed`` without its checks.
-
-    ``pts`` must be a finite 2-D float64 array of at least 2 rows on which
-    ``metric`` is defined (see ``_check_vectors``).
-    """
-    n = pts.shape[0]
-    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-
-    def fill_block(rows):
-        r0, r1 = rows
-        tri, rect = _triangle_rows(pts, r0, r1, metric)
-        width = r1 - r0
-        for local in range(width):
-            i = r0 + local
-            start = n * i - i * (i + 1) // 2
-            if tri is not None and local < width - 1:
-                t0 = local * width - local * (local + 1) // 2
-                out[start : start + width - local - 1] = tri[t0 : t0 + width - local - 1]
-            if rect is not None:
-                out[start + width - local - 1 : start + n - i - 1] = rect[local]
-
-    for _ in threads.map(fill_block, _row_blocks(n)):
-        pass
-    return out
-
-
 def _cross(
     pa: NDArray[np.float64],
     pb: NDArray[np.float64],
@@ -346,7 +316,8 @@ def _cross(
 ) -> NDArray[np.float64]:
     """All distances from the rows of ``pa`` to those of ``pb``, flat and row-major.
 
-    Unchecked, like ``_condensed``.  Each block of ``pa``'s rows is computed
+    Unchecked: both must be finite 2-D float64 arrays on which ``metric`` is
+    defined (see ``_check_vectors``).  Each block of ``pa``'s rows is computed
     into its own slice of the result, so no block-sized copy is made.
     """
     width = pb.shape[0]
@@ -404,11 +375,29 @@ def pairwise_condensed(
     """
     m = resolve_metric(metric)
     pts = _as_points(points)
-    if pts.shape[0] < 2:
+    n = pts.shape[0]
+    if n < 2:
         raise DegenerateClass("pairwise distances need at least 2 points")
     _check_vectors(pts, m)
+    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
+
+    def fill_block(rows):
+        r0, r1 = rows
+        tri, rect = _triangle_rows(pts, r0, r1, m)
+        width = r1 - r0
+        for local in range(width):
+            i = r0 + local
+            start = n * i - i * (i + 1) // 2
+            if tri is not None and local < width - 1:
+                t0 = local * width - local * (local + 1) // 2
+                out[start : start + width - local - 1] = tri[t0 : t0 + width - local - 1]
+            if rect is not None:
+                out[start + width - local - 1 : start + n - i - 1] = rect[local]
+
     with Threads(workers) as threads:
-        return _condensed(pts, m, threads)
+        for _ in threads.map(fill_block, _row_blocks(n)):
+            pass
+    return out
 
 
 def pairwise_cross(

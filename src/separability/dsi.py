@@ -24,8 +24,8 @@ first counts each multiset's distances per bin, the second, run only when
 some bin needs it, keeps the few distances in bins where |P - Q| must be
 read exactly (see ``stats``).  KS and the normalized 1-Wasserstein
 distance both come from the same passes, and ``workers`` threads share
-each pass's kernel blocks.  ``class_distance_sets`` materializes the
-multisets for export and inspection; the DSI never needs them.
+each pass's kernel blocks.  ``class_distance_sets`` fills the multisets
+from the same blocks, for export and inspection; the DSI never needs them.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ from .distances import (
     DistanceMetric,
     DistanceSet,
     _check_vectors,
-    _condensed,
     _condensed_blocks,
-    _cross,
     _cross_blocks,
     _diameter_bound,
     resolve_metric,
@@ -178,6 +176,28 @@ def _class_points(
     }
 
 
+def _multisets(points: list[np.ndarray], m: DistanceMetric) -> tuple[list, list[int], list[int]]:
+    """The kernel blocks of the classes' ICD and BCD multisets, labels ascending.
+
+    Multisets are numbered ICD(c) = c and BCD(c) = k + c for the k classes;
+    with two classes both BCDs are the one cross multiset, number 2.  Returns
+    the blocks as ``stats._binned_statistics`` reads them, each pair of points
+    in one block, then each class's BCD number and each multiset's size.
+    """
+    k = len(points)
+    counts = [mine.shape[0] for mine in points]
+    n = sum(counts)
+    bcd = [k, k] if k == 2 else [k + c for c in range(k)]
+    sources = [(_condensed_blocks(mine, m), (c,)) for c, mine in enumerate(points)]
+    sources += [
+        (_cross_blocks(points[c], points[d], m), tuple(dict.fromkeys((bcd[c], bcd[d]))))
+        for c in range(k)
+        for d in range(c + 1, k)
+    ]
+    sizes = [s * (s - 1) // 2 for s in counts] + [s * (n - s) for s in counts]
+    return sources, bcd, sizes[: max(bcd) + 1]
+
+
 def _dsi_reports(
     ds: Dataset,
     metric: DistanceMetric | str,
@@ -185,14 +205,7 @@ def _dsi_reports(
     workers: int,
     max_points: int | None,
 ) -> list[SeparabilityReport]:
-    """One report per entry of ``stats``, all from the same two passes.
-
-    Multisets are numbered ICD(c) = c and BCD(c) = k + c for the k classes,
-    in ascending label order; with two classes both BCDs are the one cross
-    multiset, number 2.  The kernel blocks of each class's own pairs feed its
-    ICD, and those of each pair of classes feed both classes' BCDs, so every
-    pair of points is computed once per pass (see ``stats._binned_statistics``).
-    """
+    """One report per entry of ``stats``, all from the same two passes."""
     t0 = time.perf_counter()
     m = resolve_metric(metric)
     for stat in stats:
@@ -201,25 +214,14 @@ def _dsi_reports(
                 f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
             )
     classes = _class_points(ds, m, max_points)
-    labels = list(classes)
-    points = list(classes.values())
-    k = len(labels)
-    bcd = [k, k] if k == 2 else [k + c for c in range(k)]
-    sources = [(_condensed_blocks(mine, m), (c,)) for c, mine in enumerate(points)]
-    sources += [
-        (_cross_blocks(points[c], points[d], m), tuple(dict.fromkeys((bcd[c], bcd[d]))))
-        for c in range(k)
-        for d in range(c + 1, k)
-    ]
-    sizes = [mine.shape[0] for mine in points]
-    largest = max(max(s * (s - 1) // 2, s * (ds.n - s)) for s in sizes)
+    sources, bcd, sizes = _multisets(list(classes.values()), m)
     bound = _diameter_bound(ds.points, m)
     if not math.isfinite(bound):
         raise DomainError("distances between these points overflow float64; rescale the features")
-    bins = _Bins.spanning(0.0, bound, _bin_target(largest))
+    bins = _Bins.spanning(0.0, bound, _bin_target(max(sizes)))
     names = tuple(dict.fromkeys(_GAP_STATISTICS[stat] for stat in stats))
     with Threads(workers) as threads:
-        named = _binned_statistics(sources, [(c, bcd[c]) for c in range(k)], bins, names, threads)
+        named = _binned_statistics(sources, list(enumerate(bcd)), bins, names, threads)
 
     wall_time_s = time.perf_counter() - t0
     reports = []
@@ -228,7 +230,7 @@ def _dsi_reports(
         index = float(np.mean(values))
         reports.append(
             SeparabilityReport(
-                per_class_similarity=dict(zip(labels, values)),
+                per_class_similarity=dict(zip(classes, values)),
                 dsi=index,
                 complexity=1.0 - index,
                 metric=m.name,
@@ -256,19 +258,25 @@ def class_distance_sets(
     """
     m = resolve_metric(metric)
     classes = _class_points(ds, m, max_points)
-    sets: dict[int, tuple[DistanceSet, DistanceSet]] = {}
+    sources, bcd, sizes = _multisets(list(classes.values()), m)
+    sets = [np.empty(size, dtype=np.float64) for size in sizes]
+    filled = [0] * len(sets)
+    tasks = [(block, feeds) for blocks, feeds in sources for block in blocks]
     with Threads(workers) as threads:
-        for turn, (label, mine) in enumerate(classes.items()):
-            icd = _condensed(mine, m, threads)
-            icd.sort()
-            if turn == 0 or len(classes) > 2:  # two classes share one BCD
-                bcd = _cross(mine, ds.points[ds.labels != label], m, threads)
-                bcd.sort()
-            sets[label] = (
-                DistanceSet._adopt(icd, "icd", label),
-                DistanceSet._adopt(bcd, "bcd", label),
-            )
-    return sets
+        for (_, feeds), parts in zip(tasks, threads.map(lambda task: task[0](), tasks)):
+            for values in parts:
+                for f in feeds:
+                    sets[f][filled[f] : filled[f] + values.size] = values
+                    filled[f] += values.size
+    for values in sets:
+        values.sort()
+    return {
+        label: (
+            DistanceSet._adopt(sets[c], "icd", label),
+            DistanceSet._adopt(sets[bcd[c]], "bcd", label),
+        )
+        for c, label in enumerate(classes)
+    }
 
 
 def dsi(

@@ -28,10 +28,11 @@ index, and coincident points with different labels always count as
 errors.
 
 ``compute_measures`` computes the euclidean distance matrix once per
-dataset, on ``workers`` threads, and shares it, read-only, among N1, N2,
-N3, T1, LSC and Density; a measure called on its own computes it itself on
-one thread.  N4 classifies its synthetic points by a one-thread cross
-kernel either way.
+dataset, as the rows of one cross kernel pass of the points against
+themselves on ``workers`` threads, and shares it, read-only, among N1,
+N2, N3, T1, LSC and Density; a measure called on its own computes it
+itself on one thread.  N4 classifies its synthetic points by a one-thread
+cross kernel either way.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
+from ._threads import Threads
 from .dataset import Dataset, partition
-from .distances import pairwise_condensed, pairwise_cross
+from .distances import DistanceMetric, _cross, pairwise_cross
 from .errors import DegenerateClass, DomainError
 from .generators import _philox
 
@@ -64,6 +66,8 @@ __all__ = [
 MEASURE_CODES = ("F1", "N1", "N2", "N3", "N4", "T1", "LSC", "Density")
 
 DENSITY_QUANTILE = 0.15
+
+_EUCLIDEAN = DistanceMetric("euclidean")
 
 
 @dataclass(frozen=True)
@@ -118,16 +122,9 @@ class _DistanceContext(Dataset):
 
     @cached_property
     def square(self) -> NDArray[np.float64]:
-        n = self.n
-        condensed = pairwise_condensed(self.points, "euclidean", workers=self.workers)
-        square = np.zeros((n, n))
-        start = 0
-        for i in range(n - 1):
-            row = condensed[start : start + n - i - 1]
-            square[i, i + 1 :] = row
-            square[i + 1 :, i] = row
-            start += n - i - 1
-        return _read_only(square)
+        with Threads(self.workers) as threads:
+            rows = _cross(self.points, self.points, _EUCLIDEAN, threads)
+        return _read_only(rows.reshape(self.n, self.n))
 
     @cached_property
     def same(self) -> NDArray[np.bool_]:
@@ -354,11 +351,10 @@ def t1(ds: Dataset) -> MeasureResult:
     # sphere i's cover is a subset of j's when j covers all of i's points;
     # the counts are integers below 2**24, exact in float32
     subset = (cover @ cover.T) == size[:, None]
-    np.fill_diagonal(subset, False)
-    proper = subset & (size[:, None] < size[None, :])
-    equal_cover = subset & subset.T
-    lower = np.arange(n)[None, :] < np.arange(n)[:, None]
-    absorbed = (proper | (equal_cover & lower)).any(axis=1)
+    # j absorbs i when its cover is larger or, the two covers being then
+    # equal, when j is the lower index
+    rows = np.arange(n)[:, None]
+    absorbed = (subset & ((size > size[:, None]) | (rows.T < rows))).any(axis=1)
     value = float(np.mean(~absorbed))
     return MeasureResult(code="T1", value=value, params={})
 

@@ -465,6 +465,20 @@ class TestUserErrors:
         assert run([command, *inputs, "--max-points", str(value)]) == 1
         assert capsys.readouterr().err == f"error: --max-points must be >= 1, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--subsample", "0"], "--subsample must be >= 1, got 0"),
+            (["--subsample", "-3"], "--subsample must be >= 1, got -3"),
+            (["--subsample", "10", "--trials", "0"], "--trials must be >= 1, got 0"),
+            (["--subsample", "41"], "--subsample 41 exceeds the dataset's 40 points"),
+        ],
+    )
+    def test_bad_subsample_or_trials(self, tmp_path, capsys, flags, message):
+        data = _write_shape_csv(tmp_path / "d.csv", n=20)
+        assert run(["measure", "--input", str(data), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_subsample_above_max_points_names_the_flags(self, tmp_path, capsys):
         data = _write_shape_csv(tmp_path / "d.csv", n=20)
         argv = ["measure", "--input", str(data), "--subsample", "30", "--max-points", "20"]
@@ -969,6 +983,11 @@ class TestRepro:
         assert run(argv + ["--sizes", "4, 6,"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["4", "6"]
+
+    def test_figure12_trials_below_1(self, tmp_path, capsys):
+        batch = _cifar_batch(tmp_path / "batch.bin")
+        assert run(["repro", "figure12", "--data", str(batch), "--trials", "0"]) == 1
+        assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("sizes", ["abc", "10,x"])
     def test_figure12_bad_sizes_is_usage_error(self, tmp_path, capsys, sizes):

@@ -151,8 +151,9 @@ class TestClassDistanceSets:
     def test_every_pair_computed_once(self, classes, computed_pairs):
         # every pair once per pass: one pass when every bin is settled by its
         # counts, as for classes far apart, and two when some bin is refined,
-        # as for overlapping classes.  150 rows per class span several kernel
-        # blocks; labels are interleaved.
+        # as for overlapping classes; the stored multisets take one pass.
+        # 150 rows per class span several kernel blocks; labels are
+        # interleaved.
         order = rng(26).permutation(150 * classes)
         pairs = 150 * classes * (150 * classes - 1) // 2
         for spread, passes in ((1000.0, 1), (0.0, 2)):
@@ -160,6 +161,9 @@ class TestClassDistanceSets:
             computed_pairs.clear()
             _dsi_reports(ds.subset(order), "euclidean", ("ks", "wasserstein"), 1, None)
             assert sum(computed_pairs) == passes * pairs
+        computed_pairs.clear()
+        class_distance_sets(ds.subset(order), workers=3)
+        assert sum(computed_pairs) == pairs
 
     def test_memory_below_a_quarter_of_one_class_multisets(self):
         # the multisets are streamed, never stored: 2x2500 moons hold 3.1M

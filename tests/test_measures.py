@@ -304,6 +304,24 @@ class TestDenseReferences:
         )
 
 
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("integer", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 16])
+    def test_matches_scipy_bit_for_bit(self, width, integer, workers):
+        # 300 rows span several kernel blocks; integer points tie heavily
+        g = rng(width)
+        if integer:
+            points = g.integers(0, 4, size=(300, width)).astype(float)
+        else:
+            points = g.normal(size=(300, width))
+        ds = Dataset(points, np.arange(300) % 2)
+        square = separability.measures._context(ds, workers).square
+        want = squareform(pdist(points))
+        assert np.array_equal(square.view(np.uint64), want.view(np.uint64))
+        assert not square.flags.writeable
+
+
 class TestBounds:
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -349,12 +367,13 @@ class TestComputeMeasures:
 
     def test_one_pairwise_pass(self, shared_input, monkeypatch):
         workers = []
+        cross = separability.measures._cross
 
-        def counted(*args, **kwargs):
-            workers.append(kwargs["workers"])
-            return pairwise_condensed(*args, **kwargs)
+        def counted(pa, pb, metric, threads):
+            workers.append(threads.workers)
+            return cross(pa, pb, metric, threads)
 
-        monkeypatch.setattr(separability.measures, "pairwise_condensed", counted)
+        monkeypatch.setattr(separability.measures, "_cross", counted)
         compute_measures(shared_input, workers=3)
         assert workers == [3]
         t1(shared_input)  # a measure alone runs its pass on one thread
