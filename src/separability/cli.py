@@ -137,9 +137,12 @@ def _check_positive(args, *dests: str):
 def _int_list(text: str) -> list[int]:
     """A comma list of integers, as an argparse type."""
     try:
-        return [int(item) for item in text.split(",") if item.strip()]
+        values = [int(item) for item in text.split(",") if item.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
+    return values
 
 
 def _fitted_metric(name: str, *point_sets):
@@ -484,7 +487,13 @@ def _repro_figure12(args) -> list[list]:
     if not args.data:
         raise ParseError("repro figure12 needs --data pointing to a CIFAR-10 archive or batch")
     _check_positive(args, "trials")
+    for size in args.sizes:
+        if not 1 <= size <= DEFAULT_MAX_POINTS:
+            raise DomainError(f"--sizes entries must be in [1, {DEFAULT_MAX_POINTS}], got {size}")
     ds = _load_cifar(args.data)
+    for size in args.sizes:
+        if size > ds.n:
+            raise DomainError(f"--sizes entry {size} exceeds the data's {ds.n} records")
     rows: list[list] = [["subset_size", "mean_dsi", "sd_dsi", "trials", "seed"]]
     for size in args.sizes:
         report = dsi_subsampled(

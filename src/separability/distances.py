@@ -9,13 +9,16 @@ mahalanobis requires a fitted inverse-covariance context (see
 Pairwise distances are computed in row blocks: among one point set, each
 block is a triangle (pdist) plus a rectangle (cdist) against the later
 rows; between two point sets, a block of the first set's rows against the
-second (cdist).  The blocks depend only on the row count, never on the
-worker count, so every entry is produced by the same library call
-regardless of parallelism and results are bit-identical for any
-``workers`` value.  pdist and cdist give the same bits for the same pair,
-whichever block computes it and in either order.  Only
-``pairwise_condensed`` and ``icd_set`` return the condensed form, the
-strict upper triangle row by row (see ``condensed_index``).
+second (cdist).  Every block is a ``(size, fill)`` pair: ``fill(out)``
+writes the block's ``size`` distances, triangle first, clamped, into the
+flat float64 slice ``out``, or into a new array when ``out`` is None, and
+returns it; callers give each block its slice of their own result.  The
+blocks depend only on the row count, never on the worker count, so every
+entry is produced by the same library call regardless of parallelism and
+results are bit-identical for any ``workers`` value.  pdist and cdist give
+the same bits for the same pair, whichever block computes it and in either
+order.  Only ``pairwise_condensed`` and ``icd_set`` return the condensed
+form, the strict upper triangle row by row (see ``condensed_index``).
 
 The module's ``pdist`` and ``cdist`` are the only kernel entry points.
 Euclidean, cityblock and chebyshev distances between rows of at most
@@ -28,13 +31,14 @@ give scipy's bits for every pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._threads import SERIAL, Threads
-from .errors import DegenerateClass, DegenerateVector, SingularCovariance
+from .errors import DegenerateClass, DegenerateVector, DomainError, SingularCovariance
 
 __all__ = [
     "METRIC_NAMES",
@@ -160,7 +164,7 @@ def _numpy_serves(points: NDArray[np.float64], metric: str) -> bool:
     return metric in _NUMPY_METRICS and points.shape[1] <= _NUMPY_MAX_DIM
 
 
-def pdist(points: NDArray[np.float64], metric: str, **kwargs) -> NDArray[np.float64]:
+def pdist(points: NDArray[np.float64], metric: str, out=None, **kwargs) -> NDArray[np.float64]:
     """``scipy.spatial.distance.pdist`` for one row block.
 
     The numpy path computes the block's square matrix and keeps its strict
@@ -169,11 +173,11 @@ def pdist(points: NDArray[np.float64], metric: str, **kwargs) -> NDArray[np.floa
     if not _numpy_serves(points, metric):
         from scipy.spatial.distance import pdist as scipy_pdist
 
-        return scipy_pdist(points, metric=metric, **kwargs)
+        return scipy_pdist(points, metric=metric, out=out, **kwargs)
     m = points.shape[0]
     square = np.empty((m, m), dtype=np.float64)
     _minkowski(points, points, metric, square)
-    return square[np.triu(np.ones((m, m), dtype=bool), k=1)]
+    return np.compress(np.triu(np.ones((m, m), dtype=bool), k=1).ravel(), square, out=out)
 
 
 def cdist(
@@ -224,6 +228,12 @@ def _check_vectors(points: NDArray[np.float64], metric: DistanceMetric, offset: 
             )
 
 
+def _check_finite(largest: float) -> None:
+    """Refuse distances whose ``largest`` value, or bound, overflowed float64."""
+    if not math.isfinite(largest):
+        raise DomainError("distances between these points overflow float64; rescale the features")
+
+
 def _as_points(points, name: str = "points") -> NDArray[np.float64]:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1:
@@ -269,43 +279,35 @@ def _clamp(values: NDArray[np.float64], metric: DistanceMetric):
         np.clip(values, 0.0, 2.0, out=values)
 
 
-def _triangle_rows(pts, r0: int, r1: int, metric: DistanceMetric) -> tuple:
-    """Distances among rows r0:r1 of ``pts`` (condensed, or None for one
-    row) and from them to every later row (a block, or None for the last)."""
+def _block(rows, rest, triangle: bool, metric: DistanceMetric) -> tuple:
+    """One ``(size, fill)`` pair (see the module docstring): the distances
+    among ``rows`` if ``triangle``, then those from ``rows`` to ``rest``."""
     kwargs = _scipy_kwargs(metric)
-    block = pts[r0:r1]
-    tri = pdist(block, **kwargs) if r1 - r0 >= 2 else None
-    rect = cdist(block, pts[r1:], **kwargs) if r1 < pts.shape[0] else None
-    for values in (tri, rect):
-        if values is not None:
-            _clamp(values, metric)
-    return tri, rect
+    m = rows.shape[0]
+    among = m * (m - 1) // 2 if triangle else 0
+    size = among + m * rest.shape[0]
+
+    def fill(out=None):
+        out = np.empty(size, dtype=np.float64) if out is None else out
+        if among:
+            pdist(rows, out=out[:among], **kwargs)
+        if rest.shape[0]:
+            cdist(rows, rest, out=out[among:].reshape(m, -1), **kwargs)
+        _clamp(out, metric)
+        return out
+
+    return size, fill
 
 
 def _condensed_blocks(pts: NDArray[np.float64], metric: DistanceMetric) -> list:
-    """The pairwise distances among ``pts``, unchecked, as one callable per
-    row block; each returns a list of fresh, flat float64 arrays."""
-
-    def block(r0: int, r1: int):
-        return lambda: [v.ravel() for v in _triangle_rows(pts, r0, r1, metric) if v is not None]
-
-    return [block(r0, r1) for r0, r1 in _row_blocks(pts.shape[0])]
+    """The pairwise distances among ``pts``, unchecked, one block per row block."""
+    return [_block(pts[r0:r1], pts[r1:], True, metric) for r0, r1 in _row_blocks(pts.shape[0])]
 
 
 def _cross_blocks(pa: NDArray[np.float64], pb: NDArray[np.float64], metric: DistanceMetric) -> list:
-    """The distances from the rows of ``pa`` to those of ``pb``, unchecked, as
-    one callable per block of ``pa``'s rows, like ``_condensed_blocks``."""
-    kwargs = _scipy_kwargs(metric)
-
-    def block(r0: int, r1: int):
-        def values():
-            out = cdist(pa[r0:r1], pb, **kwargs)
-            _clamp(out, metric)
-            return [out.ravel()]
-
-        return values
-
-    return [block(r0, r1) for r0, r1 in _row_blocks(pa.shape[0])]
+    """The distances from the rows of ``pa`` to those of ``pb``, unchecked, one
+    block per row block of ``pa``."""
+    return [_block(pa[r0:r1], pb, False, metric) for r0, r1 in _row_blocks(pa.shape[0])]
 
 
 def _cross(
@@ -320,17 +322,13 @@ def _cross(
     defined (see ``_check_vectors``).  Each block of ``pa``'s rows is computed
     into its own slice of the result, so no block-sized copy is made.
     """
-    width = pb.shape[0]
-    kwargs = _scipy_kwargs(metric)
-    out = np.empty(pa.shape[0] * width, dtype=np.float64)
-
-    def fill_block(rows):
-        r0, r1 = rows
-        cdist(pa[r0:r1], pb, out=out[r0 * width : r1 * width].reshape(r1 - r0, width), **kwargs)
-
-    for _ in threads.map(fill_block, _row_blocks(pa.shape[0])):
+    out = np.empty(pa.shape[0] * pb.shape[0], dtype=np.float64)
+    tasks, start = [], 0
+    for size, fill in _cross_blocks(pa, pb, metric):
+        tasks.append((fill, out[start : start + size]))
+        start += size
+    for _ in threads.map(lambda task: task[0](task[1]), tasks):
         pass
-    _clamp(out, metric)
     return out
 
 
@@ -341,7 +339,10 @@ def _diameter_bound(points: NDArray[np.float64], metric: DistanceMetric) -> floa
     norms of x - y, so no distance exceeds twice the largest distance from
     the centroid; that is computed in numpy, a few rows at a time, and
     padded for rounding.  Only the DSI's binning reads it, and a distance
-    above it is still counted exactly (see ``stats._Bins``).
+    above it is still counted exactly (see ``stats._Bins``).  Raises
+    ``DomainError`` when a distance may overflow float64: euclidean and
+    mahalanobis distances are roots of sums of squares, so there the
+    bound's square must be finite too.
     """
     if metric.name in _CLAMPED_METRICS:
         return 2.0
@@ -358,7 +359,9 @@ def _diameter_bound(points: NDArray[np.float64], metric: DistanceMetric) -> floa
             w = u if metric.name == "euclidean" else u @ metric.inverse_covariance
             lengths = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, u), 0.0))
         radius = max(radius, float(lengths.max()))
-    return 2.0 * radius * (1.0 + 2.0**-20)
+    bound = 2.0 * radius * (1.0 + 2.0**-20)
+    _check_finite(bound * bound if metric.name in ("euclidean", "mahalanobis") else bound)
+    return bound
 
 
 def pairwise_condensed(
@@ -381,21 +384,20 @@ def pairwise_condensed(
     _check_vectors(pts, m)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
 
-    def fill_block(rows):
-        r0, r1 = rows
-        tri, rect = _triangle_rows(pts, r0, r1, m)
-        width = r1 - r0
-        for local in range(width):
-            i = r0 + local
-            start = n * i - i * (i + 1) // 2
-            if tri is not None and local < width - 1:
-                t0 = local * width - local * (local + 1) // 2
-                out[start : start + width - local - 1] = tri[t0 : t0 + width - local - 1]
-            if rect is not None:
-                out[start + width - local - 1 : start + n - i - 1] = rect[local]
+    def unpack(task):
+        (r0, r1), (_, fill) = task
+        values, t0 = fill(), 0
+        rect = values[(r1 - r0) * (r1 - r0 - 1) // 2 :].reshape(r1 - r0, n - r1)
+        for i in range(r0, r1):
+            # row i's pairs: its row of the block's triangle, then of the rectangle
+            start, within = n * i - i * (i + 1) // 2, r1 - i - 1
+            out[start : start + within] = values[t0 : t0 + within]
+            out[start + within : start + n - i - 1] = rect[i - r0]
+            t0 += within
 
+    tasks = list(zip(_row_blocks(n), _condensed_blocks(pts, m)))
     with Threads(workers) as threads:
-        for _ in threads.map(fill_block, _row_blocks(n)):
+        for _ in threads.map(unpack, tasks):
             pass
     return out
 
@@ -474,6 +476,7 @@ def icd_set(
             "ICD needs at least 2 points in the class", label=label
         )
     values = pairwise_condensed(pts, metric, workers=workers)
+    _check_finite(values.max())
     return DistanceSet._adopt(values, "icd", label)
 
 
@@ -489,6 +492,7 @@ def bcd_set(
     if pa.shape[0] < 1 or pb.shape[0] < 1:
         raise DegenerateClass("BCD needs at least 1 point on each side", label=label)
     values = pairwise_cross(pa, pb, metric).ravel()
+    _check_finite(values.max())
     return DistanceSet._adopt(values, "bcd", label)
 
 

@@ -30,7 +30,6 @@ from the same blocks, for export and inspection; the DSI never needs them.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -154,8 +153,9 @@ def _check_cap(
 
 def _class_points(
     ds: Dataset, m: DistanceMetric, max_points: int | None
-) -> dict[int, np.ndarray]:
-    """Each class's points, labels ascending, after checking the dataset once.
+) -> tuple[dict[int, np.ndarray], float]:
+    """Each class's points, labels ascending, after checking the dataset once,
+    and a bound on any distance between two points (see ``_diameter_bound``).
 
     A class whose rows are contiguous is a view of ``ds.points``, not a copy.
     """
@@ -168,12 +168,13 @@ def _class_points(
             )
     _check_cap(ds.n, max_points)
     _check_vectors(ds.points, m)
-    return {
+    classes = {
         label: ds.points[rows[0] : rows[-1] + 1]
         if rows[-1] - rows[0] + 1 == rows.size
         else ds.points[rows]
         for label, rows in groups.items()
     }
+    return classes, _diameter_bound(ds.points, m)
 
 
 def _multisets(points: list[np.ndarray], m: DistanceMetric) -> tuple[list, list[int], list[int]]:
@@ -213,11 +214,8 @@ def _dsi_reports(
             raise ValueError(
                 f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
             )
-    classes = _class_points(ds, m, max_points)
+    classes, bound = _class_points(ds, m, max_points)
     sources, bcd, sizes = _multisets(list(classes.values()), m)
-    bound = _diameter_bound(ds.points, m)
-    if not math.isfinite(bound):
-        raise DomainError("distances between these points overflow float64; rescale the features")
     bins = _Bins.spanning(0.0, bound, _bin_target(max(sizes)))
     names = tuple(dict.fromkeys(_GAP_STATISTICS[stat] for stat in stats))
     with Threads(workers) as threads:
@@ -257,17 +255,27 @@ def class_distance_sets(
     (see ``dsi``); this is for exporting and inspecting them.
     """
     m = resolve_metric(metric)
-    classes = _class_points(ds, m, max_points)
+    classes, _ = _class_points(ds, m, max_points)
     sources, bcd, sizes = _multisets(list(classes.values()), m)
     sets = [np.empty(size, dtype=np.float64) for size in sizes]
-    filled = [0] * len(sets)
-    tasks = [(block, feeds) for blocks, feeds in sources for block in blocks]
+    # each block fills its slice of the first multiset it feeds, in place,
+    # and is copied into the second one (a BCD, with three classes or more)
+    tasks, filled = [], [0] * len(sets)
+    for blocks, feeds in sources:
+        for size, fill in blocks:
+            tasks.append((fill, [sets[f][filled[f] : filled[f] + size] for f in feeds]))
+            for f in feeds:
+                filled[f] += size
+
+    def fill_slices(task):
+        fill, (first, *copies) = task
+        fill(first)
+        for copy in copies:
+            copy[:] = first
+
     with Threads(workers) as threads:
-        for (_, feeds), parts in zip(tasks, threads.map(lambda task: task[0](), tasks)):
-            for values in parts:
-                for f in feeds:
-                    sets[f][filled[f] : filled[f] + values.size] = values
-                    filled[f] += values.size
+        for _ in threads.map(fill_slices, tasks):
+            pass
     for values in sets:
         values.sort()
     return {

@@ -24,9 +24,10 @@ distance kernel; ``ks_statistic`` and friends feed each sample as one block.
   edge sums give exactly.
 * Pass 2, run only when some bin is refined, produces the blocks again and
   keeps the values in refined bins, each block's as distinct values with
-  counts.  Their ranks, offset by the counts below each bin, give |P - Q|
-  at each kept value with the same float operations as a merge of the two
-  sorted samples, so KS has the same bits as that merge.
+  counts.  The kept parts of two multisets are sorted once, together, and
+  their ranks, offset by the counts below each bin, give |P - Q| at each
+  kept value with the same float operations as a merge of the two sorted
+  samples, so KS has the same bits as that merge.
 
 Block partials are added in block order, so the number of threads that
 produce the blocks never changes a value.
@@ -169,48 +170,24 @@ class _Counts:
         return int(self.counts.sum())
 
 
-def _count_block(arrays, bins: _Bins, edges: bool) -> _Counts:
+def _count_block(values, bins: _Bins, edges: bool) -> _Counts:
     part = _Counts(bins.size, edges)
-    for values in arrays:
-        if not values.size:
-            continue
-        idx, t = bins.index(values)
-        part.counts += np.bincount(idx, minlength=bins.size)
-        if edges:
-            # (first + idx + 1) - t: the distance to the upper edge, in bin widths
-            np.subtract(bins.first + 1, t, out=t)
-            t += idx
-            part.edge_sums += np.bincount(idx, weights=t, minlength=bins.size)
-            part.low = min(part.low, float(values.min()))
-            part.high = max(part.high, float(values.max()))
+    idx, t = bins.index(values)
+    part.counts += np.bincount(idx, minlength=bins.size)
+    if edges:
+        # (first + idx + 1) - t: the distance to the upper edge, in bin widths
+        np.subtract(bins.first + 1, t, out=t)
+        t += idx
+        part.edge_sums += np.bincount(idx, weights=t, minlength=bins.size)
+        part.low, part.high = float(values.min()), float(values.max())
     return part
 
 
-def _keep_block(arrays, bins: _Bins, wanted: list) -> list[list]:
+def _keep_block(values, bins: _Bins, wanted: list) -> list[tuple]:
     """For each refine table in ``wanted``, the block's values in its bins,
-    as (distinct values, counts) pairs."""
-    kept: list[list] = [[] for _ in wanted]
-    for values in arrays:
-        if not values.size:
-            continue
-        idx = bins.index(values)[0]
-        for parts, table in zip(kept, wanted):
-            chosen = values[table[idx]]
-            if chosen.size:
-                parts.append(np.unique(chosen, return_counts=True))
-    return kept
-
-
-def _distinct(parts: list) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
-    """Merge (distinct values, counts) pairs into one sorted pair."""
-    if not parts:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    values = np.concatenate([v for v, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    order = np.argsort(values, kind="stable")
-    values, counts = values[order], counts[order]
-    starts = np.flatnonzero(np.append(True, values[1:] != values[:-1]))
-    return values[starts], np.add.reduceat(counts, starts)
+    as one (distinct values, counts) pair."""
+    idx = bins.index(values)[0]
+    return [np.unique(values[table[idx]], return_counts=True) for table in wanted]
 
 
 class _Gap:
@@ -260,11 +237,10 @@ class _Gap:
         return np.append(0, ca[:-1]), np.append(0, cb[:-1]), np.append(0.0, ends[:-1]), best
 
     def statistics(self, kept_a, kept_b, names) -> dict[str, float]:
-        """The named statistics, given each multiset's kept values (a superset
-        of those in this gap's refined bins)."""
+        """The named statistics, given each multiset's kept (values, counts)
+        parts (a superset of its values in this gap's refined bins)."""
         bins, refine = self.bins, self.refine
-        kept_a, kept_b = (_restrict(kept, bins, refine) for kept in (kept_a, kept_b))
-        grid, count_a, count_b = _merge(kept_a, kept_b)
+        grid, count_a, count_b = _merge(kept_a, kept_b, bins, refine)
         at = bins.index(grid)[0]
         a_below, b_below, before, _ = self._cumulative()
         count_a += _skipped(a_below, self.a.counts, refine)[at]
@@ -300,29 +276,28 @@ class _Gap:
         return float(shares.sum()) / bins.scale
 
 
-def _restrict(kept, bins: _Bins, refine) -> tuple:
-    values, counts = kept
-    inside = refine[bins.index(values)[0]]
-    return values[inside], counts[inside]
-
-
 def _skipped(below, counts, refine) -> NDArray[np.int64]:
     """How many values lie in unrefined bins below each bin."""
     held = np.where(refine, counts, 0)
     return below - (np.cumsum(held) - held)
 
 
-def _merge(kept_a, kept_b) -> tuple:
-    """The distinct values of two kept sets, ascending, and how many kept
-    values of each set are <= each of them.
+def _merge(kept_a: list, kept_b: list, bins: _Bins, refine) -> tuple:
+    """The distinct kept values in ``refine``'s bins, ascending, and how many
+    kept values of each multiset are <= each of them.
 
-    A stable argsort of the two sorted runs merges them in linear time.
+    ``kept_a`` and ``kept_b`` hold one (distinct values, counts) part per
+    block, so a value may occur in several parts, in no order: one sort of
+    all of them groups equal values, and running sums of the counts, read at
+    each group's end, give the ranks.
     """
-    values = np.concatenate([kept_a[0], kept_b[0]])
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    from_a = np.concatenate([kept_a[1], np.zeros_like(kept_b[1])])[order]
-    from_b = np.concatenate([np.zeros_like(kept_a[1]), kept_b[1]])[order]
+    values = np.concatenate([v for v, _ in kept_a + kept_b])
+    zeros = [np.zeros_like(c) for _, c in kept_a + kept_b]
+    from_a = np.concatenate([c for _, c in kept_a] + zeros[len(kept_a) :])
+    from_b = np.concatenate(zeros[: len(kept_a)] + [c for _, c in kept_b])
+    inside = np.flatnonzero(refine[bins.index(values)[0]])
+    order = inside[np.argsort(values[inside])]
+    values, from_a, from_b = values[order], from_a[order], from_b[order]
     run_end = np.append(values[1:] != values[:-1], True)[: values.size]
     return values[run_end], np.cumsum(from_a)[run_end], np.cumsum(from_b)[run_end]
 
@@ -332,15 +307,16 @@ def _binned_statistics(
 ) -> list[dict[str, float]]:
     """Statistics of |P - Q| for each pair of multisets, from binned counts.
 
-    ``sources`` lists ``(blocks, feeds)``: each block is a callable that
-    returns a list of float64 arrays of values, the same each time it is
-    called; those values belong to every multiset numbered in ``feeds``.
-    ``pairs`` lists ``(a, b)`` multiset numbers; the result has one dict of
-    the ``names`` ("ks", "w1", "w1_normalized") per pair.  Blocks run on
-    ``threads``, once to count and, if any bin needs it, once more to refine.
+    ``sources`` lists ``(blocks, feeds)``: each block is a ``(size, fill)``
+    pair whose ``fill()`` returns a float64 array of ``size`` values, the same
+    each time it is called; those values belong to every multiset numbered
+    in ``feeds``.  ``pairs`` lists ``(a, b)`` multiset numbers; the result has
+    one dict of the ``names`` ("ks", "w1", "w1_normalized") per pair.  Blocks
+    run on ``threads``, once to count and, if any bin needs it, once more to
+    refine.
     """
     edges = "w1" in names or "w1_normalized" in names
-    tasks = [(block, feeds) for blocks, feeds in sources for block in blocks]
+    tasks = [(fill, feeds) for blocks, feeds in sources for size, fill in blocks if size]
     sets = [_Counts(bins.size, edges) for _ in range(1 + max(max(f) for _, f in sources))]
     partials = threads.map(lambda task: _count_block(task[0](), bins, edges), tasks)
     for (_, feeds), part in zip(tasks, partials):  # in block order
@@ -352,17 +328,17 @@ def _binned_statistics(
     for (a, b), gap in zip(pairs, gaps):
         wanted[a] |= gap.refine
         wanted[b] |= gap.refine
-    kept: list[list] = [[] for _ in sets]
+    # an empty first part, so that a multiset that kept nothing still joins
+    kept = [[(np.empty(0), np.empty(0, dtype=np.int64))] for _ in sets]
     if any(table.any() for table in wanted):
 
         def keep(task):
-            block, feeds = task
-            return _keep_block(block(), bins, [wanted[f] for f in feeds])
+            fill, feeds = task
+            return _keep_block(fill(), bins, [wanted[f] for f in feeds])
 
         for (_, feeds), parts in zip(tasks, threads.map(keep, tasks)):
             for f, found in zip(feeds, parts):
-                kept[f] += found
-    kept = [_distinct(parts) for parts in kept]
+                kept[f].append(found)
     return [gap.statistics(kept[a], kept[b], names) for (a, b), gap in zip(pairs, gaps)]
 
 
@@ -371,7 +347,7 @@ def _statistic(sample_a, sample_b, name: str) -> float:
     a, b = _finite_sample(sample_a), _finite_sample(sample_b)
     lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
     bins = _Bins.spanning(float(lo), float(hi), _bin_target(max(a.size, b.size)))
-    sources = [([lambda: [a]], (0,)), ([lambda: [b]], (1,))]
+    sources = [([(a.size, lambda: a)], (0,)), ([(b.size, lambda: b)], (1,))]
     return _binned_statistics(sources, [(0, 1)], bins, (name,))[0][name]
 
 

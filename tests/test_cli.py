@@ -989,7 +989,32 @@ class TestRepro:
         assert run(["repro", "figure12", "--data", str(batch), "--trials", "0"]) == 1
         assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
 
-    @pytest.mark.parametrize("sizes", ["abc", "10,x"])
+    @pytest.mark.parametrize(
+        "sizes, loads, message",
+        [
+            ("4,0", False, "--sizes entries must be in [1, 15000], got 0"),
+            ("4,-3", False, "--sizes entries must be in [1, 15000], got -3"),
+            ("4,15001", False, "--sizes entries must be in [1, 15000], got 15001"),
+            ("4,13", True, "--sizes entry 13 exceeds the data's 12 records"),
+        ],
+    )
+    def test_figure12_sizes_out_of_range(
+        self, tmp_path, capsys, monkeypatch, sizes, loads, message
+    ):
+        # every entry is checked before any trial runs, the cap before loading
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before --sizes was checked")
+
+        monkeypatch.setattr(cli, "dsi_subsampled", no_trials)
+        batch = _cifar_batch(tmp_path / "batch.bin")
+        if not loads:
+            batch.unlink()  # a missing file shows that the data is never read
+        assert run(["repro", "figure12", "--data", str(batch), "--sizes", sizes]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("sizes", ["abc", "10,x", ",", " "])
     def test_figure12_bad_sizes_is_usage_error(self, tmp_path, capsys, sizes):
         batch = _cifar_batch(tmp_path / "batch.bin")
         with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ from separability import (
     DegenerateVector,
     DistanceMetric,
     DistanceSet,
+    DomainError,
     METRIC_NAMES,
     SingularCovariance,
     bcd_set,
@@ -275,6 +276,13 @@ class TestDistanceSets:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             DistanceSet(values=np.array([1.0, -0.5]), kind="icd")
+
+    @pytest.mark.parametrize("kind", ["icd", "bcd"])
+    def test_overflowing_distances_rejected(self, kind):
+        # the DSI refuses these points; so does each single multiset
+        points = np.array([[1e308, 0], [-1e308, 0], [0, 1], [1, 1]])
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflow"):
+            icd_set(points[:2]) if kind == "icd" else bcd_set(points[:2], points[2:])
 
 
 class TestFitMahalanobis:

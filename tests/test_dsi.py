@@ -17,6 +17,7 @@ from separability import (
     DegenerateSubset,
     DegenerateVector,
     DistanceCapError,
+    DistanceMetric,
     DomainError,
     class_distance_sets,
     distribution_identity_score,
@@ -98,7 +99,8 @@ class TestClassDistanceSets:
         labels = 3 * (np.arange(n) % k) + 1
         ds = Dataset(points, labels)
 
-        sets = class_distance_sets(ds)
+        workers = data.draw(st.sampled_from([1, 3]), label="workers")
+        sets = class_distance_sets(ds, workers=workers)
         assert sorted(sets) == sorted(set(labels.tolist()))
         for label, (icd, bcd) in sets.items():
             mine, rest = points[labels == label], points[labels != label]
@@ -176,6 +178,14 @@ class TestClassDistanceSets:
             "0x1.613d3a831d1a2p-2",
             "0x1.5e07e5ec94c50p-2",
         ]
+
+    def test_stored_multisets_filled_in_place(self):
+        # each kernel block is written straight into the multiset it feeds:
+        # the peak stays below the stored values plus two 128-row blocks
+        ds = generate(GeneratorSpec("moons", 2500, seed=1, noise=0.1))
+        _, peak = traced_peak(lambda: class_distance_sets(ds))
+        stored = 8 * (2 * (2500 * 2499 // 2) + 2500 * 2500)
+        assert peak < stored + 2 * 8 * 128 * 2500
 
     @pytest.mark.parametrize("metric", ["cosine", "correlation"])
     def test_degenerate_vector_names_the_dataset_row(self, metric):
@@ -330,6 +340,24 @@ class TestDsi:
         ds = Dataset(rng(28).normal(size=(40, 2)) * 1e160, np.arange(40) % 2)
         with pytest.raises(DomainError, match="overflow"):
             dsi(ds)
+
+    def test_overflowing_distance_sets_rejected(self):
+        # the stored multisets are refused as the DSI is, not filled with inf
+        ds = Dataset([[1e308, 0], [-1e308, 0], [0, 1], [1, 1]], [0, 0, 1, 1])
+        with pytest.raises(DomainError, match="overflow"):
+            class_distance_sets(ds)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+    def test_overflowing_squares_rejected(self, metric):
+        # the distance bound, 2.4e154, is finite, but the kernel's sum of
+        # squares for the first two points is not
+        points = np.array([[1.2e154, 0], [-1.2e154, 0], [0, 1], [1, 1]])
+        ds = Dataset(points, [0, 0, 1, 1])
+        if metric == "mahalanobis":
+            metric = DistanceMetric("mahalanobis", np.eye(2))
+        for call in (dsi, class_distance_sets):
+            with pytest.raises(DomainError, match="overflow"):
+                call(ds, metric)
 
     def test_unknown_stat(self, small_two_class):
         with pytest.raises(ValueError, match="unknown statistic"):
