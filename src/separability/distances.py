@@ -205,27 +205,32 @@ def _scipy_kwargs(metric: DistanceMetric) -> dict:
 
 
 def _check_vectors(points: NDArray[np.float64], metric: DistanceMetric, offset: int = 0):
-    """Reject rows on which the metric is undefined.
+    """Reject rows on which the metric is undefined or overflows.
 
-    Correlation needs per-vector variance > 0; cosine needs norm > 0.
-    ``offset`` shifts reported indices when ``points`` is a slice.
+    Correlation needs per-vector variance > 0; cosine needs norm > 0.  Both
+    divide by the vectors' norms (centred, for correlation), so a row whose
+    squared norm overflows float64 is refused too.  ``offset`` shifts
+    reported indices when ``points`` is a slice.
     """
-    if metric.name == "correlation":
-        centered = points - points.mean(axis=1, keepdims=True)
-        bad = np.flatnonzero(~np.any(centered != 0.0, axis=1))
-        if bad.size:
-            idx = int(bad[0]) + offset
-            raise DegenerateVector(
-                f"correlation distance undefined for constant vector at index {idx}",
-                index=idx,
-            )
-    elif metric.name == "cosine":
-        bad = np.flatnonzero(~np.any(points != 0.0, axis=1))
-        if bad.size:
-            idx = int(bad[0]) + offset
-            raise DegenerateVector(
-                f"cosine distance undefined for zero vector at index {idx}", index=idx
-            )
+    if metric.name not in _CLAMPED_METRICS:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        if metric.name == "correlation":
+            points = points - points.mean(axis=1, keepdims=True)
+        squares = np.einsum("ij,ij->i", points, points)
+    bad = np.flatnonzero(~np.any(points != 0.0, axis=1))
+    if bad.size:
+        idx = int(bad[0]) + offset
+        what = "constant" if metric.name == "correlation" else "zero"
+        raise DegenerateVector(
+            f"{metric.name} distance undefined for {what} vector at index {idx}", index=idx
+        )
+    bad = np.flatnonzero(~np.isfinite(squares))
+    if bad.size:
+        raise DomainError(
+            f"{metric.name} distance overflows float64 for the vector at index "
+            f"{int(bad[0]) + offset}; rescale the features"
+        )
 
 
 def _check_finite(largest: float) -> None:
@@ -338,11 +343,11 @@ def _diameter_bound(points: NDArray[np.float64], metric: DistanceMetric) -> floa
     Correlation and cosine distances are at most 2.  The other metrics are
     norms of x - y, so no distance exceeds twice the largest distance from
     the centroid; that is computed in numpy, a few rows at a time, and
-    padded for rounding.  Only the DSI's binning reads it, and a distance
-    above it is still counted exactly (see ``stats._Bins``).  Raises
-    ``DomainError`` when a distance may overflow float64: euclidean and
-    mahalanobis distances are roots of sums of squares, so there the
-    bound's square must be finite too.
+    padded for rounding.  The DSI passes it to ``stats._binned_statistics``
+    as the top of the range its bins span; a distance above it is still
+    counted exactly.  Raises ``DomainError`` when a distance may overflow
+    float64: euclidean and mahalanobis distances are roots of sums of
+    squares, so there the bound's square must be finite too.
     """
     if metric.name in _CLAMPED_METRICS:
         return 2.0

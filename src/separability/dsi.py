@@ -48,7 +48,7 @@ from .distances import (
 )
 from .errors import DegenerateClass, DegenerateSubset, DistanceCapError, DomainError
 from .generators import _philox
-from .stats import _Bins, _bin_target, _binned_statistics
+from .stats import _binned_statistics
 
 __all__ = [
     "DEFAULT_MAX_POINTS",
@@ -65,11 +65,12 @@ __all__ = [
 # kernel once or twice, so memory grows with the kernel's row blocks (up to
 # 128 rows by n float64 values, a few such arrays) and with the distances kept
 # in refined bins, not with n**2.  CLI `measure` (KS, one thread) peaks at
-# 73 MiB RSS in 2.2 s on 2x5000 moons points and at 117 MiB in 4.1-4.6 s on
-# 2x7500; three overlapping 2-D Gaussian classes of 10k points in all take
-# 167 MiB in 2.5 s (2-vCPU Intel Xeon KVM guest, numpy 2.4.6).  Time grows
-# with n**2, so the cap guards time: beyond it callers must subsample or
-# raise it knowingly.
+# 58 MiB RSS in 1.3-1.4 s on 2x5000 moons points and at 82 MiB in 2.4-2.8 s
+# on 2x7500.  Three 2-D standard Gaussian classes sharing one mean, 10k
+# points in all, keep 9.0M distances in refined bins and take 262 MiB in
+# 2.1-3.0 s (2-vCPU Intel Xeon KVM guest, numpy 2.4.6).  Time grows with
+# n**2, so the cap guards time: beyond it callers must subsample or raise
+# it knowingly.
 DEFAULT_MAX_POINTS = 15_000
 
 STAT_NAMES = ("ks", "wasserstein")
@@ -215,11 +216,10 @@ def _dsi_reports(
                 f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
             )
     classes, bound = _class_points(ds, m, max_points)
-    sources, bcd, sizes = _multisets(list(classes.values()), m)
-    bins = _Bins.spanning(0.0, bound, _bin_target(max(sizes)))
+    sources, bcd, _ = _multisets(list(classes.values()), m)
     names = tuple(dict.fromkeys(_GAP_STATISTICS[stat] for stat in stats))
     with Threads(workers) as threads:
-        named = _binned_statistics(sources, list(enumerate(bcd)), bins, names, threads)
+        named = _binned_statistics(sources, list(enumerate(bcd)), (0.0, bound), names, threads)
 
     wall_time_s = time.perf_counter() - t0
     reports = []

@@ -23,11 +23,12 @@ distance kernel; ``ks_statistic`` and friends feed each sample as one block.
   W1 is the integral of a one-signed step function, which its counts and
   edge sums give exactly.
 * Pass 2, run only when some bin is refined, produces the blocks again and
-  keeps the values in refined bins, each block's as distinct values with
-  counts.  The kept parts of two multisets are sorted once, together, and
-  their ranks, offset by the counts below each bin, give |P - Q| at each
-  kept value with the same float operations as a merge of the two sorted
-  samples, so KS has the same bits as that merge.
+  keeps the plain values that fall in refined bins; pass 1's counts say how
+  many, so each multiset's kept values fill one array, sorted once.  For
+  each pair, one stable merge of the two sorted runs ranks their values,
+  and those ranks, offset by the counts below each bin, give |P - Q| at
+  each kept value with the same float operations as a merge of the two
+  sorted samples, so KS has the same bits as that merge.
 
 Block partials are added in block order, so the number of threads that
 produce the blocks never changes a value.
@@ -45,7 +46,6 @@ from ._threads import SERIAL, Threads
 from .errors import EmptySample
 
 __all__ = [
-    "EmpiricalCdf",
     "ks_statistic",
     "wasserstein1",
     "wasserstein1_normalized",
@@ -59,35 +59,6 @@ def _finite_sample(sample) -> NDArray[np.float64]:
     if not np.all(np.isfinite(values)):
         raise ValueError("sample contains non-finite values")
     return values
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical CDF of a finite sample.
-
-    ``values`` is the sorted sample; ``evaluate(x)`` returns the fraction of
-    sample points <= x, so it steps by multiples of 1/n at each distinct
-    sample value and satisfies F(-inf) = 0, F(+inf) = 1.
-    """
-
-    values: NDArray[np.float64]
-
-    def __post_init__(self):
-        vals = np.sort(_finite_sample(self.values))
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    def evaluate(self, x) -> NDArray[np.float64]:
-        """F(x): fraction of sample values <= x (scalar or array x)."""
-        pos = np.searchsorted(self.values, x, side="right")
-        return pos / self.n
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
 
 # About this many values of the largest multiset per bin, within the bounds
@@ -151,10 +122,11 @@ class _Bins:
 
 
 class _Counts:
-    """One multiset's pass-1 summary: per-bin counts and, for W1, per-bin
-    sums of ``upper edge - t`` and the exact extremes."""
+    """One multiset's pass-1 summary: its size ``n``, per-bin counts and, for
+    W1, per-bin sums of ``upper edge - t`` and the exact extremes."""
 
-    def __init__(self, size: int, edges: bool):
+    def __init__(self, size: int, edges: bool, n: int = 0):
+        self.n = n
         self.counts = np.zeros(size, dtype=np.int64)
         self.edge_sums = np.zeros(size) if edges else None
         self.low, self.high = math.inf, -math.inf
@@ -164,10 +136,6 @@ class _Counts:
         if self.edge_sums is not None:
             self.edge_sums += part.edge_sums
             self.low, self.high = min(self.low, part.low), max(self.high, part.high)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
 
 
 def _count_block(values, bins: _Bins, edges: bool) -> _Counts:
@@ -181,13 +149,6 @@ def _count_block(values, bins: _Bins, edges: bool) -> _Counts:
         part.edge_sums += np.bincount(idx, weights=t, minlength=bins.size)
         part.low, part.high = float(values.min()), float(values.max())
     return part
-
-
-def _keep_block(values, bins: _Bins, wanted: list) -> list[tuple]:
-    """For each refine table in ``wanted``, the block's values in its bins,
-    as one (distinct values, counts) pair."""
-    idx = bins.index(values)[0]
-    return [np.unique(values[table[idx]], return_counts=True) for table in wanted]
 
 
 class _Gap:
@@ -237,10 +198,13 @@ class _Gap:
         return np.append(0, ca[:-1]), np.append(0, cb[:-1]), np.append(0.0, ends[:-1]), best
 
     def statistics(self, kept_a, kept_b, names) -> dict[str, float]:
-        """The named statistics, given each multiset's kept (values, counts)
-        parts (a superset of its values in this gap's refined bins)."""
+        """The named statistics, given each multiset's kept values, sorted (a
+        superset of its values in this gap's refined bins)."""
         bins, refine = self.bins, self.refine
-        grid, count_a, count_b = _merge(kept_a, kept_b, bins, refine)
+        in_a, in_b = refine[bins.index(kept_a)[0]], refine[bins.index(kept_b)[0]]
+        grid, count_a, count_b = _merge(
+            np.concatenate([kept_a[in_a], kept_b[in_b]]), np.count_nonzero(in_a)
+        )
         at = bins.index(grid)[0]
         a_below, b_below, before, _ = self._cumulative()
         count_a += _skipped(a_below, self.a.counts, refine)[at]
@@ -251,7 +215,8 @@ class _Gap:
             out["w1"] = self._area(grid, at, heights, before)
             low, high = min(self.a.low, self.b.low), max(self.a.high, self.b.high)
             pooled_range = float(high - low)
-            out["w1_normalized"] = out["w1"] / pooled_range if pooled_range else 0.0
+            # rounding can put the ratio a hair above its bound of 1
+            out["w1_normalized"] = min(out["w1"] / pooled_range, 1.0) if pooled_range else 0.0
         return {name: out[name] for name in names}
 
     def _area(self, grid, at, heights, before) -> float:
@@ -282,42 +247,48 @@ def _skipped(below, counts, refine) -> NDArray[np.int64]:
     return below - (np.cumsum(held) - held)
 
 
-def _merge(kept_a: list, kept_b: list, bins: _Bins, refine) -> tuple:
-    """The distinct kept values in ``refine``'s bins, ascending, and how many
-    kept values of each multiset are <= each of them.
+def _merge(values, split: int) -> tuple:
+    """The distinct values of the two sorted runs ``values[:split]`` and
+    ``values[split:]``, ascending, and how many values of each run are <=
+    each of them.  Sorts ``values`` in place.
 
-    ``kept_a`` and ``kept_b`` hold one (distinct values, counts) part per
-    block, so a value may occur in several parts, in no order: one sort of
-    all of them groups equal values, and running sums of the counts, read at
-    each group's end, give the ranks.
+    A stable sort of two sorted runs is one linear merge; running counts of
+    the first run's values, read at the end of each run of equal values,
+    give the ranks.
     """
-    values = np.concatenate([v for v, _ in kept_a + kept_b])
-    zeros = [np.zeros_like(c) for _, c in kept_a + kept_b]
-    from_a = np.concatenate([c for _, c in kept_a] + zeros[len(kept_a) :])
-    from_b = np.concatenate(zeros[: len(kept_a)] + [c for _, c in kept_b])
-    inside = np.flatnonzero(refine[bins.index(values)[0]])
-    order = inside[np.argsort(values[inside])]
-    values, from_a, from_b = values[order], from_a[order], from_b[order]
-    run_end = np.append(values[1:] != values[:-1], True)[: values.size]
-    return values[run_end], np.cumsum(from_a)[run_end], np.cumsum(from_b)[run_end]
+    from_a = np.argsort(values, kind="stable") < split
+    values.sort(kind="stable")
+    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True)[: values.size])
+    count_a = np.cumsum(from_a)[ends]
+    return values[ends], count_a, ends + 1 - count_a
 
 
 def _binned_statistics(
-    sources: list, pairs: list, bins: _Bins, names, threads: Threads = SERIAL
+    sources: list, pairs: list, span: tuple[float, float], names, threads: Threads = SERIAL
 ) -> list[dict[str, float]]:
     """Statistics of |P - Q| for each pair of multisets, from binned counts.
 
     ``sources`` lists ``(blocks, feeds)``: each block is a ``(size, fill)``
     pair whose ``fill()`` returns a float64 array of ``size`` values, the same
     each time it is called; those values belong to every multiset numbered
-    in ``feeds``.  ``pairs`` lists ``(a, b)`` multiset numbers; the result has
-    one dict of the ``names`` ("ks", "w1", "w1_normalized") per pair.  Blocks
-    run on ``threads``, once to count and, if any bin needs it, once more to
+    in ``feeds``.  ``span`` is ``(lo, hi)``: no value lies below ``lo``, and
+    the bins span [lo, hi], though a value above ``hi`` is still counted
+    exactly.  ``pairs`` lists ``(a, b)`` multiset numbers; the result has one
+    dict of the ``names`` ("ks", "w1", "w1_normalized") per pair.  Blocks run
+    on ``threads``, once to count and, if any bin needs it, once more to
     refine.
     """
     edges = "w1" in names or "w1_normalized" in names
-    tasks = [(fill, feeds) for blocks, feeds in sources for size, fill in blocks if size]
-    sets = [_Counts(bins.size, edges) for _ in range(1 + max(max(f) for _, f in sources))]
+    sizes = [0] * (1 + max(max(f) for _, f in sources))
+    tasks = []
+    for blocks, feeds in sources:
+        for size, fill in blocks:
+            for f in feeds:
+                sizes[f] += size
+            if size:
+                tasks.append((fill, feeds))
+    bins = _Bins.spanning(*span, _bin_target(max(sizes)))
+    sets = [_Counts(bins.size, edges, n) for n in sizes]
     partials = threads.map(lambda task: _count_block(task[0](), bins, edges), tasks)
     for (_, feeds), part in zip(tasks, partials):  # in block order
         for f in feeds:
@@ -328,27 +299,32 @@ def _binned_statistics(
     for (a, b), gap in zip(pairs, gaps):
         wanted[a] |= gap.refine
         wanted[b] |= gap.refine
-    # an empty first part, so that a multiset that kept nothing still joins
-    kept = [[(np.empty(0), np.empty(0, dtype=np.int64))] for _ in sets]
-    if any(table.any() for table in wanted):
+    # pass 1's counts size each multiset's kept values exactly
+    kept = [np.empty(int(s.counts[table].sum())) for s, table in zip(sets, wanted)]
+    if any(values.size for values in kept):
 
-        def keep(task):
+        def keep(task):  # the block's values in each fed multiset's wanted bins
             fill, feeds = task
-            return _keep_block(fill(), bins, [wanted[f] for f in feeds])
+            values = fill()
+            idx = bins.index(values)[0]
+            return [values[wanted[f][idx]] for f in feeds]
 
+        filled = [0] * len(sets)
         for (_, feeds), parts in zip(tasks, threads.map(keep, tasks)):
-            for f, found in zip(feeds, parts):
-                kept[f].append(found)
+            for f, part in zip(feeds, parts):
+                kept[f][filled[f] : filled[f] + part.size] = part
+                filled[f] += part.size
+        for values in kept:
+            values.sort()
     return [gap.statistics(kept[a], kept[b], names) for (a, b), gap in zip(pairs, gaps)]
 
 
 def _statistic(sample_a, sample_b, name: str) -> float:
     """Validate both samples, then reduce one named statistic, each sample one block."""
     a, b = _finite_sample(sample_a), _finite_sample(sample_b)
-    lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
-    bins = _Bins.spanning(float(lo), float(hi), _bin_target(max(a.size, b.size)))
+    span = (float(min(a.min(), b.min())), float(max(a.max(), b.max())))
     sources = [([(a.size, lambda: a)], (0,)), ([(b.size, lambda: b)], (1,))]
-    return _binned_statistics(sources, [(0, 1)], bins, (name,))[0][name]
+    return _binned_statistics(sources, [(0, 1)], span, (name,))[0][name]
 
 
 def ks_statistic(sample_a, sample_b) -> float:

@@ -17,6 +17,14 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+# per metric, points with one row whose squared norm (centred, for
+# correlation) overflows float64, and that row's index
+HUGE_NORM_ROWS = {
+    "cosine": (np.array([[1e308, 1e308], [-1e308, 2e307], [1, 1], [1, 2]]), 0),
+    "correlation": (np.array([[1, 2, 4], [1e308, -1e308, 0], [2, 1, 3], [1, 3, 2]]), 1),
+}
+
+
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 

@@ -34,7 +34,7 @@ from separability import cli
 from separability.cli import build_parser, run
 from separability.dsi import _dsi_reports
 
-from conftest import rng
+from conftest import HUGE_NORM_ROWS, rng
 
 
 def _write_shape_csv(path, shape="blobs", n=40, seed=0, **extra):
@@ -207,6 +207,16 @@ class TestMeasure:
         assert capsys.readouterr().err == (
             "error: 60 points exceed the exact-computation cap of 10; "
             "use --subsample or pass a larger --max-points\n"
+        )
+
+    @pytest.mark.parametrize("metric", ["cosine", "correlation"])
+    def test_overflowing_norm_is_clean(self, tmp_path, capsys, metric):
+        points, row = HUGE_NORM_ROWS[metric]
+        data = _points_csv(tmp_path / "d.csv", np.column_stack([points, [0, 0, 1, 1]]))
+        assert run(["measure", "--input", str(data), "--metric", metric]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {metric} distance overflows float64 for the vector at index {row}; "
+            "rescale the features\n"
         )
 
     def test_label_col_by_name(self, tmp_path, capsys):

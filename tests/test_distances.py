@@ -26,7 +26,7 @@ from separability import (
     resolve_metric,
 )
 
-from conftest import rng, traced_peak
+from conftest import HUGE_NORM_ROWS, rng, traced_peak
 from oracles import naive_distance, naive_pairwise
 
 PLAIN_METRICS = [m for m in METRIC_NAMES if m != "mahalanobis"]
@@ -170,6 +170,12 @@ class TestPairwiseCondensed:
         with pytest.raises(DegenerateVector) as exc:
             pairwise_condensed(pts, "cosine")
         assert exc.value.index == 4
+
+    @pytest.mark.parametrize("metric", ["cosine", "correlation"])
+    def test_overflowing_norm_rejected(self, metric):
+        points, row = HUGE_NORM_ROWS[metric]
+        with pytest.raises(DomainError, match=f"overflows float64 for the vector at index {row}"):
+            pairwise_condensed(points, metric)
 
     def test_length(self):
         pts = rng(11).normal(size=(17, 2))

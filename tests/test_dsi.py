@@ -31,7 +31,7 @@ from separability import (
 
 from separability.dsi import _dsi_reports
 
-from conftest import random_dataset, rng, traced_peak
+from conftest import HUGE_NORM_ROWS, random_dataset, rng, traced_peak
 from oracles import brute_dsi, grid_ks, grid_wasserstein1
 
 
@@ -136,7 +136,7 @@ class TestClassDistanceSets:
 
         results = []
         with (
-            mock.patch.object(sys.modules["separability.dsi"], "_bin_target", lambda largest: target),
+            mock.patch.object(sys.modules["separability.stats"], "_bin_target", lambda largest: target),
             mock.patch.object(sys.modules["separability.distances"], "_BLOCK_ROWS", 2),
         ):
             for workers in (1, 2):
@@ -178,6 +178,14 @@ class TestClassDistanceSets:
             "0x1.613d3a831d1a2p-2",
             "0x1.5e07e5ec94c50p-2",
         ]
+
+    def test_memory_with_many_values_kept(self):
+        # three overlapping classes leave 2.2M distances, 17 MiB as float64,
+        # in refined bins; kept as plain values, one array per multiset, and
+        # ranked one pair of multisets at a time, they peak near 60 MiB
+        ds = random_dataset(n_per_class=2000, dim=2, classes=3, seed=0)
+        _, peak = traced_peak(lambda: dsi(ds))
+        assert peak < 80 * 2**20
 
     def test_stored_multisets_filled_in_place(self):
         # each kernel block is written straight into the multiset it feeds:
@@ -357,6 +365,17 @@ class TestDsi:
             metric = DistanceMetric("mahalanobis", np.eye(2))
         for call in (dsi, class_distance_sets):
             with pytest.raises(DomainError, match="overflow"):
+                call(ds, metric)
+
+    @pytest.mark.parametrize("metric", ["cosine", "correlation"])
+    def test_overflowing_norms_rejected(self, metric):
+        # both metrics divide by each row's norm (centred, for correlation):
+        # a row whose squared norm overflows is refused by its index, not
+        # turned into NaN distances
+        points, row = HUGE_NORM_ROWS[metric]
+        ds = Dataset(points, [0, 0, 1, 1])
+        for call in (dsi, class_distance_sets):
+            with pytest.raises(DomainError, match=f"overflows float64 for the vector at index {row}"):
                 call(ds, metric)
 
     def test_unknown_stat(self, small_two_class):
