@@ -342,8 +342,10 @@ def _diameter_bound(points: NDArray[np.float64], metric: DistanceMetric) -> floa
 
     Correlation and cosine distances are at most 2.  The other metrics are
     norms of x - y, so no distance exceeds twice the largest distance from
-    the centroid; that is computed in numpy, a few rows at a time, and
-    padded for rounding.  The DSI passes it to ``stats._binned_statistics``
+    any centre.  The centre is the per-feature midrange, ``lo/2 + hi/2``,
+    which cannot overflow, so neither can any x - centre; the largest
+    distance from it is computed in numpy, a few rows at a time, and padded
+    for rounding.  The DSI passes it to ``stats._binned_statistics``
     as the top of the range its bins span; a distance above it is still
     counted exactly.  Raises ``DomainError`` when a distance may overflow
     float64: euclidean and mahalanobis distances are roots of sums of
@@ -351,7 +353,7 @@ def _diameter_bound(points: NDArray[np.float64], metric: DistanceMetric) -> floa
     """
     if metric.name in _CLAMPED_METRICS:
         return 2.0
-    center = points.mean(axis=0)
+    center = points.min(axis=0) / 2 + points.max(axis=0) / 2
     radius = 0.0
     step = max(1, (1 << 16) // points.shape[1])  # rows of at most 512 KiB
     for r0 in range(0, points.shape[0], step):

@@ -31,23 +31,34 @@ errors.
 dataset, as the rows of one cross kernel pass of the points against
 themselves on ``workers`` threads, and shares it, read-only, among N1,
 N2, N3, T1, LSC and Density; a measure called on its own computes it
-itself on one thread.  N4 classifies its synthetic points by a one-thread
-cross kernel either way.
+itself on one thread.  That matrix is the only n x n array: everything
+else reads it in the kernel's fixed row blocks, with temporaries of
+block x n size.  One walk over the blocks finds each point's nearest enemy
+and nearest friend and counts its local set (N2, N3, T1, LSC); T1 keeps
+each sphere's cover as one bit per point; Density takes its cut from
+``stats._quantile``'s binned two-pass order statistic over the upper
+triangle's blocks.  N1's Prim reads one row per step.  N4 classifies its
+synthetic points block by block through a one-thread cross kernel.
+
+Every measure first refuses points whose distances may overflow float64,
+with the DSI's own check (``distances._diameter_bound``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._threads import Threads
 from .dataset import Dataset, partition
-from .distances import DistanceMetric, _cross, pairwise_cross
+from .distances import DistanceMetric, _cross, _cross_blocks, _diameter_bound, _row_blocks
 from .errors import DegenerateClass, DomainError
 from .generators import _philox
+from .stats import _quantile
 
 __all__ = [
     "MEASURE_CODES",
@@ -108,7 +119,19 @@ def _read_only(a: NDArray) -> NDArray:
 def _nearest(masked: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
     """Per row: column of the smallest entry (lowest on ties) and its value."""
     idx = masked.argmin(axis=1)
-    return _read_only(idx), _read_only(masked[np.arange(idx.size), idx])
+    return idx, masked[np.arange(idx.size), idx]
+
+
+class _Neighbours(NamedTuple):
+    """Per point: the nearest other-class point and the distance to it, the
+    nearest other same-class point and the distance to it (inf for a
+    singleton class), and the size of the local set (LSC)."""
+
+    enemy: NDArray[np.int64]
+    d_enemy: NDArray[np.float64]
+    friend: NDArray[np.int64]
+    d_friend: NDArray[np.float64]
+    local: NDArray[np.int64]
 
 
 @dataclass(frozen=True)
@@ -121,36 +144,53 @@ class _DistanceContext(Dataset):
     workers: int = 1
 
     @cached_property
+    def bound(self) -> float:
+        """A bound on every distance; refuses points whose distances may
+        overflow float64 (``DomainError``)."""
+        return _diameter_bound(self.points, _EUCLIDEAN)
+
+    @cached_property
     def square(self) -> NDArray[np.float64]:
         with Threads(self.workers) as threads:
             rows = _cross(self.points, self.points, _EUCLIDEAN, threads)
         return _read_only(rows.reshape(self.n, self.n))
 
-    @cached_property
-    def same(self) -> NDArray[np.bool_]:
-        """same[i, j]: points i and j share a class (the diagonal included)."""
-        return _read_only(self.labels[:, None] == self.labels[None, :])
+    def row_blocks(self):
+        """The square's fixed row blocks: ``(r0, r1, rows, same)``, ``same[k, j]``
+        telling whether points r0 + k and j share a class."""
+        for r0, r1 in _row_blocks(self.n):
+            yield r0, r1, self.square[r0:r1], self.labels[r0:r1, None] == self.labels
 
     @cached_property
-    def enemy(self) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-        """Each point's nearest other-class point and the distance to it."""
-        return _nearest(np.where(self.same, np.inf, self.square))
-
-    @cached_property
-    def friend(self) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-        """Each point's nearest other same-class point and the distance to
-        it; the distance is inf for a singleton class."""
-        masked = np.where(self.same, self.square, np.inf)
-        np.fill_diagonal(masked, np.inf)
-        return _nearest(masked)
+    def neighbours(self) -> _Neighbours:
+        """Nearest enemies, nearest friends and local sets, in one walk."""
+        found = _Neighbours(
+            *(np.empty(self.n, dtype=t) for t in (np.int64, float, np.int64, float, np.int64))
+        )
+        for r0, r1, rows, same in self.row_blocks():
+            enemy, d_enemy = _nearest(np.where(same, np.inf, rows))
+            found.enemy[r0:r1], found.d_enemy[r0:r1] = enemy, d_enemy
+            masked = np.where(same, rows, np.inf)
+            masked[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
+            found.friend[r0:r1], found.d_friend[r0:r1] = _nearest(masked)
+            # a point strictly closer than x's nearest enemy is of x's class;
+            # the diagonal counts x itself
+            found.local[r0:r1] = (rows < d_enemy[:, None]).sum(axis=1)
+        for a in found:
+            _read_only(a)
+        return found
 
 
 def _context(ds: Dataset, workers: int = 1) -> _DistanceContext:
     """The distances shared by ``compute_measures``, or fresh ones, built on
-    one thread, for a measure called on its own."""
-    if isinstance(ds, _DistanceContext):
-        return ds
-    return _DistanceContext._adopt(ds.points, ds.labels, workers=workers)
+    one thread, for a measure called on its own.
+
+    Refuses points whose distances may overflow float64 (``DomainError``).
+    """
+    if not isinstance(ds, _DistanceContext):
+        ds = _DistanceContext._adopt(ds.points, ds.labels, workers=workers)
+    ds.bound  # the DSI's own overflow check, before any measure reads a point
+    return ds
 
 
 def f1(ds: Dataset) -> MeasureResult:
@@ -159,18 +199,23 @@ def f1(ds: Dataset) -> MeasureResult:
     r_f = sum_c n_c (mu_cf - mu_f)^2 / sum_c sum_{x in c} (x_f - mu_cf)^2;
     F1 = 1 / (1 + max_f r_f).  A feature that separates the classes
     perfectly has infinite ratio and F1 = 0; no feature discriminating at
-    all gives F1 = 1.
+    all gives F1 = 1.  Points whose feature sums overflow float64 are
+    refused (``DomainError``).
     """
     part = _validate(ds)
-    X = ds.points
-    mu = X.mean(axis=0)
+    X = _context(ds).points  # the context refuses overflowing distances
     between = np.zeros(ds.dim)
     within = np.zeros(ds.dim)
-    for idx in part.groups.values():
-        block = X[idx]
-        mu_c = block.mean(axis=0)
-        between += idx.size * (mu_c - mu) ** 2
-        within += ((block - mu_c) ** 2).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mu = X.mean(axis=0)
+        for idx in part.groups.values():
+            block = X[idx]
+            mu_c = block.mean(axis=0)
+            between += idx.size * (mu_c - mu) ** 2
+            within += ((block - mu_c) ** 2).sum(axis=0)
+    # distances may be finite while sums of coordinates near 1e308 are not
+    if not (np.isfinite(between).all() and np.isfinite(within).all()):
+        raise DomainError("F1's feature sums overflow float64; rescale the features")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(
             within > 0.0, between / within, np.where(between > 0.0, np.inf, 0.0)
@@ -234,9 +279,9 @@ def n2(ds: Dataset) -> MeasureResult:
     values.
     """
     _validate(ds, need_class_pairs=True)
-    ctx = _context(ds)
-    intra = float(ctx.friend[1].sum())
-    inter = float(ctx.enemy[1].sum())
+    near = _context(ds).neighbours
+    intra = float(near.d_friend.sum())
+    inter = float(near.d_enemy.sum())
     if inter == 0.0:
         # every point coincides with an enemy; maximal overlap unless the
         # intra distances all vanish too (r is 0/0, taken as 0)
@@ -255,9 +300,7 @@ def n3(ds: Dataset) -> MeasureResult:
     irresolvable in feature space).
     """
     _validate(ds)
-    ctx = _context(ds)
-    friend, d_friend = ctx.friend
-    enemy, d_enemy = ctx.enemy
+    enemy, d_enemy, friend, d_friend, _ = _context(ds).neighbours
     # the nearest neighbor is the enemy when it is closer, or equally close
     # with the lower index
     errors = (d_enemy < d_friend) | ((d_enemy == d_friend) & (enemy < friend))
@@ -278,9 +321,9 @@ def n4(ds: Dataset, n_synthetic: int | None = None, seed: int = 0) -> MeasureRes
     n_syn = ds.n if n_synthetic is None else int(n_synthetic)
     if n_syn < 1:
         raise DomainError(f"n_synthetic must be >= 1, got {n_syn}")
+    X = _context(ds).points  # the context refuses overflowing distances
     rng = _philox(seed, 0)
     class_labels = sorted(part.groups)
-    X = ds.points
     synth = np.empty((n_syn, ds.dim))
     synth_labels = np.empty(n_syn, dtype=np.int64)
     for k in range(n_syn):
@@ -290,7 +333,9 @@ def n4(ds: Dataset, n_synthetic: int | None = None, seed: int = 0) -> MeasureRes
         t = rng.random()
         synth[k] = X[a] + t * (X[b] - X[a])
         synth_labels[k] = c
-    nn = pairwise_cross(synth, X).argmin(axis=1)
+    nn = np.concatenate(
+        [fill().reshape(-1, ds.n).argmin(axis=1) for _, fill in _cross_blocks(synth, X, _EUCLIDEAN)]
+    )
     value = float(np.mean(ds.labels[nn] != synth_labels))
     return MeasureResult(
         code="N4", value=value, params={"n_synthetic": n_syn, "seed": seed}
@@ -340,21 +385,36 @@ def t1(ds: Dataset) -> MeasureResult:
     subset of another sphere's coverage is absorbed, ties going to the
     lower index.  Compact single-region classes collapse to a few spheres;
     interleaved classes keep almost one sphere per point.
+
+    Covers are kept as bits, one row of ``ceil(n / 64)`` words per sphere,
+    and C_i <= C_j is tested exactly as ``C_i & ~C_j == 0``.  Sphere j can
+    absorb sphere i only if j covers x_i, since x_i lies in C_i, and only if
+    j comes first in the order of descending cover size, then ascending
+    index.  Spheres are visited in that order; one already absorbed is
+    skipped, as whatever it would absorb, its own absorber absorbs too.
     """
     _validate(ds)
     ctx = _context(ds)
-    D = ctx.square
-    r = _touching_radii(*ctx.enemy)
+    near = ctx.neighbours
+    r = _touching_radii(near.enemy, near.d_enemy)
     n = ds.n
-    cover = (D <= r[:, None]).astype(np.float32)
-    size = cover.sum(axis=1)
-    # sphere i's cover is a subset of j's when j covers all of i's points;
-    # the counts are integers below 2**24, exact in float32
-    subset = (cover @ cover.T) == size[:, None]
-    # j absorbs i when its cover is larger or, the two covers being then
-    # equal, when j is the lower index
-    rows = np.arange(n)[:, None]
-    absorbed = (subset & ((size > size[:, None]) | (rows.T < rows))).any(axis=1)
+    cover = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    size = np.empty(n, dtype=np.int64)
+    for r0, r1 in _row_blocks(n):
+        inside = ctx.square[r0:r1] <= r[r0:r1, None]
+        size[r0:r1] = inside.sum(axis=1)
+        cover[r0:r1, : -(-n // 8)] = np.packbits(inside, axis=1, bitorder="little")
+    cover = cover.view(np.uint64)
+    order = np.argsort(-size, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    absorbed = np.zeros(n, dtype=bool)
+    for j in order[size[order] > 1]:  # a sphere covering only its centre absorbs none
+        if absorbed[j]:
+            continue
+        cand = np.flatnonzero(ctx.square[j] <= r[j])
+        cand = cand[(rank[cand] > rank[j]) & ~absorbed[cand]]
+        absorbed[cand[~(cover[cand] & ~cover[j]).any(axis=1)]] = True
     value = float(np.mean(~absorbed))
     return MeasureResult(code="T1", value=value, params={})
 
@@ -367,10 +427,7 @@ def lsc(ds: Dataset) -> MeasureResult:
     local sets (close to the whole class) mean simple structure.
     """
     _validate(ds)
-    ctx = _context(ds)
-    # a point strictly closer than x's nearest enemy is of x's class; the
-    # diagonal counts x itself
-    counts = (ctx.square < ctx.enemy[1][:, None]).sum(axis=1)
+    counts = _context(ds).neighbours.local
     value = float(1.0 - counts.sum() / (ds.n**2))
     return MeasureResult(code="LSC", value=value, params={})
 
@@ -383,20 +440,30 @@ def density(ds: Dataset, quantile: float = DENSITY_QUANTILE) -> MeasureResult:
     1 - 2|E| / (n (n-1)).  Dense within-class neighborhoods give low
     values.  Unlike the other measures this one is defined for a single
     class too (the graph simply keeps all its edges).
+
+    The cut is ``np.quantile`` of the pairs' distances, to the bit, taken
+    by ``stats._quantile`` from the upper triangle's row blocks: one pass
+    counts the distances per bin, another keeps only those in the one or
+    two bins that hold the ranks it needs.  The edges are then counted
+    block by block.
     """
     if ds.n < 2:
         raise DegenerateClass("density needs at least 2 points")
     if not 0.0 < quantile < 1.0:
         raise DomainError(f"quantile must be in (0, 1), got {quantile}")
     ctx = _context(ds)
-    # the cut is a quantile over each pair once: the upper triangle
-    n = ds.n
-    upper = np.concatenate([ctx.square[i, i + 1 :] for i in range(n - 1)])
-    cut = np.quantile(upper, quantile, overwrite_input=True)
+    n, square = ds.n, ctx.square
+
+    def upper(r0, r1):  # each pair of the rows r0..r1 with a later point once
+        return lambda: np.concatenate([square[i, i + 1 :] for i in range(r0, r1)])
+
+    blocks = [((r1 - r0) * (2 * n - r0 - r1 - 1) // 2, upper(r0, r1)) for r0, r1 in _row_blocks(n)]
+    cut = _quantile(blocks, (0.0, ctx.bound), quantile)
     # the square matrix holds each pair twice and each point once with
     # itself, at distance 0 <= cut
-    edges = (int(np.count_nonzero(ctx.same & (ctx.square <= cut))) - n) // 2
-    value = 1.0 - edges / upper.size
+    close = sum(int(np.count_nonzero(same & (rows <= cut))) for _, _, rows, same in ctx.row_blocks())
+    edges = (close - n) // 2
+    value = 1.0 - edges / (n * (n - 1) // 2)
     return MeasureResult(code="Density", value=value, params={"quantile": quantile})
 
 

@@ -32,6 +32,9 @@ distance kernel; ``ks_statistic`` and friends feed each sample as one block.
 
 Block partials are added in block order, so the number of threads that
 produce the blocks never changes a value.
+
+``_quantile`` reads an exact order statistic off the same bins, in the
+same two passes: the complexity measure Density takes its cut from it.
 """
 
 from __future__ import annotations
@@ -317,6 +320,46 @@ def _binned_statistics(
         for values in kept:
             values.sort()
     return [gap.statistics(kept[a], kept[b], names) for (a, b), gap in zip(pairs, gaps)]
+
+
+def _quantile(blocks: list, span: tuple[float, float], q: float) -> float:
+    """``np.quantile(values, q)``, with the bits of its default ``linear``
+    method, of the values that the ``(size, fill)`` blocks produce; blocks
+    and ``span`` are as in ``_binned_statistics``.
+
+    numpy reads the two order statistics either side of its virtual index
+    ``(n - 1) * q``.  Pass 1 counts the values per bin; pass 2 keeps only
+    the values of the one or two bins holding those ranks, as each block's
+    distinct values with their counts, so a run of tied values costs one
+    entry per block, and reads both ranks off their merged counts.
+    """
+    n = sum(size for size, _ in blocks)
+    bins = _Bins.spanning(*span, _bin_target(n))
+    counts = np.zeros(bins.size, dtype=np.int64)
+    for size, fill in blocks:
+        if size:
+            counts += np.bincount(bins.index(fill())[0], minlength=bins.size)
+    virtual = (n - 1) * q
+    below = math.floor(virtual)
+    ranks = (below, below + 1) if virtual < n - 1 else (n - 1, n - 1)
+    ends = np.cumsum(counts)
+    first, last = np.searchsorted(ends, ranks, side="right")
+    parts = []
+    for size, fill in blocks:
+        if size:
+            values = fill()
+            idx = bins.index(values)[0]
+            parts.append(np.unique(values[(idx >= first) & (idx <= last)], return_counts=True))
+    kept = np.concatenate([values for values, _ in parts])
+    order = np.argsort(kept, kind="stable")
+    # one past each kept value's last rank, counting the values below its bins
+    past = np.cumsum(np.concatenate([c for _, c in parts])[order]) + (ends[first] - counts[first])
+    a, b = (float(kept[order[np.searchsorted(past, r, side="right")]]) for r in ranks)
+    # numpy's lerp, which switches form at a weight of one half (past the
+    # last rank, a == b and the weight is moot)
+    gamma = virtual - ranks[0]
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def _statistic(sample_a, sample_b, name: str) -> float:

@@ -211,3 +211,50 @@ def condensed_density(condensed, labels, quantile) -> float:
     same = labels[:, None] == labels[None, :]
     edges = (int(np.count_nonzero(same & (D <= cut))) - n) // 2
     return 1.0 - edges / condensed.size
+
+
+def dense_n2(D, labels) -> float:
+    """N2 from the masked square matrix: nearest same-class distances (the
+    point itself excluded) over nearest other-class ones."""
+    labels = np.asarray(labels)
+    masked = np.where(labels[:, None] == labels[None, :], D, np.inf)
+    np.fill_diagonal(masked, np.inf)
+    intra = float(masked.min(axis=1).sum())
+    inter = float(nearest_enemy(D, labels)[1].sum())
+    if inter == 0.0:
+        return 1.0 if intra > 0.0 else 0.0
+    r = intra / inter
+    return r / (1.0 + r)
+
+
+def dense_n3(D, labels) -> float:
+    """Leave-one-out 1-NN error from the square matrix: each row's nearest
+    other point (lowest index on ties), any coincident enemy an error."""
+    labels = np.asarray(labels)
+    off = D.copy()
+    np.fill_diagonal(off, np.inf)
+    wrong = labels[off.argmin(axis=1)] != labels
+    return float(np.mean(wrong | (nearest_enemy(D, labels)[1] == 0.0)))
+
+
+def dense_n4(points, labels, n_synthetic, seed) -> float:
+    """N4 with the synthetic points classified by one dense ``cdist`` matrix.
+
+    The draws repeat the measure's: Philox keyed by ``[seed, 0]``, a class
+    uniformly among the sorted labels, two distinct members, a weight.
+    """
+    from scipy.spatial.distance import cdist
+
+    X = np.asarray(points, dtype=float)
+    labels = np.asarray(labels)
+    g = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    classes = sorted(set(labels.tolist()))
+    synth, synth_labels = [], []
+    for _ in range(n_synthetic):
+        c = classes[int(g.integers(len(classes)))]
+        a, b = g.choice(np.flatnonzero(labels == c), size=2, replace=False)
+        t = g.random()
+        synth.append(X[a] + t * (X[b] - X[a]))
+        synth_labels.append(c)
+    nn = cdist(np.array(synth), X).argmin(axis=1)
+    return float(np.mean(labels[nn] != np.array(synth_labels)))

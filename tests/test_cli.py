@@ -274,6 +274,26 @@ class TestCompare:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["N3", "F1", "1-DSI"]
 
+    @pytest.mark.parametrize("measures", [None, "N2", "N1,T1,Density"])
+    def test_overflowing_distances_are_clean(self, tmp_path, capsys, measures):
+        # N(0, 1) * 1e200: the distances' squares overflow float64
+        points = rng(40).normal(size=(40, 2)) * 1e200
+        data = _points_csv(tmp_path / "d.csv", np.column_stack([points, np.arange(40) % 2]))
+        argv = ["compare", "--input", str(data)]
+        assert run(argv + (["--measures", measures] if measures else [])) == 1
+        assert capsys.readouterr().err == (
+            "error: distances between these points overflow float64; rescale the features\n"
+        )
+
+    def test_overflowing_feature_sums_are_clean(self, tmp_path, capsys):
+        # the distances are 1 to 3, but the coordinates' sums overflow
+        points = np.array([[1e308, 0, 0], [1e308, 1, 0], [1e308, 2, 1], [1e308, 3, 1]])
+        data = _points_csv(tmp_path / "d.csv", points)
+        assert run(["compare", "--input", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: F1's feature sums overflow float64")
+        assert run(["compare", "--input", str(data), "--measures", "N1,N3,T1"]) == 0
+
     def test_unknown_measure(self, tmp_path, capsys):
         data = _write_shape_csv(tmp_path / "d.csv")
         assert run(["compare", "--input", str(data), "--measures", "Q7"]) == 1

@@ -349,6 +349,14 @@ class TestDsi:
         with pytest.raises(DomainError, match="overflow"):
             dsi(ds)
 
+    def test_huge_coordinates_with_small_distances(self):
+        # coordinates near 1e308 of one sign: their mean overflows, their
+        # midrange cannot, and every distance is 1 to 3
+        labels = [0, 0, 1, 1]
+        huge = Dataset([[1e308, 0], [1e308, 1], [1e308, 2], [1e308, 3]], labels)
+        small = Dataset([[0, 0], [0, 1], [0, 2], [0, 3]], labels)
+        assert dsi(huge).to_dict() == dsi(small).to_dict()
+
     def test_overflowing_distance_sets_rejected(self):
         # the stored multisets are refused as the DSI is, not filled with inf
         ds = Dataset([[1e308, 0], [-1e308, 0], [0, 1], [1, 1]], [0, 0, 1, 1])

@@ -27,7 +27,9 @@ from separability import (
     t1,
 )
 
-from conftest import random_dataset, rng
+from separability.generators import GeneratorSpec, generate
+
+from conftest import random_dataset, rng, traced_peak
 from oracles import (
     brute_mst_edges,
     brute_n1,
@@ -35,6 +37,9 @@ from oracles import (
     class_masked_lsc,
     condensed_density,
     dense_complement_t1,
+    dense_n2,
+    dense_n3,
+    dense_n4,
     nearest_enemy,
 )
 
@@ -269,39 +274,74 @@ class TestDensity:
 
 
 @st.composite
-def _shuffled_classes(draw):
-    """2-4 classes of 2-8 points in shuffled order: gaussian, small-integer
-    (tie-heavy) or drawn from a few distinct points (coincident)."""
-    sizes = draw(st.lists(st.integers(2, 8), min_size=2, max_size=4))
+def _shuffled_classes(draw, max_size=8):
+    """2-4 classes of 2 to ``max_size`` points in shuffled order: gaussian,
+    small-integer (tie-heavy), drawn from a few distinct points (coincident),
+    or far apart, so that a sphere can cover its whole class (separated)."""
+    sizes = draw(st.lists(st.integers(2, max_size), min_size=2, max_size=4))
     dim = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["gaussian", "integer", "coincident"]))
+    kind = draw(st.sampled_from(["gaussian", "integer", "coincident", "separated"]))
     g = rng(draw(st.integers(0, 2**32 - 1)))
     n = sum(sizes)
+    labels = g.permutation(np.repeat(np.arange(len(sizes)), sizes))
     if kind == "gaussian":
         points = g.normal(size=(n, dim))
     elif kind == "integer":
         points = g.integers(0, 3, size=(n, dim)).astype(float)
-    else:
+    elif kind == "coincident":
         points = g.normal(size=(3, dim))[g.integers(0, 3, size=n)]
-    labels = g.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    else:
+        points = g.normal(size=(n, dim)) + 20.0 * labels[:, None]
     return Dataset(points=points, labels=labels)
 
 
 class TestDenseReferences:
-    """T1, LSC and Density read one shared square matrix; the references
-    hold the dense complement, the class mask and the condensed cut."""
+    """The measures read one shared square matrix in row blocks; the
+    references work on the dense matrix: the complement product for T1, the
+    class mask for LSC and N2, each row's argmin for N3, the condensed cut
+    for Density and one dense cdist matrix for N4."""
+
+    @staticmethod
+    def _references(ds, quantile, n_synthetic):
+        condensed = pdist(ds.points)
+        D = squareform(condensed)
+        radii = separability.measures._touching_radii(*nearest_enemy(D, ds.labels))
+        return {
+            "N2": dense_n2(D, ds.labels),
+            "N3": dense_n3(D, ds.labels),
+            "N4": dense_n4(ds.points, ds.labels, n_synthetic, seed=3),
+            "T1": dense_complement_t1(D, radii),
+            "LSC": class_masked_lsc(D, ds.labels),
+            "Density": condensed_density(condensed, ds.labels, quantile),
+        }
 
     @given(_shuffled_classes(), st.sampled_from([0.05, 0.15, 0.5]))
     @settings(max_examples=150, deadline=None)
     def test_match_references(self, ds, quantile):
-        condensed = pdist(ds.points)
-        D = squareform(condensed)
-        radii = separability.measures._touching_radii(*nearest_enemy(D, ds.labels))
-        assert t1(ds).value == dense_complement_t1(D, radii)
-        assert lsc(ds).value == class_masked_lsc(D, ds.labels)
-        assert density(ds, quantile).value == condensed_density(
-            condensed, ds.labels, quantile
+        alone = {
+            "N2": n2(ds).value,
+            "N3": n3(ds).value,
+            "N4": n4(ds, seed=3).value,
+            "T1": t1(ds).value,
+            "LSC": lsc(ds).value,
+            "Density": density(ds, quantile).value,
+        }
+        assert alone == self._references(ds, quantile, ds.n)
+
+    @given(
+        _shuffled_classes(max_size=50),
+        st.sampled_from([1, 3]),
+        st.sampled_from([0.05, 0.15, 0.5]),
+        st.integers(1, 300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_match_references(self, ds, workers, quantile, n_synthetic):
+        # up to 200 points: several row blocks, and covers of several words
+        codes = ["N2", "N3", "N4", "T1", "LSC", "Density"]
+        shared = compute_measures(
+            ds, codes, n4_synthetic=n_synthetic, seed=3, density_quantile=quantile, workers=workers
         )
+        assert {r.code: r.value for r in shared} == self._references(ds, quantile, n_synthetic)
 
 
 class TestDistanceMatrix:
@@ -404,6 +444,50 @@ class TestComputeMeasures:
         ds = Dataset(points=np.ones((4, 2)), labels=[0, 0, 0, 0])
         with pytest.raises(DegenerateDataset):
             compute_measures(ds, codes=["F1"])
+
+
+class TestOverflow:
+    """Points whose distances overflow float64 are refused up front, with the
+    DSI's own check, not turned into NaN or out-of-range values."""
+
+    DATA = Dataset(rng(40).normal(size=(40, 2)) * 1e200, np.arange(40) % 2)
+
+    def test_compute_measures(self):
+        for codes in (None, ["N2"], ["N1", "T1", "Density"], ["F1"]):
+            with pytest.raises(DomainError, match="overflow float64"):
+                compute_measures(self.DATA, codes)
+
+    @pytest.mark.parametrize("fn", [f1, n1, n2, n3, n4, t1, lsc, density])
+    def test_each_measure_alone(self, fn):
+        with pytest.raises(DomainError, match="overflow float64"):
+            fn(self.DATA)
+
+
+    def test_f1_feature_sums(self):
+        # every distance is 1 to 3, but the coordinates' sums overflow
+        ds = Dataset([[1e308, 0], [1e308, 1], [1e308, 2], [1e308, 3]], [0, 0, 1, 1])
+        with pytest.raises(DomainError, match="F1's feature sums overflow float64"):
+            f1(ds)
+        assert n3(ds).value == 0.25
+
+
+class TestMemory:
+    """The square distance matrix is the only n x n array: everything else
+    reads it in row blocks, so no run peaks much above its bytes."""
+
+    DATA = {
+        "spirals": generate(GeneratorSpec("spirals", 1500, seed=1)),
+        # two distinct distances: Density's cut falls in a bin holding half the pairs
+        "two-points": Dataset(np.repeat([[0.0, 0.0], [1.0, 0.0]], 1500, axis=0), np.arange(3000) % 2),
+    }
+
+    @pytest.mark.parametrize("data", DATA)
+    @pytest.mark.parametrize("fn", [compute_measures, f1, n1, n2, n3, n4, t1, lsc, density])
+    def test_peak_below_one_and_a_half_squares(self, fn, data):
+        ds = self.DATA[data]
+        square = ds.n**2 * 8
+        _, peak = traced_peak(lambda: fn(ds))
+        assert peak < 1.5 * square, f"{peak / square:.2f} squares"
 
 
 class TestMeasureResult:

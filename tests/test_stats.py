@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from separability import EmptySample, ks_statistic, wasserstein1, wasserstein1_normalized
 
+from conftest import rng
 from oracles import grid_ks, grid_wasserstein1
 
 finite_floats = st.floats(
@@ -169,3 +170,44 @@ class TestWassersteinNormalized:
         scaled = wasserstein1_normalized([c * v for v in a], [c * v for v in b])
         assert scaled == pytest.approx(base, rel=1e-9, abs=1e-12)
 
+
+class TestQuantile:
+    """``stats._quantile`` reproduces ``np.quantile`` to the bit from blocks."""
+
+    @staticmethod
+    def _blocks(values, cuts):
+        parts = np.split(values, sorted(c % (values.size + 1) for c in cuts))
+        return [(part.size, lambda part=part: part) for part in parts]
+
+    @given(
+        st.one_of(
+            st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=300),
+            st.lists(st.integers(0, 6).map(float), min_size=1, max_size=300),
+        ),
+        st.one_of(
+            st.floats(1e-9, 1.0 - 1e-9),
+            st.sampled_from([0.05, 0.15, 0.5, 1 / 3, 0.7, 0.95]),
+        ),
+        st.lists(st.integers(0, 400), max_size=4),
+        bin_targets,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy(self, values, q, cuts, target):
+        values = np.array(values)
+        span = (0.0, float(values.max()))
+        with _bins_about(target):
+            got = sys.modules["separability.stats"]._quantile(self._blocks(values, cuts), span, q)
+        assert got == np.quantile(values, q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 21, 100, 101, 1000])
+    def test_virtual_index_near_an_integer(self, n):
+        # q = k / (n - 1) and its neighbours put numpy's virtual index on,
+        # or one rounding either side of, an integer; weights near one half
+        # take the other form of numpy's interpolation
+        values = np.sqrt(rng(n).integers(0, 50, size=n).astype(float))
+        quantile = sys.modules["separability.stats"]._quantile
+        for k in range(min(n, 12)):
+            base = k / max(n - 1, 1)
+            for q in (base, np.nextafter(base, 0.0), np.nextafter(base, 1.0), base + 0.5 / max(n - 1, 1)):
+                if 0.0 < q < 1.0:
+                    assert quantile(self._blocks(values, [n // 3]), (0.0, 8.0), q) == np.quantile(values, q)
