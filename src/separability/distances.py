@@ -19,6 +19,8 @@ results are bit-identical for any ``workers`` value.  pdist and cdist give
 the same bits for the same pair, whichever block computes it and in either
 order.  Only ``pairwise_condensed`` and ``icd_set`` return the condensed
 form, the strict upper triangle row by row (see ``condensed_index``).
+Every public function that returns distances raises ``DomainError`` when
+one overflows float64, as the DSI does.
 
 The module's ``pdist`` and ``cdist`` are the only kernel entry points.
 Euclidean, cityblock and chebyshev distances between rows of at most
@@ -263,7 +265,9 @@ def distance(a, b, metric: DistanceMetric | str = "euclidean") -> float:
         raise ValueError("a and b must be single vectors of equal dimension")
     _check_vectors(av, m)
     _check_vectors(bv, m)
-    return float(_cross(av, bv, m)[0])
+    value = float(_cross(av, bv, m)[0])
+    _check_finite(value)
+    return value
 
 
 def condensed_index(n: int, i, j):
@@ -406,6 +410,7 @@ def pairwise_condensed(
     with Threads(workers) as threads:
         for _ in threads.map(unpack, tasks):
             pass
+    _check_finite(out.max())
     return out
 
 
@@ -422,7 +427,9 @@ def pairwise_cross(
         raise ValueError("point sets must share the feature dimension")
     _check_vectors(pa, m)
     _check_vectors(pb, m, offset=pa.shape[0])
-    return _cross(pa, pb, m).reshape(pa.shape[0], pb.shape[0])
+    out = _cross(pa, pb, m)
+    _check_finite(out.max(initial=0.0))
+    return out.reshape(pa.shape[0], pb.shape[0])
 
 
 @dataclass(frozen=True)
@@ -482,9 +489,7 @@ def icd_set(
         raise DegenerateClass(
             "ICD needs at least 2 points in the class", label=label
         )
-    values = pairwise_condensed(pts, metric, workers=workers)
-    _check_finite(values.max())
-    return DistanceSet._adopt(values, "icd", label)
+    return DistanceSet._adopt(pairwise_condensed(pts, metric, workers=workers), "icd", label)
 
 
 def bcd_set(
@@ -498,9 +503,7 @@ def bcd_set(
     pb = _as_points(points_b, "points_b")
     if pa.shape[0] < 1 or pb.shape[0] < 1:
         raise DegenerateClass("BCD needs at least 1 point on each side", label=label)
-    values = pairwise_cross(pa, pb, metric).ravel()
-    _check_finite(values.max())
-    return DistanceSet._adopt(values, "bcd", label)
+    return DistanceSet._adopt(pairwise_cross(pa, pb, metric).ravel(), "bcd", label)
 
 
 def fit_mahalanobis(points, ridge: float | None = None) -> DistanceMetric:

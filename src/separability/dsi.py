@@ -13,25 +13,28 @@ statistic is near 0; when the class sits apart it approaches 1.  The
 dataset's separability index is the unweighted mean over classes, and
 ``complexity = 1 - separability``.
 
-One private function, ``_dsi_reports``, does this for ``dsi`` and the
-CLI.  It checks the points once, for the whole dataset, so an error names
-the dataset's row, then streams the multisets through the distance kernel
-in row blocks without storing them: ICD(i) from the pairs among class i's
-rows, BCD(i) from the pairs between class i and each other class.  With
-two classes both BCDs are the same multiset, counted once.  Every pair of
-points is computed once per pass, and there are two passes at most: the
-first counts each multiset's distances per bin, the second, run only when
-some bin needs it, keeps the few distances in bins where |P - Q| must be
-read exactly (see ``stats``).  KS and the normalized 1-Wasserstein
-distance both come from the same passes, and ``workers`` threads share
-each pass's kernel blocks.  ``class_distance_sets`` fills the multisets
-from the same blocks, for export and inspection; the DSI never needs them.
+One setup step, ``_multisets``, checks the points once, for the whole
+dataset, so an error names the dataset's row, and refuses a class below 2
+points before any distance is computed.  It lays the multisets out as the
+distance kernel's row blocks: ICD(i) from the pairs among class i's rows,
+BCD(i) from the pairs between class i and each other class; with two
+classes both BCDs are the same multiset, counted once.  ``_dsi_reports``
+runs it for ``dsi``, for the CLI and for each draw of ``dsi_subsampled``
+(which draws again when the step refuses), then streams the blocks without
+storing them.  Every pair of points is computed once per pass, and there
+are two passes at most: the first counts each multiset's distances per bin,
+the second, run only when some bin needs it, keeps the few distances in
+bins where |P - Q| must be read exactly (see ``stats``).  KS and the
+normalized 1-Wasserstein distance both come from the same passes, and
+``workers`` threads share each pass's kernel blocks.  ``class_distance_sets``
+runs the same step and fills the multisets from its blocks, for export and
+inspection; the DSI never needs them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,7 +49,8 @@ from .distances import (
     _diameter_bound,
     resolve_metric,
 )
-from .errors import DegenerateClass, DegenerateSubset, DistanceCapError, DomainError
+from .errors import DegenerateClass, DegenerateDataset, DegenerateSubset
+from .errors import DistanceCapError, DomainError
 from .generators import _philox
 from .stats import _binned_statistics
 
@@ -76,10 +80,7 @@ DEFAULT_MAX_POINTS = 15_000
 STAT_NAMES = ("ks", "wasserstein")
 
 # The names ``stats._binned_statistics`` reads each statistic under.
-_GAP_STATISTICS = {
-    "ks": "ks",
-    "wasserstein": "w1_normalized",
-}
+_GAP_STATISTICS = {"ks": "ks", "wasserstein": "w1_normalized"}
 
 
 @dataclass(frozen=True)
@@ -129,14 +130,7 @@ class SeparabilityReport:
             "complexity": self.complexity,
         }
         if self.subsample is not None:
-            out["subsample"] = {
-                "subset_size": self.subsample.subset_size,
-                "trials": self.subsample.trials,
-                "seed": self.subsample.seed,
-                "mean": self.subsample.mean,
-                "sd": self.subsample.sd,
-                "values": list(self.subsample.values),
-            }
+            out["subsample"] = {**asdict(self.subsample), "values": list(self.subsample.values)}
         if include_timing:
             out["wall_time_s"] = self.wall_time_s
         return out
@@ -152,13 +146,24 @@ def _check_cap(
         )
 
 
-def _class_points(
-    ds: Dataset, m: DistanceMetric, max_points: int | None
-) -> tuple[dict[int, np.ndarray], float]:
-    """Each class's points, labels ascending, after checking the dataset once,
-    and a bound on any distance between two points (see ``_diameter_bound``).
+def _check_stats(stats: tuple[str, ...]) -> None:
+    for stat in stats:
+        if stat not in _GAP_STATISTICS:
+            raise ValueError(
+                f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
+            )
 
-    A class whose rows are contiguous is a view of ``ds.points``, not a copy.
+
+def _multisets(ds: Dataset, m: DistanceMetric, max_points: int | None) -> tuple:
+    """Check the dataset once, then lay out its classes' ICD and BCD multisets.
+
+    Fewer than 2 classes, or a class below 2 points, raises before any other
+    check.  Multisets are numbered ICD(c) = c and BCD(c) = k + c for the k
+    classes, labels ascending; with two classes both BCDs are the one cross
+    multiset, number 2.  Returns the labels, the blocks as
+    ``stats._binned_statistics`` reads them (each pair of points in one
+    block), each class's BCD number, each multiset's size, and a bound on
+    any distance (see ``_diameter_bound``).
     """
     groups = partition(ds).groups
     for label, rows in groups.items():
@@ -169,26 +174,14 @@ def _class_points(
             )
     _check_cap(ds.n, max_points)
     _check_vectors(ds.points, m)
-    classes = {
-        label: ds.points[rows[0] : rows[-1] + 1]
+    # a class whose rows are contiguous is a view of ds.points, not a copy
+    points = [
+        ds.points[rows[0] : rows[-1] + 1]
         if rows[-1] - rows[0] + 1 == rows.size
         else ds.points[rows]
-        for label, rows in groups.items()
-    }
-    return classes, _diameter_bound(ds.points, m)
-
-
-def _multisets(points: list[np.ndarray], m: DistanceMetric) -> tuple[list, list[int], list[int]]:
-    """The kernel blocks of the classes' ICD and BCD multisets, labels ascending.
-
-    Multisets are numbered ICD(c) = c and BCD(c) = k + c for the k classes;
-    with two classes both BCDs are the one cross multiset, number 2.  Returns
-    the blocks as ``stats._binned_statistics`` reads them, each pair of points
-    in one block, then each class's BCD number and each multiset's size.
-    """
+        for rows in groups.values()
+    ]
     k = len(points)
-    counts = [mine.shape[0] for mine in points]
-    n = sum(counts)
     bcd = [k, k] if k == 2 else [k + c for c in range(k)]
     sources = [(_condensed_blocks(mine, m), (c,)) for c, mine in enumerate(points)]
     sources += [
@@ -196,8 +189,26 @@ def _multisets(points: list[np.ndarray], m: DistanceMetric) -> tuple[list, list[
         for c in range(k)
         for d in range(c + 1, k)
     ]
-    sizes = [s * (s - 1) // 2 for s in counts] + [s * (n - s) for s in counts]
-    return sources, bcd, sizes[: max(bcd) + 1]
+    counts = [rows.size for rows in groups.values()]
+    sizes = [s * (s - 1) // 2 for s in counts] + [s * (ds.n - s) for s in counts]
+    return list(groups), sources, bcd, sizes[: max(bcd) + 1], _diameter_bound(ds.points, m)
+
+
+def _report(
+    ds: Dataset, m: DistanceMetric, stat: str, per_class, index, wall_time_s, subsample=None
+) -> SeparabilityReport:
+    """The report of one statistic: ``per_class`` scores and the index ``index``."""
+    return SeparabilityReport(
+        per_class_similarity=per_class,
+        dsi=index,
+        complexity=1.0 - index,
+        metric=m.name,
+        stat=stat,
+        n_points=ds.n,
+        dim=ds.dim,
+        subsample=subsample,
+        wall_time_s=wall_time_s,
+    )
 
 
 def _dsi_reports(
@@ -210,13 +221,8 @@ def _dsi_reports(
     """One report per entry of ``stats``, all from the same two passes."""
     t0 = time.perf_counter()
     m = resolve_metric(metric)
-    for stat in stats:
-        if stat not in _GAP_STATISTICS:
-            raise ValueError(
-                f"unknown statistic {stat!r}; expected one of {', '.join(STAT_NAMES)}"
-            )
-    classes, bound = _class_points(ds, m, max_points)
-    sources, bcd, _ = _multisets(list(classes.values()), m)
+    _check_stats(stats)
+    labels, sources, bcd, _, bound = _multisets(ds, m, max_points)
     names = tuple(dict.fromkeys(_GAP_STATISTICS[stat] for stat in stats))
     with Threads(workers) as threads:
         named = _binned_statistics(sources, list(enumerate(bcd)), (0.0, bound), names, threads)
@@ -225,18 +231,8 @@ def _dsi_reports(
     reports = []
     for stat in stats:
         values = [scores[_GAP_STATISTICS[stat]] for scores in named]
-        index = float(np.mean(values))
         reports.append(
-            SeparabilityReport(
-                per_class_similarity=dict(zip(classes, values)),
-                dsi=index,
-                complexity=1.0 - index,
-                metric=m.name,
-                stat=stat,
-                n_points=ds.n,
-                dim=ds.dim,
-                wall_time_s=wall_time_s,
-            )
+            _report(ds, m, stat, dict(zip(labels, values)), float(np.mean(values)), wall_time_s)
         )
     return reports
 
@@ -255,8 +251,7 @@ def class_distance_sets(
     (see ``dsi``); this is for exporting and inspecting them.
     """
     m = resolve_metric(metric)
-    classes, _ = _class_points(ds, m, max_points)
-    sources, bcd, sizes = _multisets(list(classes.values()), m)
+    labels, sources, bcd, sizes, _ = _multisets(ds, m, max_points)
     sets = [np.empty(size, dtype=np.float64) for size in sizes]
     # each block fills its slice of the first multiset it feeds, in place,
     # and is copied into the second one (a BCD, with three classes or more)
@@ -283,7 +278,7 @@ def class_distance_sets(
             DistanceSet._adopt(sets[c], "icd", label),
             DistanceSet._adopt(sets[bcd[c]], "bcd", label),
         )
-        for c, label in enumerate(classes)
+        for c, label in enumerate(labels)
     }
 
 
@@ -304,11 +299,6 @@ def dsi(
     return report
 
 
-def _usable(sub: Dataset) -> bool:
-    labels, counts = np.unique(sub.labels, return_counts=True)
-    return labels.size >= 2 and bool(np.all(counts >= 2))
-
-
 def dsi_subsampled(
     ds: Dataset,
     subset_size: int,
@@ -324,8 +314,9 @@ def dsi_subsampled(
 
     Each trial draws ``subset_size`` rows without replacement using a
     Philox stream keyed by ``[seed, trial]``, then computes the exact index
-    on the subset; ``seed`` must be in [0, 2**64).  Draws leaving fewer than 2 classes or a singleton class
-    are rejected and redrawn (same stream) up to ``max_retries`` times.
+    on the subset; ``seed`` must be in [0, 2**64).  Draws leaving fewer than
+    2 classes or a singleton class are refused before any distance is
+    computed and redrawn (same stream) up to ``max_retries`` times.
 
     The report's ``dsi`` aggregates trials: ``per_class_similarity`` holds
     each class's statistic averaged over the trials where it appeared,
@@ -338,15 +329,14 @@ def dsi_subsampled(
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not 1 <= subset_size <= ds.n:
-        raise DomainError(
-            f"subset_size must be in [1, {ds.n}], got {subset_size}"
-        )
+        raise DomainError(f"subset_size must be in [1, {ds.n}], got {subset_size}")
     if max_points is not None and subset_size > max_points:
         raise DistanceCapError(
             f"subset_size {subset_size} exceeds the exact-computation cap of "
             f"{max_points}; pass a smaller subset_size or a larger max_points"
         )
     m = resolve_metric(metric)
+    _check_stats((stat,))
 
     trial_values: list[float] = []
     class_scores: dict[int, list[float]] = {}
@@ -354,15 +344,16 @@ def dsi_subsampled(
         rng = _philox(seed, t)
         for _ in range(max_retries):
             idx = np.sort(rng.choice(ds.n, size=subset_size, replace=False))
-            sub = ds.subset(idx)
-            if _usable(sub):
+            try:
+                (report,) = _dsi_reports(ds.subset(idx), m, (stat,), workers, None)
                 break
+            except (DegenerateDataset, DegenerateClass):
+                pass  # refused before any distance is computed: draw again
         else:
             raise DegenerateSubset(
                 f"trial {t}: no usable subset of size {subset_size} in "
                 f"{max_retries} draws (every draw left a class below 2 points)"
             )
-        report = dsi(sub, m, stat=stat, workers=workers, max_points=None)
         trial_values.append(report.dsi)
         for c, s in report.per_class_similarity.items():
             class_scores.setdefault(c, []).append(s)
@@ -371,24 +362,8 @@ def dsi_subsampled(
     mean = float(values.mean())
     sd = float(values.std(ddof=1)) if trials > 1 else 0.0
     per_class = {c: float(np.mean(v)) for c, v in sorted(class_scores.items())}
-    return SeparabilityReport(
-        per_class_similarity=per_class,
-        dsi=mean,
-        complexity=1.0 - mean,
-        metric=m.name,
-        stat=stat,
-        n_points=ds.n,
-        dim=ds.dim,
-        subsample=SubsampleStats(
-            subset_size=subset_size,
-            trials=trials,
-            seed=seed,
-            mean=mean,
-            sd=sd,
-            values=tuple(trial_values),
-        ),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    subsample = SubsampleStats(subset_size, trials, seed, mean, sd, tuple(trial_values))
+    return _report(ds, m, stat, per_class, mean, time.perf_counter() - t0, subsample)
 
 
 def distribution_identity_score(

@@ -209,13 +209,14 @@ class _Gap:
             np.concatenate([kept_a[in_a], kept_b[in_b]]), np.count_nonzero(in_a)
         )
         at = bins.index(grid)[0]
-        a_below, b_below, before, _ = self._cumulative()
-        count_a += _skipped(a_below, self.a.counts, refine)[at]
-        count_b += _skipped(b_below, self.b.counts, refine)[at]
+        # each kept value's bin is refined, so the values in unrefined bins
+        # up to it are the values below it that pass 2 did not keep
+        count_a += np.cumsum(np.where(refine, 0, self.a.counts))[at]
+        count_b += np.cumsum(np.where(refine, 0, self.b.counts))[at]
         heights = np.abs(count_a / self.na - count_b / self.nb)
         out = {"ks": max(self.best, float(heights.max(initial=0.0)))}
         if "w1" in names or "w1_normalized" in names:
-            out["w1"] = self._area(grid, at, heights, before)
+            out["w1"] = self._area(grid, at, heights, self._cumulative()[2])
             low, high = min(self.a.low, self.b.low), max(self.a.high, self.b.high)
             pooled_range = float(high - low)
             # rounding can put the ratio a hair above its bound of 1
@@ -242,12 +243,6 @@ class _Gap:
             pieces[first] += (t[first] - lower) * np.abs(before[at[first]])
             shares[self.refine] = np.bincount(at, weights=pieces, minlength=bins.size)[self.refine]
         return float(shares.sum()) / bins.scale
-
-
-def _skipped(below, counts, refine) -> NDArray[np.int64]:
-    """How many values lie in unrefined bins below each bin."""
-    held = np.where(refine, counts, 0)
-    return below - (np.cumsum(held) - held)
 
 
 def _merge(values, split: int) -> tuple:
@@ -354,12 +349,10 @@ def _quantile(blocks: list, span: tuple[float, float], q: float) -> float:
     order = np.argsort(kept, kind="stable")
     # one past each kept value's last rank, counting the values below its bins
     past = np.cumsum(np.concatenate([c for _, c in parts])[order]) + (ends[first] - counts[first])
-    a, b = (float(kept[order[np.searchsorted(past, r, side="right")]]) for r in ranks)
-    # numpy's lerp, which switches form at a weight of one half (past the
-    # last rank, a == b and the weight is moot)
-    gamma = virtual - ranks[0]
-    diff = b - a
-    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
+    a, b = (kept[order[np.searchsorted(past, r, side="right")]] for r in ranks)
+    # numpy's lerp, from numpy itself: the same weight between the same two
+    # values (past the last rank, a == b and the weight is moot)
+    return float(np.quantile(np.array([a, b]), virtual - ranks[0]))
 
 
 def _statistic(sample_a, sample_b, name: str) -> float:

@@ -942,6 +942,19 @@ class TestFetch:
         assert "digest mismatch" in capsys.readouterr().err
 
 
+# repro figure7 --n-per-class 500: the index at cluster_sd 1, ..., 9
+FIGURE7_KS = [
+    0.9988568537074148, 0.8406524889779559, 0.5795805771543086,
+    0.394508877755511, 0.277159871743487, 0.202746873747495,
+    0.15285332665330661, 0.11863444889779562, 0.09448243286573149,
+]
+FIGURE7_W1 = [
+    0.5149276176654431, 0.3054231465959639, 0.19496785209023665,
+    0.13179915156723354, 0.09364687714759135, 0.0681467219923938,
+    0.05143010510627724, 0.039619937989493564, 0.03130230824321109,
+]
+
+
 class TestRepro:
     def test_table2_structure(self, tmp_path):
         out = tmp_path / "t2.csv"
@@ -960,6 +973,20 @@ class TestRepro:
         assert run(["repro", "table2", "--n-per-class", "30", "--output", str(a)]) == 0
         assert run(["repro", "table2", "--n-per-class", "30", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_table2_digest(self, tmp_path):
+        # the default table, byte for byte: no refactor may move a value
+        out = tmp_path / "t2.csv"
+        assert run(["repro", "table2", "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest().startswith("ff17a0f4b7aba6dc")
+
+    def test_figure7_pinned(self, capsys):
+        # KS is a ratio of counts, so its bits hold; W1 holds to 1e-12
+        assert run(["repro", "figure7", "--n-per-class", "500"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(sd) for sd, _, _ in rows] == list(range(1, 10))
+        assert [float(ks) for _, ks, _ in rows] == FIGURE7_KS
+        assert [float(w1) for _, _, w1 in rows] == pytest.approx(FIGURE7_W1, rel=1e-12)
 
     def test_figure7_structure(self, capsys):
         assert run(["repro", "figure7", "--n-per-class", "30"]) == 0

@@ -283,12 +283,22 @@ class TestDistanceSets:
         with pytest.raises(ValueError, match="non-negative"):
             DistanceSet(values=np.array([1.0, -0.5]), kind="icd")
 
-    @pytest.mark.parametrize("kind", ["icd", "bcd"])
-    def test_overflowing_distances_rejected(self, kind):
-        # the DSI refuses these points; so does each single multiset
-        points = np.array([[1e308, 0], [-1e308, 0], [0, 1], [1, 1]])
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            pytest.param(lambda p: icd_set(p), id="icd"),
+            pytest.param(lambda p: bcd_set(p[:2], p[2:]), id="bcd"),
+            pytest.param(lambda p: pairwise_condensed(p), id="condensed"),
+            pytest.param(lambda p: pairwise_cross(p[:2], p[2:]), id="cross"),
+            pytest.param(lambda p: distance(p[0], p[1]), id="distance"),
+        ],
+    )
+    def test_overflowing_distances_rejected(self, compute):
+        # the DSI refuses these points; so does every function that returns
+        # their distances, instead of returning inf
+        points = np.array([[1e308, 0], [-1e308, 0], [0, 1]])
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflow"):
-            icd_set(points[:2]) if kind == "icd" else bcd_set(points[:2], points[2:])
+            compute(points)
 
 
 class TestFitMahalanobis:

@@ -415,6 +415,17 @@ class TestDsi:
         )
 
 
+# dsi_subsampled on 2x40 moons (seed 7), subsets of 8, 6 trials, seed 11
+SUBSAMPLED_KS = [
+    "0x1.7777777777778p-2", "0x1.7777777777778p-2", "0x1.2000000000000p-1",
+    "0x1.6eeeeeeeeeeeep-1", "0x1.0000000000000p-1", "0x1.a000000000000p-2",
+]
+SUBSAMPLED_W1 = [
+    0.20049106390263177, 0.14352570396298606, 0.34085128831117983,
+    0.2845275357286601, 0.20322457347150547, 0.17030326259291023,
+]
+
+
 class TestDsiSubsampled:
     def test_deterministic(self):
         ds = random_dataset(n_per_class=80, seed=10, spread=2.0)
@@ -486,6 +497,24 @@ class TestDsiSubsampled:
         ds = random_dataset(n_per_class=40, seed=18)
         report = dsi_subsampled(ds, subset_size=30, trials=2, max_points=50)
         assert report.subsample is not None
+
+    def test_unknown_stat_rejected_before_drawing(self):
+        ds = random_dataset(n_per_class=10, seed=19)
+        drew = mock.Mock(side_effect=AssertionError("drew a subset"))
+        with mock.patch.object(sys.modules["separability.dsi"], "_philox", drew):
+            with pytest.raises(ValueError, match="unknown statistic 'bogus'"):
+                dsi_subsampled(ds, subset_size=10, stat="bogus")
+
+    @pytest.mark.parametrize("stat", ["ks", "wasserstein"])
+    def test_pinned_trials(self, stat):
+        # two draws over the six trials leave a class below 2 points and are
+        # drawn again, so these pin the redraws as well as the values
+        ds = generate(GeneratorSpec("moons", 40, seed=7))
+        report = dsi_subsampled(ds, subset_size=8, trials=6, seed=11, stat=stat)
+        if stat == "ks":
+            assert [v.hex() for v in report.subsample.values] == SUBSAMPLED_KS
+        else:
+            assert list(report.subsample.values) == pytest.approx(SUBSAMPLED_W1, rel=1e-12)
 
     def test_cap_applies_to_subset_size(self):
         ds = random_dataset(n_per_class=40, seed=18)
