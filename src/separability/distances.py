@@ -9,18 +9,24 @@ mahalanobis requires a fitted inverse-covariance context (see
 Pairwise distances are computed in row blocks: among one point set, each
 block is a triangle (pdist) plus a rectangle (cdist) against the later
 rows; between two point sets, a block of the first set's rows against the
-second (cdist).  Every block is a ``(size, fill)`` pair: ``fill(out)``
-writes the block's ``size`` distances, triangle first, clamped, into the
-flat float64 slice ``out``, or into a new array when ``out`` is None, and
-returns it; callers give each block its slice of their own result.  The
-blocks depend only on the row count, never on the worker count, so every
-entry is produced by the same library call regardless of parallelism and
-results are bit-identical for any ``workers`` value.  pdist and cdist give
-the same bits for the same pair, whichever block computes it and in either
-order.  Only ``pairwise_condensed`` and ``icd_set`` return the condensed
-form, the strict upper triangle row by row (see ``condensed_index``).
-Every public function that returns distances raises ``DomainError`` when
-one overflows float64, as the DSI does.
+second (cdist).  A block's rows are capped so that rows times the width of
+a row (the other set's size) stays within a budget of ``_BLOCK_VALUES``
+float64 values, 512 KiB, so a block's values and temporaries stay near
+cache size whatever n is.  Every block is a
+``(size, fill)`` pair: ``fill(out, scratch)`` writes the block's ``size``
+distances, triangle first, clamped, into the flat float64 slice ``out``
+and takes its temporaries from ``scratch`` (a ``_threads.Scratch``, one per
+thread of a call), so a walk over the blocks allocates nothing per block;
+callers give each block its slice of their own result, or a scratch
+buffer.  The blocks depend only on the row counts, never on the worker
+count, so every entry is produced by the same library call regardless of
+parallelism and results are bit-identical for any ``workers`` value.
+pdist and cdist give the same bits for the same pair, whichever block
+computes it and in either order.  Only ``pairwise_condensed`` and
+``icd_set`` return the condensed form, the strict upper triangle row by
+row (see ``condensed_index``).  Every public function that returns
+distances raises ``DomainError`` when one overflows float64, as the DSI
+does, and prints no floating-point warning on the way.
 
 The module's ``pdist`` and ``cdist`` are the only kernel entry points.
 Euclidean, cityblock and chebyshev distances between rows of at most
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._threads import SERIAL, Threads
+from ._threads import Scratch, Threads
 from .errors import DegenerateClass, DegenerateVector, DomainError, SingularCovariance
 
 __all__ = [
@@ -69,10 +75,17 @@ METRIC_NAMES = (
 # push a hair past either end, so those metrics are clamped after computing.
 _CLAMPED_METRICS = frozenset({"correlation", "cosine"})
 
-# A row block holds at most _BLOCK_ROWS rows; fewer than _BLOCK_ROWS *
-# _MIN_BLOCKS rows are still cut into _MIN_BLOCKS blocks, so threads can share
-# a small class.  Blocks depend only on the row count, never on the workers.
+# A row block holds at most _BLOCK_ROWS rows and, when a row is wide, at most
+# as many as keep rows x width within _BLOCK_VALUES float64 values (one row
+# if a row alone is wider).  Each temporary of a block is then at most
+# 512 KiB.  On 2x2500 moons (x86-64 Linux, glibc malloc), 128-row blocks of
+# 2.5 MiB, allocated afresh for each block, cost CLI `measure` ~90k minor
+# page faults and 0.15-0.2 s of system time; these blocks, filled into
+# per-thread buffers, ~8k faults, most of them from imports.  Fewer than _BLOCK_ROWS * _MIN_BLOCKS rows are still cut into
+# _MIN_BLOCKS blocks, so threads can share a small class.  Blocks depend
+# only on the row counts, never on the workers.
 _BLOCK_ROWS = 128
+_BLOCK_VALUES = 1 << 16
 _MIN_BLOCKS = 8
 
 
@@ -139,18 +152,23 @@ _NUMPY_METRICS = frozenset({"euclidean", "cityblock", "chebyshev"})
 
 
 def _minkowski(
-    xa: NDArray[np.float64], xb: NDArray[np.float64], metric: str, out: NDArray[np.float64]
+    xa: NDArray[np.float64],
+    xb: NDArray[np.float64],
+    metric: str,
+    out: NDArray[np.float64],
+    scratch: Scratch,
 ):
     """Write the ``metric`` distance from each row of ``xa`` to each row of
     ``xb`` into the (len(xa), len(xb)) array ``out``.
 
     Adds (a_k - b_k)**2, |a_k - b_k| or takes the running maximum of the
     latter one feature k at a time, in feature order, as scipy's loop does,
-    so each value has scipy's bits.
+    so each value has scipy's bits.  Each term past the first is built in
+    ``scratch``'s "term" buffer.
     """
-    scratch = np.empty_like(out) if xa.shape[1] > 1 else None
+    terms = scratch.take("term", out.size).reshape(out.shape) if xa.shape[1] > 1 else None
     for k in range(xa.shape[1]):
-        term = scratch if k else out
+        term = terms if k else out
         np.subtract(xa[:, k, None], xb[:, k], out=term)
         if metric == "euclidean":
             np.multiply(term, term, out=term)
@@ -166,19 +184,27 @@ def _numpy_serves(points: NDArray[np.float64], metric: str) -> bool:
     return metric in _NUMPY_METRICS and points.shape[1] <= _NUMPY_MAX_DIM
 
 
-def pdist(points: NDArray[np.float64], metric: str, out=None, **kwargs) -> NDArray[np.float64]:
+def pdist(
+    points: NDArray[np.float64],
+    metric: str,
+    out: NDArray[np.float64] | None = None,
+    scratch: Scratch | None = None,
+    **kwargs,
+) -> NDArray[np.float64]:
     """``scipy.spatial.distance.pdist`` for one row block.
 
-    The numpy path computes the block's square matrix and keeps its strict
-    upper triangle in row-major order, which is the condensed order.
+    The numpy path computes the block's square matrix in ``scratch`` and
+    keeps its strict upper triangle in row-major order, which is the
+    condensed order.
     """
     if not _numpy_serves(points, metric):
         from scipy.spatial.distance import pdist as scipy_pdist
 
         return scipy_pdist(points, metric=metric, out=out, **kwargs)
+    scratch = Scratch() if scratch is None else scratch
     m = points.shape[0]
-    square = np.empty((m, m), dtype=np.float64)
-    _minkowski(points, points, metric, square)
+    square = scratch.take("square", m * m).reshape(m, m)
+    _minkowski(points, points, metric, square, scratch)
     return np.compress(np.triu(np.ones((m, m), dtype=bool), k=1).ravel(), square, out=out)
 
 
@@ -187,16 +213,18 @@ def cdist(
     xb: NDArray[np.float64],
     metric: str,
     out: NDArray[np.float64] | None = None,
+    scratch: Scratch | None = None,
     **kwargs,
 ) -> NDArray[np.float64]:
-    """``scipy.spatial.distance.cdist``, computed in numpy where it serves."""
+    """``scipy.spatial.distance.cdist``, computed in numpy where it serves,
+    with its temporaries in ``scratch``."""
     if not _numpy_serves(xa, metric):
         from scipy.spatial.distance import cdist as scipy_cdist
 
         return scipy_cdist(xa, xb, metric=metric, out=out, **kwargs)
     if out is None:
         out = np.empty((xa.shape[0], xb.shape[0]), dtype=np.float64)
-    _minkowski(xa, xb, metric, out)
+    _minkowski(xa, xb, metric, out, Scratch() if scratch is None else scratch)
     return out
 
 
@@ -277,9 +305,11 @@ def condensed_index(n: int, i, j):
     return n * i - i * (i + 1) // 2 + (j - i - 1)
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """The fixed row blocks ``(r0, r1)`` of n rows."""
-    step = max(1, min(_BLOCK_ROWS, -(-n // _MIN_BLOCKS)))
+def _row_blocks(n: int, width: int | None = None) -> list[tuple[int, int]]:
+    """The fixed row blocks ``(r0, r1)`` of n rows of ``width`` values each
+    (n by default, as for the pairs among n points)."""
+    width = n if width is None else width
+    step = max(1, min(_BLOCK_ROWS, -(-n // _MIN_BLOCKS), _BLOCK_VALUES // max(width, 1)))
     return [(r, min(r + step, n)) for r in range(0, n, step)]
 
 
@@ -296,36 +326,44 @@ def _block(rows, rest, triangle: bool, metric: DistanceMetric) -> tuple:
     among = m * (m - 1) // 2 if triangle else 0
     size = among + m * rest.shape[0]
 
-    def fill(out=None):
-        out = np.empty(size, dtype=np.float64) if out is None else out
+    def fill(out, scratch):
         if among:
-            pdist(rows, out=out[:among], **kwargs)
+            pdist(rows, out=out[:among], scratch=scratch, **kwargs)
         if rest.shape[0]:
-            cdist(rows, rest, out=out[among:].reshape(m, -1), **kwargs)
+            cdist(rows, rest, out=out[among:].reshape(m, -1), scratch=scratch, **kwargs)
         _clamp(out, metric)
-        return out
 
     return size, fill
 
 
+def _filled(size: int, fill, scratch: Scratch) -> NDArray[np.float64]:
+    """A block's values, written by ``fill`` into the "values" buffer of ``scratch``."""
+    values = scratch.take("values", size)
+    fill(values, scratch)
+    return values
+
+
 def _condensed_blocks(pts: NDArray[np.float64], metric: DistanceMetric) -> list:
-    """The pairwise distances among ``pts``, unchecked, one block per row block."""
+    """The pairwise distances among ``pts``, unchecked, one block per row
+    block of ``_row_blocks(len(pts))``."""
     return [_block(pts[r0:r1], pts[r1:], True, metric) for r0, r1 in _row_blocks(pts.shape[0])]
 
 
 def _cross_blocks(pa: NDArray[np.float64], pb: NDArray[np.float64], metric: DistanceMetric) -> list:
     """The distances from the rows of ``pa`` to those of ``pb``, unchecked, one
-    block per row block of ``pa``."""
-    return [_block(pa[r0:r1], pb, False, metric) for r0, r1 in _row_blocks(pa.shape[0])]
+    block per row block of ``_row_blocks(len(pa), len(pb))``."""
+    blocks = _row_blocks(pa.shape[0], pb.shape[0])
+    return [_block(pa[r0:r1], pb, False, metric) for r0, r1 in blocks]
 
 
 def _cross(
     pa: NDArray[np.float64],
     pb: NDArray[np.float64],
     metric: DistanceMetric,
-    threads: Threads = SERIAL,
+    workers: int = 1,
 ) -> NDArray[np.float64]:
-    """All distances from the rows of ``pa`` to those of ``pb``, flat and row-major.
+    """All distances from the rows of ``pa`` to those of ``pb``, flat and
+    row-major, on ``workers`` threads.
 
     Unchecked: both must be finite 2-D float64 arrays on which ``metric`` is
     defined (see ``_check_vectors``).  Each block of ``pa``'s rows is computed
@@ -336,8 +374,16 @@ def _cross(
     for size, fill in _cross_blocks(pa, pb, metric):
         tasks.append((fill, out[start : start + size]))
         start += size
-    for _ in threads.map(lambda task: task[0](task[1]), tasks):
-        pass
+
+    def fill_slice(task, scratch):
+        fill, part = task
+        # callers that may overflow check the result; numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill(part, scratch)
+
+    with Threads(workers) as threads:
+        for _ in threads.map(fill_slice, tasks):
+            pass
     return out
 
 
@@ -359,7 +405,7 @@ def _diameter_bound(points: NDArray[np.float64], metric: DistanceMetric) -> floa
         return 2.0
     center = points.min(axis=0) / 2 + points.max(axis=0) / 2
     radius = 0.0
-    step = max(1, (1 << 16) // points.shape[1])  # rows of at most 512 KiB
+    step = max(1, _BLOCK_VALUES // points.shape[1])
     for r0 in range(0, points.shape[0], step):
         u = points[r0 : r0 + step] - center
         if metric.name == "cityblock":
@@ -395,9 +441,10 @@ def pairwise_condensed(
     _check_vectors(pts, m)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
 
-    def unpack(task):
-        (r0, r1), (_, fill) = task
-        values, t0 = fill(), 0
+    def unpack(task, scratch):
+        (r0, r1), (size, fill) = task
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            values, t0 = _filled(size, fill, scratch), 0
         rect = values[(r1 - r0) * (r1 - r0 - 1) // 2 :].reshape(r1 - r0, n - r1)
         for i in range(r0, r1):
             # row i's pairs: its row of the block's triangle, then of the rectangle

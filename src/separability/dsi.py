@@ -66,15 +66,15 @@ __all__ = [
 ]
 
 # Exact computation stores no multiset: it streams every distance through the
-# kernel once or twice, so memory grows with the kernel's row blocks (up to
-# 128 rows by n float64 values, a few such arrays) and with the distances kept
-# in refined bins, not with n**2.  CLI `measure` (KS, one thread) peaks at
-# 58 MiB RSS in 1.3-1.4 s on 2x5000 moons points and at 82 MiB in 2.4-2.8 s
-# on 2x7500.  Three 2-D standard Gaussian classes sharing one mean, 10k
-# points in all, keep 9.0M distances in refined bins and take 262 MiB in
-# 2.1-3.0 s (2-vCPU Intel Xeon KVM guest, numpy 2.4.6).  Time grows with
-# n**2, so the cap guards time: beyond it callers must subsample or raise
-# it knowingly.
+# kernel once or twice, so memory grows with the kernel's row blocks (at most
+# 2**16 float64 values, in a few buffers per thread) and with the distances
+# kept in refined bins, not with n**2.  CLI `measure` (KS, one thread) peaks
+# at 51 MiB RSS in 1.5-1.6 s on 2x5000 moons points and at 73 MiB in
+# 2.9-3.1 s on 2x7500.  Three 2-D standard Gaussian classes sharing one mean,
+# 10k points in all, keep 7.0M distances in refined bins and take 217 MiB in
+# 2.6-2.7 s (2-vCPU Intel Xeon KVM guest, numpy 2.4.6, three runs each
+# through perfbench/spawn.py).  Time grows with n**2, so the cap guards
+# time: beyond it callers must subsample or raise it knowingly.
 DEFAULT_MAX_POINTS = 15_000
 
 STAT_NAMES = ("ks", "wasserstein")
@@ -224,8 +224,7 @@ def _dsi_reports(
     _check_stats(stats)
     labels, sources, bcd, _, bound = _multisets(ds, m, max_points)
     names = tuple(dict.fromkeys(_GAP_STATISTICS[stat] for stat in stats))
-    with Threads(workers) as threads:
-        named = _binned_statistics(sources, list(enumerate(bcd)), (0.0, bound), names, threads)
+    named = _binned_statistics(sources, list(enumerate(bcd)), (0.0, bound), names, workers)
 
     wall_time_s = time.perf_counter() - t0
     reports = []
@@ -262,9 +261,9 @@ def class_distance_sets(
             for f in feeds:
                 filled[f] += size
 
-    def fill_slices(task):
+    def fill_slices(task, scratch):
         fill, (first, *copies) = task
-        fill(first)
+        fill(first, scratch)
         for copy in copies:
             copy[:] = first
 

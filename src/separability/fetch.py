@@ -10,7 +10,6 @@ network I/O.  The cache directory is, in order of preference:
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 
@@ -33,6 +32,8 @@ def cache_dir() -> Path:
 
 def _parse_digest(expected_digest: str) -> tuple[str, str]:
     """Split "algo:hex" (bare hex means sha256) and sanity-check both."""
+    import hashlib  # here, not at module level: only a fetch needs it
+
     if not isinstance(expected_digest, str) or not expected_digest.strip():
         raise FetchError("expected digest must be a non-empty string")
     text = expected_digest.strip().lower()
@@ -50,6 +51,8 @@ def _parse_digest(expected_digest: str) -> tuple[str, str]:
 
 
 def _digest_of(data: bytes, algo: str) -> str:
+    import hashlib
+
     h = hashlib.new(algo)
     h.update(data)
     return h.hexdigest()

@@ -32,8 +32,10 @@ dataset, as the rows of one cross kernel pass of the points against
 themselves on ``workers`` threads, and shares it, read-only, among N1,
 N2, N3, T1, LSC and Density; a measure called on its own computes it
 itself on one thread.  That matrix is the only n x n array: everything
-else reads it in the kernel's fixed row blocks, with temporaries of
-block x n size.  One walk over the blocks finds each point's nearest enemy
+else reads it in the kernel's fixed row blocks (``distances._row_blocks``,
+at most ``_BLOCK_VALUES`` entries each), with temporaries of block x n size
+taken from one ``_threads.Scratch`` per walk, so no walk allocates per
+block.  One walk over the blocks finds each point's nearest enemy
 and nearest friend and counts its local set (N2, N3, T1, LSC); T1 keeps
 each sphere's cover as one bit per point; Density takes its cut from
 ``stats._quantile``'s binned two-pass order statistic over the upper
@@ -53,9 +55,16 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from ._threads import Threads
+from ._threads import Scratch
 from .dataset import Dataset, partition
-from .distances import DistanceMetric, _cross, _cross_blocks, _diameter_bound, _row_blocks
+from .distances import (
+    DistanceMetric,
+    _cross,
+    _cross_blocks,
+    _diameter_bound,
+    _filled,
+    _row_blocks,
+)
 from .errors import DegenerateClass, DomainError
 from .generators import _philox
 from .stats import _quantile
@@ -116,6 +125,11 @@ def _read_only(a: NDArray) -> NDArray:
     return a
 
 
+def _scratch_rows(scratch: Scratch, name: str, rows: int, width: int, dtype) -> NDArray:
+    """``scratch``'s buffer ``name`` as a (rows, width) array."""
+    return scratch.take(name, rows * width, dtype).reshape(rows, width)
+
+
 def _nearest(masked: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
     """Per row: column of the smallest entry (lowest on ties) and its value."""
     idx = masked.argmin(axis=1)
@@ -151,15 +165,17 @@ class _DistanceContext(Dataset):
 
     @cached_property
     def square(self) -> NDArray[np.float64]:
-        with Threads(self.workers) as threads:
-            rows = _cross(self.points, self.points, _EUCLIDEAN, threads)
+        rows = _cross(self.points, self.points, _EUCLIDEAN, self.workers)
         return _read_only(rows.reshape(self.n, self.n))
 
-    def row_blocks(self):
+    def row_blocks(self, scratch: Scratch):
         """The square's fixed row blocks: ``(r0, r1, rows, same)``, ``same[k, j]``
-        telling whether points r0 + k and j share a class."""
+        telling whether points r0 + k and j share a class; ``same`` is the
+        "same" buffer of ``scratch``, rewritten for each block."""
         for r0, r1 in _row_blocks(self.n):
-            yield r0, r1, self.square[r0:r1], self.labels[r0:r1, None] == self.labels
+            same = _scratch_rows(scratch, "same", r1 - r0, self.n, bool)
+            np.equal(self.labels[r0:r1, None], self.labels, out=same)
+            yield r0, r1, self.square[r0:r1], same
 
     @cached_property
     def neighbours(self) -> _Neighbours:
@@ -167,15 +183,23 @@ class _DistanceContext(Dataset):
         found = _Neighbours(
             *(np.empty(self.n, dtype=t) for t in (np.int64, float, np.int64, float, np.int64))
         )
-        for r0, r1, rows, same in self.row_blocks():
-            enemy, d_enemy = _nearest(np.where(same, np.inf, rows))
+        scratch = Scratch()
+        for r0, r1, rows, same in self.row_blocks(scratch):
+            masked = _scratch_rows(scratch, "masked", r1 - r0, self.n, float)
+            np.copyto(masked, rows)
+            np.copyto(masked, np.inf, where=same)
+            enemy, d_enemy = _nearest(masked)
             found.enemy[r0:r1], found.d_enemy[r0:r1] = enemy, d_enemy
-            masked = np.where(same, rows, np.inf)
+            np.copyto(masked, np.inf)
+            np.copyto(masked, rows, where=same)
             masked[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
             found.friend[r0:r1], found.d_friend[r0:r1] = _nearest(masked)
             # a point strictly closer than x's nearest enemy is of x's class;
             # the diagonal counts x itself
-            found.local[r0:r1] = (rows < d_enemy[:, None]).sum(axis=1)
+            closer = _scratch_rows(scratch, "closer", r1 - r0, self.n, bool)
+            found.local[r0:r1] = np.count_nonzero(
+                np.less(rows, d_enemy[:, None], out=closer), axis=1
+            )
         for a in found:
             _read_only(a)
         return found
@@ -333,8 +357,10 @@ def n4(ds: Dataset, n_synthetic: int | None = None, seed: int = 0) -> MeasureRes
         t = rng.random()
         synth[k] = X[a] + t * (X[b] - X[a])
         synth_labels[k] = c
+    scratch = Scratch()
+    blocks = _cross_blocks(synth, X, _EUCLIDEAN)
     nn = np.concatenate(
-        [fill().reshape(-1, ds.n).argmin(axis=1) for _, fill in _cross_blocks(synth, X, _EUCLIDEAN)]
+        [_filled(*block, scratch).reshape(-1, ds.n).argmin(axis=1) for block in blocks]
     )
     value = float(np.mean(ds.labels[nn] != synth_labels))
     return MeasureResult(
@@ -400,9 +426,11 @@ def t1(ds: Dataset) -> MeasureResult:
     n = ds.n
     cover = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
     size = np.empty(n, dtype=np.int64)
+    scratch = Scratch()
     for r0, r1 in _row_blocks(n):
-        inside = ctx.square[r0:r1] <= r[r0:r1, None]
-        size[r0:r1] = inside.sum(axis=1)
+        inside = _scratch_rows(scratch, "inside", r1 - r0, n, bool)
+        np.less_equal(ctx.square[r0:r1], r[r0:r1, None], out=inside)
+        size[r0:r1] = np.count_nonzero(inside, axis=1)
         cover[r0:r1, : -(-n // 8)] = np.packbits(inside, axis=1, bitorder="little")
     cover = cover.view(np.uint64)
     order = np.argsort(-size, kind="stable")
@@ -455,13 +483,21 @@ def density(ds: Dataset, quantile: float = DENSITY_QUANTILE) -> MeasureResult:
     n, square = ds.n, ctx.square
 
     def upper(r0, r1):  # each pair of the rows r0..r1 with a later point once
-        return lambda: np.concatenate([square[i, i + 1 :] for i in range(r0, r1)])
+        def fill(out, scratch):
+            start = 0
+            for i in range(r0, r1):
+                out[start : start + n - i - 1] = square[i, i + 1 :]
+                start += n - i - 1
 
-    blocks = [((r1 - r0) * (2 * n - r0 - r1 - 1) // 2, upper(r0, r1)) for r0, r1 in _row_blocks(n)]
-    cut = _quantile(blocks, (0.0, ctx.bound), quantile)
+        return (r1 - r0) * (2 * n - r0 - r1 - 1) // 2, fill
+
+    cut = _quantile([upper(r0, r1) for r0, r1 in _row_blocks(n)], (0.0, ctx.bound), quantile)
     # the square matrix holds each pair twice and each point once with
     # itself, at distance 0 <= cut
-    close = sum(int(np.count_nonzero(same & (rows <= cut))) for _, _, rows, same in ctx.row_blocks())
+    close, scratch = 0, Scratch()
+    for r0, r1, rows, same in ctx.row_blocks(scratch):
+        near = np.less_equal(rows, cut, out=_scratch_rows(scratch, "near", r1 - r0, n, bool))
+        close += int(np.count_nonzero(np.logical_and(same, near, out=near)))
     edges = (close - n) // 2
     value = 1.0 - edges / (n * (n - 1) // 2)
     return MeasureResult(code="Density", value=value, params={"quantile": quantile})

@@ -9,7 +9,8 @@ Both statistics compare the empirical CDFs P and Q of two real samples:
 Both are read from binned counts, so no sample is ever stored whole,
 sorted or merged: it only has to be produced, block by block, at most
 twice.  The distance multisets of the DSI are produced that way by the
-distance kernel; ``ks_statistic`` and friends feed each sample as one block.
+distance kernel; ``ks_statistic`` and friends copy each sample in, block by
+block.
 
 * Bins are intervals of one power-of-two width, so a value's bin is
   ``floor(v * scale)``: monotone, equal values share a bin, and every bin
@@ -33,6 +34,14 @@ distance kernel; ``ks_statistic`` and friends feed each sample as one block.
 Block partials are added in block order, so the number of threads that
 produce the blocks never changes a value.
 
+A walk over the blocks allocates no block-sized array: each thread of
+the call fills every block into the "values" buffer of its own
+``_threads.Scratch`` and reads the block's positions ``t`` and bin numbers
+into two more, and the distance kernel takes its own temporaries from the
+same scratch.  Blocks hold at most ``distances._BLOCK_VALUES`` values, so
+the scratch stays near cache size; it is dropped between the passes and
+when the call returns.
+
 ``_quantile`` reads an exact order statistic off the same bins, in the
 same two passes: the complexity measure Density takes its cut from it.
 """
@@ -45,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._threads import SERIAL, Threads
+from ._threads import Scratch, Threads
+from .distances import _BLOCK_VALUES, _filled
 from .errors import EmptySample
 
 __all__ = [
@@ -111,13 +121,18 @@ class _Bins:
         first = math.floor(lo * scale)
         return cls(scale, first, math.floor(hi * scale) - first + 1)
 
-    def index(self, values: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-        """Each value's bin, and its position ``t = v * scale``."""
-        t = values * self.scale
+    def index(
+        self, values: NDArray[np.float64], scratch: Scratch | None = None
+    ) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+        """Each value's bin, and its position ``t = v * scale``, in the "idx"
+        and "t" buffers of ``scratch`` (of a new one by default)."""
+        scratch = Scratch() if scratch is None else scratch
+        t = np.multiply(values, self.scale, out=scratch.take("t", values.size))
+        idx = scratch.take("idx", values.size, np.int64)
         if self.first < 0:  # truncation rounds negative positions up
-            idx = np.floor(t).astype(np.int64)
+            np.floor(t, out=idx, casting="unsafe")
         else:
-            idx = t.astype(np.int64)
+            np.copyto(idx, t, casting="unsafe")
         if self.first:
             idx -= self.first
         np.minimum(idx, self.size - 1, out=idx)
@@ -134,24 +149,27 @@ class _Counts:
         self.edge_sums = np.zeros(size) if edges else None
         self.low, self.high = math.inf, -math.inf
 
-    def add(self, part: _Counts) -> None:
-        self.counts += part.counts
+    def add(self, part: tuple) -> None:
+        """Add one block's summary, as ``_count_block`` returns it."""
+        counts, edge_sums, low, high = part
+        self.counts += counts
         if self.edge_sums is not None:
-            self.edge_sums += part.edge_sums
-            self.low, self.high = min(self.low, part.low), max(self.high, part.high)
+            self.edge_sums += edge_sums
+            self.low, self.high = min(self.low, low), max(self.high, high)
 
 
-def _count_block(values, bins: _Bins, edges: bool) -> _Counts:
-    part = _Counts(bins.size, edges)
-    idx, t = bins.index(values)
-    part.counts += np.bincount(idx, minlength=bins.size)
-    if edges:
-        # (first + idx + 1) - t: the distance to the upper edge, in bin widths
-        np.subtract(bins.first + 1, t, out=t)
-        t += idx
-        part.edge_sums += np.bincount(idx, weights=t, minlength=bins.size)
-        part.low, part.high = float(values.min()), float(values.max())
-    return part
+def _count_block(values, bins: _Bins, edges: bool, scratch: Scratch) -> tuple:
+    """One block's counts per bin and, for W1 (``edges``), its per-bin sums
+    of ``upper edge - t`` and its extremes; the rest is None."""
+    idx, t = bins.index(values, scratch)
+    counts = np.bincount(idx, minlength=bins.size)
+    if not edges:
+        return counts, None, None, None
+    # (first + idx + 1) - t: the distance to the upper edge, in bin widths
+    np.subtract(bins.first + 1, t, out=t)
+    t += idx
+    edge_sums = np.bincount(idx, weights=t, minlength=bins.size)
+    return counts, edge_sums, float(values.min()), float(values.max())
 
 
 class _Gap:
@@ -213,9 +231,19 @@ class _Gap:
         # up to it are the values below it that pass 2 did not keep
         count_a += np.cumsum(np.where(refine, 0, self.a.counts))[at]
         count_b += np.cumsum(np.where(refine, 0, self.b.counts))[at]
-        heights = np.abs(count_a / self.na - count_b / self.nb)
+        w1 = "w1" in names or "w1_normalized" in names
+        if not w1:
+            del at
+        # each array of the merged size is dropped once it is used up, so
+        # that at most four of them are live at once
+        heights = np.divide(count_a, self.na)
+        del count_a
+        fall = np.divide(count_b, self.nb)
+        del count_b
+        heights = np.abs(np.subtract(heights, fall, out=heights), out=heights)
+        del fall
         out = {"ks": max(self.best, float(heights.max(initial=0.0)))}
-        if "w1" in names or "w1_normalized" in names:
+        if w1:
             out["w1"] = self._area(grid, at, heights, self._cumulative()[2])
             low, high = min(self.a.low, self.b.low), max(self.a.high, self.b.high)
             pooled_range = float(high - low)
@@ -262,19 +290,20 @@ def _merge(values, split: int) -> tuple:
 
 
 def _binned_statistics(
-    sources: list, pairs: list, span: tuple[float, float], names, threads: Threads = SERIAL
+    sources: list, pairs: list, span: tuple[float, float], names, workers: int = 1
 ) -> list[dict[str, float]]:
     """Statistics of |P - Q| for each pair of multisets, from binned counts.
 
     ``sources`` lists ``(blocks, feeds)``: each block is a ``(size, fill)``
-    pair whose ``fill()`` returns a float64 array of ``size`` values, the same
-    each time it is called; those values belong to every multiset numbered
-    in ``feeds``.  ``span`` is ``(lo, hi)``: no value lies below ``lo``, and
-    the bins span [lo, hi], though a value above ``hi`` is still counted
-    exactly.  ``pairs`` lists ``(a, b)`` multiset numbers; the result has one
-    dict of the ``names`` ("ks", "w1", "w1_normalized") per pair.  Blocks run
-    on ``threads``, once to count and, if any bin needs it, once more to
-    refine.
+    pair whose ``fill(out, scratch)`` writes ``size`` float64 values into
+    ``out``, the same each time it is called, taking any temporaries from
+    the ``_threads.Scratch`` given; those values belong to every multiset
+    numbered in ``feeds``.  ``span`` is ``(lo, hi)``: no value lies below
+    ``lo``, and the bins span [lo, hi], though a value above ``hi`` is
+    still counted exactly.  ``pairs`` lists ``(a, b)`` multiset numbers;
+    the result has one dict of the ``names`` ("ks", "w1", "w1_normalized")
+    per pair.  Blocks run on ``workers`` threads, once to count and, if any
+    bin needs it, once more to refine.
     """
     edges = "w1" in names or "w1_normalized" in names
     sizes = [0] * (1 + max(max(f) for _, f in sources))
@@ -284,36 +313,42 @@ def _binned_statistics(
             for f in feeds:
                 sizes[f] += size
             if size:
-                tasks.append((fill, feeds))
+                tasks.append((size, fill, feeds))
     bins = _Bins.spanning(*span, _bin_target(max(sizes)))
     sets = [_Counts(bins.size, edges, n) for n in sizes]
-    partials = threads.map(lambda task: _count_block(task[0](), bins, edges), tasks)
-    for (_, feeds), part in zip(tasks, partials):  # in block order
-        for f in feeds:
-            sets[f].add(part)
 
-    gaps = [_Gap(sets[a], sets[b], bins, names) for a, b in pairs]
-    wanted = [np.zeros(bins.size, dtype=bool) for _ in sets]
-    for (a, b), gap in zip(pairs, gaps):
-        wanted[a] |= gap.refine
-        wanted[b] |= gap.refine
-    # pass 1's counts size each multiset's kept values exactly
-    kept = [np.empty(int(s.counts[table].sum())) for s, table in zip(sets, wanted)]
-    if any(values.size for values in kept):
+    def count(task, scratch):
+        size, fill, _ = task
+        return _count_block(_filled(size, fill, scratch), bins, edges, scratch)
 
-        def keep(task):  # the block's values in each fed multiset's wanted bins
-            fill, feeds = task
-            values = fill()
-            idx = bins.index(values)[0]
-            return [values[wanted[f][idx]] for f in feeds]
+    def keep(task, scratch):  # the block's values in each fed multiset's wanted bins
+        size, fill, feeds = task
+        values = _filled(size, fill, scratch)
+        idx = bins.index(values, scratch)[0]
+        inside = scratch.take("inside", size, bool)
+        return [values[np.take(wanted[f], idx, out=inside)] for f in feeds]
 
-        filled = [0] * len(sets)
-        for (_, feeds), parts in zip(tasks, threads.map(keep, tasks)):
-            for f, part in zip(feeds, parts):
-                kept[f][filled[f] : filled[f] + part.size] = part
-                filled[f] += part.size
-        for values in kept:
-            values.sort()
+    with Threads(workers) as threads:
+        for (_, _, feeds), part in zip(tasks, threads.map(count, tasks)):  # in block order
+            for f in feeds:
+                sets[f].add(part)
+        threads.free_scratch()  # the gaps' bin-sized arrays may reuse its memory
+
+        gaps = [_Gap(sets[a], sets[b], bins, names) for a, b in pairs]
+        wanted = [np.zeros(bins.size, dtype=bool) for _ in sets]
+        for (a, b), gap in zip(pairs, gaps):
+            wanted[a] |= gap.refine
+            wanted[b] |= gap.refine
+        # pass 1's counts size each multiset's kept values exactly
+        kept = [np.empty(int(s.counts[table].sum())) for s, table in zip(sets, wanted)]
+        if any(values.size for values in kept):
+            filled = [0] * len(sets)
+            for (_, _, feeds), parts in zip(tasks, threads.map(keep, tasks)):
+                for f, part in zip(feeds, parts):
+                    kept[f][filled[f] : filled[f] + part.size] = part
+                    filled[f] += part.size
+    for values in kept:
+        values.sort()
     return [gap.statistics(kept[a], kept[b], names) for (a, b), gap in zip(pairs, gaps)]
 
 
@@ -330,10 +365,12 @@ def _quantile(blocks: list, span: tuple[float, float], q: float) -> float:
     """
     n = sum(size for size, _ in blocks)
     bins = _Bins.spanning(*span, _bin_target(n))
+    scratch = Scratch()
     counts = np.zeros(bins.size, dtype=np.int64)
     for size, fill in blocks:
         if size:
-            counts += np.bincount(bins.index(fill())[0], minlength=bins.size)
+            idx = bins.index(_filled(size, fill, scratch), scratch)[0]
+            counts += np.bincount(idx, minlength=bins.size)
     virtual = (n - 1) * q
     below = math.floor(virtual)
     ranks = (below, below + 1) if virtual < n - 1 else (n - 1, n - 1)
@@ -342,9 +379,11 @@ def _quantile(blocks: list, span: tuple[float, float], q: float) -> float:
     parts = []
     for size, fill in blocks:
         if size:
-            values = fill()
-            idx = bins.index(values)[0]
-            parts.append(np.unique(values[(idx >= first) & (idx <= last)], return_counts=True))
+            values = _filled(size, fill, scratch)
+            idx = bins.index(values, scratch)[0]
+            inside = np.greater_equal(idx, first, out=scratch.take("inside", size, bool))
+            inside &= np.less_equal(idx, last, out=scratch.take("below", size, bool))
+            parts.append(np.unique(values[inside], return_counts=True))
     kept = np.concatenate([values for values, _ in parts])
     order = np.argsort(kept, kind="stable")
     # one past each kept value's last rank, counting the values below its bins
@@ -355,11 +394,20 @@ def _quantile(blocks: list, span: tuple[float, float], q: float) -> float:
     return float(np.quantile(np.array([a, b]), virtual - ranks[0]))
 
 
+def _sample_blocks(values: NDArray[np.float64]) -> list:
+    """``values`` as ``(size, fill)`` blocks of at most ``_BLOCK_VALUES`` values."""
+
+    def block(part):
+        return part.size, lambda out, scratch: np.copyto(out, part)
+
+    return [block(values[i : i + _BLOCK_VALUES]) for i in range(0, values.size, _BLOCK_VALUES)]
+
+
 def _statistic(sample_a, sample_b, name: str) -> float:
-    """Validate both samples, then reduce one named statistic, each sample one block."""
+    """Validate both samples, then reduce one named statistic."""
     a, b = _finite_sample(sample_a), _finite_sample(sample_b)
     span = (float(min(a.min(), b.min())), float(max(a.max(), b.max())))
-    sources = [([(a.size, lambda: a)], (0,)), ([(b.size, lambda: b)], (1,))]
+    sources = [(_sample_blocks(a), (0,)), (_sample_blocks(b), (1,))]
     return _binned_statistics(sources, [(0, 1)], span, (name,))[0][name]
 
 

@@ -1148,6 +1148,24 @@ if metric == "cosine":
 """
 
 
+_MODULES_AFTER_MEASURE = """
+import contextlib, io, sys
+from separability.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["measure", "--input", sys.argv[1], "--threads", sys.argv[2]]) == 0
+print(sorted(m for m in ("concurrent.futures", "hashlib") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_thread_pool_and_hashlib_load_only_when_needed(tmp_path, threads):
+    # one thread starts no pool, and only a fetch checks a digest
+    data = _write_shape_csv(tmp_path / "d.csv", n=150)
+    proc = _run_child(["-c", _MODULES_AFTER_MEASURE, str(data), threads], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ("[]" if threads == "1" else "['concurrent.futures']")
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 def test_scipy_loads_only_when_a_kernel_needs_it(tmp_path, metric):
     data = _write_shape_csv(tmp_path / "d.csv", n=150)  # 2-D, above one row block

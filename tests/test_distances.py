@@ -1,5 +1,10 @@
 """Pairwise distance engine against a hand-rolled per-pair oracle."""
 
+import sys
+import threading
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +238,56 @@ class TestNumpyKernel:
         assert _same_bits(distances.pdist(a, metric), scipy_pdist(a, metric))
 
 
+class TestBlocks:
+    """Row blocks hold at most ``_BLOCK_VALUES`` values, and each thread of a
+    call fills them through its own scratch, dropped when the call ends."""
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 1000, 2500, 65537])
+    @pytest.mark.parametrize("width", [None, 1, 3000, 100_000])
+    def test_rows_times_width_within_budget(self, n, width):
+        blocks = distances._row_blocks(n, width)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        rows = max(r1 - r0 for r0, r1 in blocks)
+        assert rows <= distances._BLOCK_ROWS
+        wide = n if width is None else width
+        assert rows * wide <= distances._BLOCK_VALUES or rows == 1
+
+    def test_budget_sets_the_rows(self):
+        # 2500 rows of 2500 values: 26 rows a block, not 128
+        assert distances._row_blocks(2500)[0] == (0, distances._BLOCK_VALUES // 2500)
+
+    def test_patched_block_rows_still_cut_two_row_blocks(self):
+        # as the tie-heavy DSI tests patch it, to give several workers blocks
+        with mock.patch.object(distances, "_BLOCK_ROWS", 2):
+            for n in (16, 31, 2500):
+                assert {r1 - r0 for r0, r1 in distances._row_blocks(n)[:-1]} == {2}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_thread_has_its_own_scratch_for_the_call(self, workers):
+        threads_module = sys.modules["separability._threads"]
+        seen = []
+
+        def task(item, scratch):
+            seen.append((threading.get_ident(), scratch))
+            return scratch.take("x", item)
+
+        with threads_module.Threads(workers) as threads:
+            sizes = [len(buf) for buf in threads.map(task, [5, 3, 8, 2])]
+            held = dict(threads._scratch)
+        assert sizes == [5, 3, 8, 2]
+        assert {ident: scratch for ident, scratch in seen} == held
+        assert threads._scratch == {}  # nothing outlives the call
+
+    def test_scratch_regrows_and_reuses(self):
+        scratch = sys.modules["separability._threads"].Scratch()
+        small = scratch.take("v", 4)
+        assert np.shares_memory(scratch.take("v", 3), small)
+        big = scratch.take("v", 10, np.float64)
+        assert big.size == 10 and not np.shares_memory(big, small)
+        assert scratch.take("i", 5, np.int64).dtype == np.int64
+
+
 class TestDistanceSets:
     @given(
         st.integers(min_value=2, max_value=30),
@@ -289,16 +344,20 @@ class TestDistanceSets:
             pytest.param(lambda p: icd_set(p), id="icd"),
             pytest.param(lambda p: bcd_set(p[:2], p[2:]), id="bcd"),
             pytest.param(lambda p: pairwise_condensed(p), id="condensed"),
+            pytest.param(lambda p: pairwise_condensed(p, workers=3), id="condensed-threads"),
             pytest.param(lambda p: pairwise_cross(p[:2], p[2:]), id="cross"),
             pytest.param(lambda p: distance(p[0], p[1]), id="distance"),
         ],
     )
     def test_overflowing_distances_rejected(self, compute):
         # the DSI refuses these points; so does every function that returns
-        # their distances, instead of returning inf
+        # their distances, instead of returning inf, and numpy's overflow
+        # on the way prints no warning
         points = np.array([[1e308, 0], [-1e308, 0], [0, 1]])
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflow"):
-            compute(points)
+        with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn"):
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                compute(points)
 
 
 class TestFitMahalanobis:

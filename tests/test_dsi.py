@@ -338,6 +338,17 @@ class TestDsi:
         ds = random_dataset(n_per_class=100, classes=3, seed=9, spread=1.0)
         assert dsi(ds, workers=workers).dsi == dsi(ds, workers=1).dsi
 
+    def test_workers_identical_bits_over_many_blocks(self):
+        # 900 points a class: kernel blocks of 72 rows (the value budget),
+        # 13 to each class's ICD and to each pair of classes
+        ds = random_dataset(n_per_class=900, classes=3, seed=10, spread=1.0)
+        assert len(sys.modules["separability.distances"]._row_blocks(900)) == 13
+        bits = []
+        for workers in (1, 3):
+            reports = _dsi_reports(ds, "euclidean", ("ks", "wasserstein"), workers, None)
+            bits.append([v.hex() for r in reports for v in (r.dsi, *r.per_class_similarity.values())])
+        assert bits[0] == bits[1]
+
     def test_mahalanobis_metric(self, small_two_class):
         metric = fit_mahalanobis(small_two_class)
         report = dsi(small_two_class, metric=metric)

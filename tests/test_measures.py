@@ -410,7 +410,7 @@ class TestComputeMeasures:
         cross = separability.measures._cross
 
         def counted(pa, pb, metric, threads):
-            workers.append(threads.workers)
+            workers.append(threads)  # the kernel's thread count
             return cross(pa, pb, metric, threads)
 
         monkeypatch.setattr(separability.measures, "_cross", counted)
@@ -439,6 +439,14 @@ class TestComputeMeasures:
         a = compute_measures(small_two_class, workers=1)
         b = compute_measures(small_two_class, workers=4)
         assert [r.value for r in a] == [r.value for r in b]
+
+    def test_workers_do_not_change_bits_over_many_blocks(self):
+        # 1200 points: row blocks of 54 rows (the value budget), 23 of them
+        ds = random_dataset(n_per_class=400, dim=2, classes=3, seed=8, spread=1.0)
+        assert len(separability.distances._row_blocks(ds.n)) > 20
+        a = compute_measures(ds, workers=1)
+        b = compute_measures(ds, workers=3)
+        assert [r.value.hex() for r in a] == [r.value.hex() for r in b]
 
     def test_single_class_rejected(self):
         ds = Dataset(points=np.ones((4, 2)), labels=[0, 0, 0, 0])

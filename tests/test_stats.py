@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from separability import EmptySample, ks_statistic, wasserstein1, wasserstein1_normalized
 
-from conftest import rng
+from conftest import random_dataset, rng
 from oracles import grid_ks, grid_wasserstein1
 
 finite_floats = st.floats(
@@ -177,7 +177,7 @@ class TestQuantile:
     @staticmethod
     def _blocks(values, cuts):
         parts = np.split(values, sorted(c % (values.size + 1) for c in cuts))
-        return [(part.size, lambda part=part: part) for part in parts]
+        return [(part.size, lambda out, scratch, part=part: np.copyto(out, part)) for part in parts]
 
     @given(
         st.one_of(
@@ -211,3 +211,81 @@ class TestQuantile:
             for q in (base, np.nextafter(base, 0.0), np.nextafter(base, 1.0), base + 0.5 / max(n - 1, 1)):
                 if 0.0 < q < 1.0:
                     assert quantile(self._blocks(values, [n // 3]), (0.0, 8.0), q) == np.quantile(values, q)
+
+
+class TestBlockContract:
+    """Every block walk hands each ``fill`` memory of its own: an ``out`` of
+    the block's size, and the scratch of the thread that runs it."""
+
+    @staticmethod
+    def _recorded(blocks, calls):
+        def wrap(size, fill):
+            def recorded(*args):
+                calls.append((size, args))
+                fill(*args)
+
+            return size, recorded
+
+        return [wrap(*block) for block in blocks]
+
+    @staticmethod
+    def _check(calls):
+        scratch_type = sys.modules["separability._threads"].Scratch
+        assert calls
+        for size, args in calls:
+            out, scratch = args
+            assert isinstance(out, np.ndarray) and out.dtype == np.float64
+            assert out.shape == (size,)
+            assert isinstance(scratch, scratch_type)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_binned_statistics_passes_out(self, workers):
+        dsi_module, distances = sys.modules["separability.dsi"], sys.modules["separability.distances"]
+        binned = sys.modules["separability.stats"]._binned_statistics
+        ds = random_dataset(n_per_class=150, dim=2, classes=3, seed=4)
+        _, sources, bcd, _, bound = dsi_module._multisets(ds, distances.resolve_metric("euclidean"), None)
+        calls = []
+        recorded = [(self._recorded(blocks, calls), feeds) for blocks, feeds in sources]
+        args = (list(enumerate(bcd)), (0.0, bound), ("ks", "w1"), workers)
+        assert binned(recorded, *args) == binned(sources, *args)
+        blocks = sum(len(blocks) for blocks, _ in sources)
+        assert len(calls) == 2 * blocks  # overlapping classes: both passes ran
+        self._check(calls)
+
+    def test_quantile_passes_out(self):
+        values = rng(5).normal(size=1000) ** 2
+        blocks = [
+            (part.size, lambda out, scratch, part=part: np.copyto(out, part))
+            for part in np.split(values, [100, 400, 401])
+        ]
+        calls = []
+        quantile = sys.modules["separability.stats"]._quantile
+        got = quantile(self._recorded(blocks, calls), (0.0, float(values.max())), 0.15)
+        assert got == np.quantile(values, 0.15)
+        assert len(calls) == 2 * len(blocks)
+        self._check(calls)
+
+    def test_statistic_fills_out(self, monkeypatch):
+        # a sample is cut into blocks of at most _BLOCK_VALUES values, each
+        # written into the out it is given
+        stats = sys.modules["separability.stats"]
+        budget = sys.modules["separability.distances"]._BLOCK_VALUES
+        scratch_type = sys.modules["separability._threads"].Scratch
+        written, binned = [], stats._binned_statistics
+
+        def spy(sources, *args):
+            for blocks, _ in sources:
+                for size, fill in blocks:
+                    out = np.full(size, np.nan)
+                    fill(out, scratch_type())
+                    written.append(out)
+            return binned(sources, *args)
+
+        monkeypatch.setattr(stats, "_binned_statistics", spy)
+        g = rng(6)
+        a, b = g.normal(size=budget + 5), g.normal(size=300) + 0.5
+        value = ks_statistic(a, b)
+        assert [part.size for part in written] == [budget, 5, 300]
+        assert np.array_equal(np.concatenate(written), np.concatenate([a, b]))
+        monkeypatch.setattr(stats, "_binned_statistics", binned)
+        assert ks_statistic(a, b) == value
