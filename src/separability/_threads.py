@@ -28,6 +28,16 @@ class Scratch:
         return buffer[:size]
 
 
+# Runs of items per worker that ``Threads.map`` submits.  A run's results
+# are held until its last item is done, so runs stay short: with 16 runs per
+# worker, CLI `measure --threads 2` on 2x7500 moons (2,814 blocks a pass)
+# held 88-item runs of 512 KiB bin counts and peaked at 111-134 MiB RSS
+# against 85-91 MiB with one task per block; with 256, 6-item runs, at
+# 78-79 MiB, in 1.5-1.8 s either way (2-vCPU x86-64 guest, three runs
+# each).  That is about 940 pool tasks per op instead of 5,600.
+_RUNS_PER_WORKER = 256
+
+
 class Threads:
     """Up to ``workers`` threads, started on first use and stopped on exit,
     each with its own ``Scratch`` for the call.
@@ -54,10 +64,13 @@ class Threads:
         """``fn(item, scratch)`` for each item, yielded lazily in the order of
         ``items``; ``scratch`` belongs to the thread that runs the call.
 
-        With a pool every item is submitted at once and each result is held
-        only until it is yielded, so a caller that reduces the results as
-        they come holds few of them.  ``fn`` must not call ``map`` on the
-        same ``Threads``: a task that waits on the pool it runs in can stall it.
+        With a pool, runs of consecutive items go to the pool as one task
+        each, about ``_RUNS_PER_WORKER`` runs per worker, so that a walk over
+        thousands of small blocks does not pay a task's cost per block.
+        Every run is submitted at once and each run's results are held only
+        until they are yielded, so a caller that reduces the results as they
+        come holds few of them.  ``fn`` must not call ``map`` on the same
+        ``Threads``: a task that waits on the pool it runs in can stall it.
         """
         if self.workers < 2 or len(items) < 2:
             return (fn(item, self._own_scratch()) for item in items)
@@ -66,7 +79,14 @@ class Threads:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool.map(lambda item: fn(item, self._own_scratch()), items)
+        step = -(-len(items) // (self.workers * _RUNS_PER_WORKER))
+
+        def run(start):
+            scratch = self._own_scratch()
+            return [fn(item, scratch) for item in items[start : start + step]]
+
+        runs = self._pool.map(run, range(0, len(items), step))
+        return (result for results in runs for result in results)
 
     def free_scratch(self) -> None:
         """Drop every thread's buffers, as between two passes that hold

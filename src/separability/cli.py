@@ -331,7 +331,8 @@ def _cmd_measure(args) -> int:
 
 def _complexity_rows(ds: Dataset, codes, threads: int, **options) -> list[list]:
     """``[code, value, params]`` of each measure in ``codes``, then of 1-DSI."""
-    # before the measures' n x n matrices; the remedy names no flag, as compare has none
+    # before any distance: the measures' time grows with n**2, like the DSI's;
+    # the remedy names no flag, as compare has none
     _check_cap(ds.n, DEFAULT_MAX_POINTS, "the measures need every pairwise distance; use fewer rows")
     rows = []
     for res in compute_measures(ds, codes, workers=threads, **options):

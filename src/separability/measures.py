@@ -27,20 +27,28 @@ N1 is deterministic; N3 breaks nearest-neighbor ties by the lower row
 index, and coincident points with different labels always count as
 errors.
 
-``compute_measures`` computes the euclidean distance matrix once per
-dataset, as the rows of one cross kernel pass of the points against
-themselves on ``workers`` threads, and shares it, read-only, among N1,
-N2, N3, T1, LSC and Density; a measure called on its own computes it
-itself on one thread.  That matrix is the only n x n array: everything
-else reads it in the kernel's fixed row blocks (``distances._row_blocks``,
-at most ``_BLOCK_VALUES`` entries each), with temporaries of block x n size
-taken from one ``_threads.Scratch`` per walk, so no walk allocates per
-block.  One walk over the blocks finds each point's nearest enemy
-and nearest friend and counts its local set (N2, N3, T1, LSC); T1 keeps
-each sphere's cover as one bit per point; Density takes its cut from
-``stats._quantile``'s binned two-pass order statistic over the upper
-triangle's blocks.  N1's Prim reads one row per step.  N4 classifies its
-synthetic points block by block through a one-thread cross kernel.
+No measure holds an n x n array of distances.  Every distance is written
+by the kernel (``distances``) into a per-thread scratch buffer, one fixed
+row block (``distances._row_blocks``, at most ``_BLOCK_VALUES`` values) at a
+time, and read there:
+
+* One walk over the blocks of every point against every point finds each
+  point's nearest enemy and nearest friend and counts its local set (N2,
+  N3, T1, LSC).  ``compute_measures`` runs it once, on ``workers`` threads,
+  and shares the result; a measure called on its own runs it on one thread.
+* T1 walks the blocks again for its covers, kept as one bit per point:
+  n**2 / 8 bytes, the largest array of any measure.  Its absorption loop
+  takes each sphere's candidates from its own cover bits.
+* N1's Prim computes each vertex's distances when it joins the tree, to
+  the vertices still outside it, so each pair is computed once.
+* Density reads each pair once per pass of ``stats._quantile``'s binned
+  two-pass order statistic, laid out per class as the DSI lays out its
+  multisets; the same passes count the same-class pairs up to the cut.
+* N4 classifies its synthetic points block by block, on the same threads.
+
+The kernel computes each distance with the same operations in any block
+and either order of the pair, so every value is the same for any
+``workers`` and any walk.
 
 Every measure first refuses points whose distances may overflow float64,
 with the DSI's own check (``distances._diameter_bound``).
@@ -55,11 +63,12 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from ._threads import Scratch
+from ._threads import Scratch, Threads
 from .dataset import Dataset, partition
 from .distances import (
     DistanceMetric,
-    _cross,
+    _block,
+    _condensed_blocks,
     _cross_blocks,
     _diameter_bound,
     _filled,
@@ -150,9 +159,9 @@ class _Neighbours(NamedTuple):
 
 @dataclass(frozen=True)
 class _DistanceContext(Dataset):
-    """A dataset carrying its euclidean distance matrix, built on first use.
+    """A dataset with the distance walks its measures share.
 
-    Every array is read-only, since the measures share them.
+    Every array it holds is read-only, since the measures share them.
     """
 
     workers: int = 1
@@ -163,19 +172,26 @@ class _DistanceContext(Dataset):
         overflow float64 (``DomainError``)."""
         return _diameter_bound(self.points, _EUCLIDEAN)
 
-    @cached_property
-    def square(self) -> NDArray[np.float64]:
-        rows = _cross(self.points, self.points, _EUCLIDEAN, self.workers)
-        return _read_only(rows.reshape(self.n, self.n))
+    def walk(self, visit) -> None:
+        """Call ``visit(r0, r1, rows, scratch)`` for each fixed row block of the
+        distances from every point to every point, on ``workers`` threads.
 
-    def row_blocks(self, scratch: Scratch):
-        """The square's fixed row blocks: ``(r0, r1, rows, same)``, ``same[k, j]``
-        telling whether points r0 + k and j share a class; ``same`` is the
-        "same" buffer of ``scratch``, rewritten for each block."""
-        for r0, r1 in _row_blocks(self.n):
-            same = _scratch_rows(scratch, "same", r1 - r0, self.n, bool)
-            np.equal(self.labels[r0:r1, None], self.labels, out=same)
-            yield r0, r1, self.square[r0:r1], same
+        ``rows`` is the (r1 - r0, n) block of distances from points r0..r1,
+        written by the kernel into the "values" buffer of ``scratch``, the
+        running thread's ``_threads.Scratch``, and ``visit``'s to overwrite;
+        ``visit`` takes its own temporaries from ``scratch`` under other names
+        and writes only its own rows of any shared result.
+        """
+        n = self.n
+        blocks = list(zip(_row_blocks(n), _cross_blocks(self.points, self.points, _EUCLIDEAN)))
+
+        def run(block, scratch):
+            (r0, r1), (size, fill) = block
+            visit(r0, r1, _filled(size, fill, scratch).reshape(r1 - r0, n), scratch)
+
+        with Threads(self.workers) as threads:
+            for _ in threads.map(run, blocks):
+                pass
 
     @cached_property
     def neighbours(self) -> _Neighbours:
@@ -183,30 +199,33 @@ class _DistanceContext(Dataset):
         found = _Neighbours(
             *(np.empty(self.n, dtype=t) for t in (np.int64, float, np.int64, float, np.int64))
         )
-        scratch = Scratch()
-        for r0, r1, rows, same in self.row_blocks(scratch):
-            masked = _scratch_rows(scratch, "masked", r1 - r0, self.n, float)
-            np.copyto(masked, rows)
-            np.copyto(masked, np.inf, where=same)
-            enemy, d_enemy = _nearest(masked)
+
+        def visit(r0, r1, rows, scratch):
+            same = _scratch_rows(scratch, "same", r1 - r0, self.n, bool)
+            np.equal(self.labels[r0:r1, None], self.labels, out=same)
+            friends = _scratch_rows(scratch, "friends", r1 - r0, self.n, float)
+            np.copyto(friends, np.inf)
+            np.copyto(friends, rows, where=same)
+            np.copyto(rows, np.inf, where=same)
+            enemy, d_enemy = _nearest(rows)
             found.enemy[r0:r1], found.d_enemy[r0:r1] = enemy, d_enemy
-            np.copyto(masked, np.inf)
-            np.copyto(masked, rows, where=same)
-            masked[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
-            found.friend[r0:r1], found.d_friend[r0:r1] = _nearest(masked)
             # a point strictly closer than x's nearest enemy is of x's class;
-            # the diagonal counts x itself
+            # the diagonal, at distance 0, counts x itself
             closer = _scratch_rows(scratch, "closer", r1 - r0, self.n, bool)
             found.local[r0:r1] = np.count_nonzero(
-                np.less(rows, d_enemy[:, None], out=closer), axis=1
+                np.less(friends, d_enemy[:, None], out=closer), axis=1
             )
+            friends[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
+            found.friend[r0:r1], found.d_friend[r0:r1] = _nearest(friends)
+
+        self.walk(visit)
         for a in found:
             _read_only(a)
         return found
 
 
 def _context(ds: Dataset, workers: int = 1) -> _DistanceContext:
-    """The distances shared by ``compute_measures``, or fresh ones, built on
+    """The context shared by ``compute_measures``, or a fresh one, walking on
     one thread, for a measure called on its own.
 
     Refuses points whose distances may overflow float64 (``DomainError``).
@@ -248,48 +267,61 @@ def f1(ds: Dataset) -> MeasureResult:
     return MeasureResult(code="F1", value=value, params={})
 
 
-def _mst_edges(D: NDArray[np.float64]) -> NDArray[np.int64]:
-    """Minimum spanning tree of the distance matrix ``D``, as (i, j) rows
-    with i < j, by Prim's algorithm in O(n^2).
+def _mst_edges(points: NDArray[np.float64]) -> NDArray[np.int64]:
+    """Minimum spanning tree of the euclidean distances among ``points``, as
+    (i, j) rows with i < j, by Prim's algorithm in O(n^2).
 
     Edges are ordered by (d, i, j): length first, then the endpoint index
     pair lexicographically.  That total order pins down a unique spanning
     tree for any input, so N1 does not depend on library internals or
     memory layout.
+
+    Each vertex's distances are computed when it joins the tree, by the
+    kernel, to the vertices still outside it, so each pair is computed once.
+    The outside vertices are kept packed at the front of their arrays: a
+    joining vertex's slot takes the last one's.  Positions never break a
+    tie, so the tree does not depend on them.
     """
-    n = D.shape[0]
-    outside = np.ones(n, dtype=bool)
-    # each outside vertex's least edge into the tree: length and endpoints
+    n = points.shape[0]
+    # the outside vertices, their points, and each one's least edge into the
+    # tree: its length and its end in the tree
+    rest = np.arange(n)
+    outside = points.copy()
     best = np.full(n, np.inf)
-    lo = np.zeros(n, dtype=np.int64)
-    hi = np.zeros(n, dtype=np.int64)
+    via = np.zeros(n, dtype=np.int64)
     edges = np.empty((n - 1, 2), dtype=np.int64)
-    u = 0
+    scratch = Scratch()
+    u, p, m = 0, 0, n  # the joining vertex, its slot, the outside count
     for k in range(n - 1):
-        outside[u] = False
-        best[u] = np.inf
-        d = D[u]
-        better = outside & (d < best)
-        tied = np.flatnonzero(outside & (d == best))
-        if tied.size:
-            a, b = np.minimum(tied, u), np.maximum(tied, u)
-            better[tied[(a < lo[tied]) | ((a == lo[tied]) & (b < hi[tied]))]] = True
-        w = np.flatnonzero(better)
-        best[w] = d[w]
-        lo[w] = np.minimum(w, u)
-        hi[w] = np.maximum(w, u)
-        cand = np.flatnonzero(best == best.min())
+        m -= 1
+        rest[p], best[p], via[p] = rest[m], best[m], via[m]
+        outside[p] = outside[m]
+        d = _filled(*_block(points[u : u + 1], outside[:m], False, _EUCLIDEAN), scratch)
+        vertex, least, end = rest[:m], best[:m], via[:m]
+        w = np.flatnonzero(d <= least)
+        tied = d[w] == least[w]
+        if tied.any():  # an equal edge replaces the least one if it comes first
+            t = w[tied]
+            lo, hi = np.minimum(vertex[t], end[t]), np.maximum(vertex[t], end[t])
+            first, second = np.minimum(vertex[t], u), np.maximum(vertex[t], u)
+            tied[tied] = (first > lo) | ((first == lo) & (second >= hi))
+            w = w[~tied]
+        least[w] = d[w]
+        end[w] = u
+        cand = np.flatnonzero(least == least.min())
         if cand.size > 1:
-            cand = cand[np.lexsort((hi[cand], lo[cand]))]
-        u = cand[0]
-        edges[k] = lo[u], hi[u]
+            lo, hi = np.minimum(vertex[cand], end[cand]), np.maximum(vertex[cand], end[cand])
+            cand = cand[np.lexsort((hi, lo))]
+        p = cand[0]
+        u = vertex[p]
+        edges[k] = sorted((u, end[p]))
     return edges
 
 
 def n1(ds: Dataset) -> MeasureResult:
     """Fraction of points touching a class-crossing MST edge."""
     _validate(ds)
-    edges = _mst_edges(_context(ds).square)
+    edges = _mst_edges(_context(ds).points)
     labels = ds.labels
     crossing = edges[labels[edges[:, 0]] != labels[edges[:, 1]]]
     return MeasureResult(code="N1", value=np.unique(crossing).size / ds.n, params={})
@@ -345,7 +377,8 @@ def n4(ds: Dataset, n_synthetic: int | None = None, seed: int = 0) -> MeasureRes
     n_syn = ds.n if n_synthetic is None else int(n_synthetic)
     if n_syn < 1:
         raise DomainError(f"n_synthetic must be >= 1, got {n_syn}")
-    X = _context(ds).points  # the context refuses overflowing distances
+    ctx = _context(ds)  # refuses overflowing distances
+    X = ctx.points
     rng = _philox(seed, 0)
     class_labels = sorted(part.groups)
     synth = np.empty((n_syn, ds.dim))
@@ -357,11 +390,12 @@ def n4(ds: Dataset, n_synthetic: int | None = None, seed: int = 0) -> MeasureRes
         t = rng.random()
         synth[k] = X[a] + t * (X[b] - X[a])
         synth_labels[k] = c
-    scratch = Scratch()
-    blocks = _cross_blocks(synth, X, _EUCLIDEAN)
-    nn = np.concatenate(
-        [_filled(*block, scratch).reshape(-1, ds.n).argmin(axis=1) for block in blocks]
-    )
+
+    def nearest(block, scratch):
+        return _filled(*block, scratch).reshape(-1, ds.n).argmin(axis=1)
+
+    with Threads(ctx.workers) as threads:
+        nn = np.concatenate(list(threads.map(nearest, _cross_blocks(synth, X, _EUCLIDEAN))))
     value = float(np.mean(ds.labels[nn] != synth_labels))
     return MeasureResult(
         code="N4", value=value, params={"n_synthetic": n_syn, "seed": seed}
@@ -416,8 +450,9 @@ def t1(ds: Dataset) -> MeasureResult:
     and C_i <= C_j is tested exactly as ``C_i & ~C_j == 0``.  Sphere j can
     absorb sphere i only if j covers x_i, since x_i lies in C_i, and only if
     j comes first in the order of descending cover size, then ascending
-    index.  Spheres are visited in that order; one already absorbed is
-    skipped, as whatever it would absorb, its own absorber absorbs too.
+    index; j's candidates are the set bits of its own cover.  Spheres are
+    visited in that order; one already absorbed is skipped, as whatever it
+    would absorb, its own absorber absorbs too.
     """
     _validate(ds)
     ctx = _context(ds)
@@ -426,13 +461,15 @@ def t1(ds: Dataset) -> MeasureResult:
     n = ds.n
     cover = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
     size = np.empty(n, dtype=np.int64)
-    scratch = Scratch()
-    for r0, r1 in _row_blocks(n):
+
+    def visit(r0, r1, rows, scratch):
         inside = _scratch_rows(scratch, "inside", r1 - r0, n, bool)
-        np.less_equal(ctx.square[r0:r1], r[r0:r1, None], out=inside)
+        np.less_equal(rows, r[r0:r1, None], out=inside)
         size[r0:r1] = np.count_nonzero(inside, axis=1)
         cover[r0:r1, : -(-n // 8)] = np.packbits(inside, axis=1, bitorder="little")
-    cover = cover.view(np.uint64)
+
+    ctx.walk(visit)
+    bits = cover.view(np.uint64)
     order = np.argsort(-size, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
@@ -440,9 +477,9 @@ def t1(ds: Dataset) -> MeasureResult:
     for j in order[size[order] > 1]:  # a sphere covering only its centre absorbs none
         if absorbed[j]:
             continue
-        cand = np.flatnonzero(ctx.square[j] <= r[j])
+        cand = np.flatnonzero(np.unpackbits(cover[j], count=n, bitorder="little"))
         cand = cand[(rank[cand] > rank[j]) & ~absorbed[cand]]
-        absorbed[cand[~(cover[cand] & ~cover[j]).any(axis=1)]] = True
+        absorbed[cand[~(bits[cand] & ~bits[j]).any(axis=1)]] = True
     value = float(np.mean(~absorbed))
     return MeasureResult(code="T1", value=value, params={})
 
@@ -470,35 +507,28 @@ def density(ds: Dataset, quantile: float = DENSITY_QUANTILE) -> MeasureResult:
     class too (the graph simply keeps all its edges).
 
     The cut is ``np.quantile`` of the pairs' distances, to the bit, taken
-    by ``stats._quantile`` from the upper triangle's row blocks: one pass
-    counts the distances per bin, another keeps only those in the one or
-    two bins that hold the ranks it needs.  The edges are then counted
-    block by block.
+    by ``stats._quantile`` from the kernel's blocks of each class's pairs and
+    of each pair of classes: one pass counts the distances per bin, the
+    same-class ones apart, and another keeps only those in the one or two
+    bins that hold the ranks it needs.  The edges are the same-class pairs
+    in lower bins and the kept same-class distances up to the cut.
     """
     if ds.n < 2:
         raise DegenerateClass("density needs at least 2 points")
     if not 0.0 < quantile < 1.0:
         raise DomainError(f"quantile must be in (0, 1), got {quantile}")
     ctx = _context(ds)
-    n, square = ds.n, ctx.square
-
-    def upper(r0, r1):  # each pair of the rows r0..r1 with a later point once
-        def fill(out, scratch):
-            start = 0
-            for i in range(r0, r1):
-                out[start : start + n - i - 1] = square[i, i + 1 :]
-                start += n - i - 1
-
-        return (r1 - r0) * (2 * n - r0 - r1 - 1) // 2, fill
-
-    cut = _quantile([upper(r0, r1) for r0, r1 in _row_blocks(n)], (0.0, ctx.bound), quantile)
-    # the square matrix holds each pair twice and each point once with
-    # itself, at distance 0 <= cut
-    close, scratch = 0, Scratch()
-    for r0, r1, rows, same in ctx.row_blocks(scratch):
-        near = np.less_equal(rows, cut, out=_scratch_rows(scratch, "near", r1 - r0, n, bool))
-        close += int(np.count_nonzero(np.logical_and(same, near, out=near)))
-    edges = (close - n) // 2
+    classes = [ds.points[ds.labels == c] for c in ds.class_labels]
+    # each pair once: within each class, marked as a possible edge, then
+    # between each pair of classes
+    sources = [(_condensed_blocks(points, _EUCLIDEAN), True) for points in classes]
+    sources += [
+        (_cross_blocks(mine, theirs, _EUCLIDEAN), False)
+        for c, mine in enumerate(classes)
+        for theirs in classes[c + 1 :]
+    ]
+    _, edges = _quantile(sources, (0.0, ctx.bound), quantile)
+    n = ds.n
     value = 1.0 - edges / (n * (n - 1) // 2)
     return MeasureResult(code="Density", value=value, params={"quantile": quantile})
 
@@ -513,8 +543,9 @@ def compute_measures(
 ) -> list[MeasureResult]:
     """Compute several measures in the order given (default: all eight).
 
-    The euclidean distances are computed once, on ``workers`` threads, and
-    shared by the measures.
+    The walks over the euclidean distances, and N4's blocks, run on
+    ``workers`` threads; the nearest neighbours are found once and shared
+    by the measures.
     """
     wanted = list(MEASURE_CODES) if codes is None else list(codes)
     unknown = [c for c in wanted if c not in MEASURE_CODES]

@@ -43,7 +43,8 @@ the scratch stays near cache size; it is dropped between the passes and
 when the call returns.
 
 ``_quantile`` reads an exact order statistic off the same bins, in the
-same two passes: the complexity measure Density takes its cut from it.
+same two passes, and counts the values of marked blocks up to it: the
+complexity measure Density takes its cut and its edges from it.
 """
 
 from __future__ import annotations
@@ -122,11 +123,10 @@ class _Bins:
         return cls(scale, first, math.floor(hi * scale) - first + 1)
 
     def index(
-        self, values: NDArray[np.float64], scratch: Scratch | None = None
+        self, values: NDArray[np.float64], scratch: Scratch
     ) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
         """Each value's bin, and its position ``t = v * scale``, in the "idx"
-        and "t" buffers of ``scratch`` (of a new one by default)."""
-        scratch = Scratch() if scratch is None else scratch
+        and "t" buffers of ``scratch``."""
         t = np.multiply(values, self.scale, out=scratch.take("t", values.size))
         idx = scratch.take("idx", values.size, np.int64)
         if self.first < 0:  # truncation rounds negative positions up
@@ -137,6 +137,15 @@ class _Bins:
             idx -= self.first
         np.minimum(idx, self.size - 1, out=idx)
         return idx, t
+
+    def of(self, values: NDArray[np.float64]) -> NDArray[np.int64]:
+        """Each value's bin, in a new array, found ``_BLOCK_VALUES`` values at
+        a time so that no other array of the size of ``values`` is made."""
+        out = np.empty(values.size, dtype=np.int64)
+        scratch = Scratch()
+        for i in range(0, values.size, _BLOCK_VALUES):
+            out[i : i + _BLOCK_VALUES] = self.index(values[i : i + _BLOCK_VALUES], scratch)[0]
+        return out
 
 
 class _Counts:
@@ -222,16 +231,20 @@ class _Gap:
         """The named statistics, given each multiset's kept values, sorted (a
         superset of its values in this gap's refined bins)."""
         bins, refine = self.bins, self.refine
-        in_a, in_b = refine[bins.index(kept_a)[0]], refine[bins.index(kept_b)[0]]
-        grid, count_a, count_b = _merge(
-            np.concatenate([kept_a[in_a], kept_b[in_b]]), np.count_nonzero(in_a)
-        )
-        at = bins.index(grid)[0]
+        in_a, in_b = refine[bins.of(kept_a)], refine[bins.of(kept_b)]
+        grid, count_a, count_b = _merge(kept_a, in_a, kept_b, in_b)
+        del in_a, in_b
+        w1 = "w1" in names or "w1_normalized" in names
+        at = bins.of(grid)
+        if not w1:
+            del grid
         # each kept value's bin is refined, so the values in unrefined bins
         # up to it are the values below it that pass 2 did not keep
-        count_a += np.cumsum(np.where(refine, 0, self.a.counts))[at]
-        count_b += np.cumsum(np.where(refine, 0, self.b.counts))[at]
-        w1 = "w1" in names or "w1_normalized" in names
+        below = np.take(np.cumsum(np.where(refine, 0, self.a.counts)), at)
+        count_a += below
+        # (out is copied first unless the mode is "clip"; every index is in range)
+        count_b += np.take(np.cumsum(np.where(refine, 0, self.b.counts)), at, out=below, mode="clip")
+        del below
         if not w1:
             del at
         # each array of the merged size is dropped once it is used up, so
@@ -273,20 +286,30 @@ class _Gap:
         return float(shares.sum()) / bins.scale
 
 
-def _merge(values, split: int) -> tuple:
-    """The distinct values of the two sorted runs ``values[:split]`` and
-    ``values[split:]``, ascending, and how many values of each run are <=
-    each of them.  Sorts ``values`` in place.
+def _merge(kept_a, in_a, kept_b, in_b) -> tuple:
+    """The distinct values of the sorted runs ``kept_a[in_a]`` and
+    ``kept_b[in_b]``, ascending, and how many values of each run are <= each
+    of them.
 
-    A stable sort of two sorted runs is one linear merge; running counts of
-    the first run's values, read at the end of each run of equal values,
-    give the ranks.
+    A stable sort of two sorted runs is one linear merge; the ends of its
+    runs of equal values count the values of both runs, and a binary search
+    of the first run counts its own.  Each array of the merged size is
+    dropped as soon as it is used up.
     """
-    from_a = np.argsort(values, kind="stable") < split
+    split = np.count_nonzero(in_a)
+    values = np.empty(split + np.count_nonzero(in_b))
+    np.compress(in_a, kept_a, out=values[:split])
+    np.compress(in_b, kept_b, out=values[split:])
+    first = values[:split].copy()
     values.sort(kind="stable")
     ends = np.flatnonzero(np.append(values[1:] != values[:-1], True)[: values.size])
-    count_a = np.cumsum(from_a)[ends]
-    return values[ends], count_a, ends + 1 - count_a
+    distinct = values[ends]
+    del values
+    count_a = np.searchsorted(first, distinct, side="right")
+    del first
+    count_b = np.add(ends, 1, out=ends)
+    count_b -= count_a
+    return distinct, count_a, count_b
 
 
 def _binned_statistics(
@@ -352,46 +375,54 @@ def _binned_statistics(
     return [gap.statistics(kept[a], kept[b], names) for (a, b), gap in zip(pairs, gaps)]
 
 
-def _quantile(blocks: list, span: tuple[float, float], q: float) -> float:
+def _quantile(sources: list, span: tuple[float, float], q: float) -> tuple[float, int]:
     """``np.quantile(values, q)``, with the bits of its default ``linear``
-    method, of the values that the ``(size, fill)`` blocks produce; blocks
-    and ``span`` are as in ``_binned_statistics``.
+    method, of the values that the blocks of ``sources`` produce, and how
+    many values of the marked sources are <= it.
 
-    numpy reads the two order statistics either side of its virtual index
-    ``(n - 1) * q``.  Pass 1 counts the values per bin; pass 2 keeps only
-    the values of the one or two bins holding those ranks, as each block's
-    distinct values with their counts, so a run of tied values costs one
-    entry per block, and reads both ranks off their merged counts.
+    ``sources`` lists ``(blocks, marked)``: ``(size, fill)`` blocks as in
+    ``_binned_statistics``, and whether their values are counted; ``span``
+    is as there.  numpy reads the two order statistics either side of its
+    virtual index ``(n - 1) * q``.  Pass 1 counts the values per bin, the
+    marked ones apart; pass 2 keeps only the values of the one or two bins
+    holding those ranks, as each block's distinct values with their counts,
+    so a run of tied values costs one entry per block, and reads both ranks
+    off their merged counts.  The cut lies in those bins, so the marked
+    values <= it are the marked values of every bin below them and the
+    marked kept values <= it.
     """
-    n = sum(size for size, _ in blocks)
+    tasks = [(size, fill, marked) for blocks, marked in sources for size, fill in blocks if size]
+    n = sum(size for size, _, _ in tasks)
     bins = _Bins.spanning(*span, _bin_target(n))
     scratch = Scratch()
-    counts = np.zeros(bins.size, dtype=np.int64)
-    for size, fill in blocks:
-        if size:
-            idx = bins.index(_filled(size, fill, scratch), scratch)[0]
-            counts += np.bincount(idx, minlength=bins.size)
+    tallies = np.zeros((2, bins.size), dtype=np.int64)  # unmarked, marked
+    for size, fill, marked in tasks:
+        idx = bins.index(_filled(size, fill, scratch), scratch)[0]
+        tallies[int(marked)] += np.bincount(idx, minlength=bins.size)
+    counts = tallies.sum(axis=0)
     virtual = (n - 1) * q
     below = math.floor(virtual)
     ranks = (below, below + 1) if virtual < n - 1 else (n - 1, n - 1)
     ends = np.cumsum(counts)
     first, last = np.searchsorted(ends, ranks, side="right")
     parts = []
-    for size, fill in blocks:
-        if size:
-            values = _filled(size, fill, scratch)
-            idx = bins.index(values, scratch)[0]
-            inside = np.greater_equal(idx, first, out=scratch.take("inside", size, bool))
-            inside &= np.less_equal(idx, last, out=scratch.take("below", size, bool))
-            parts.append(np.unique(values[inside], return_counts=True))
-    kept = np.concatenate([values for values, _ in parts])
+    for size, fill, marked in tasks:
+        values = _filled(size, fill, scratch)
+        idx = bins.index(values, scratch)[0]
+        inside = np.greater_equal(idx, first, out=scratch.take("inside", size, bool))
+        inside &= np.less_equal(idx, last, out=scratch.take("below", size, bool))
+        parts.append((*np.unique(values[inside], return_counts=True), marked))
+    kept = np.concatenate([values for values, _, _ in parts])
     order = np.argsort(kept, kind="stable")
     # one past each kept value's last rank, counting the values below its bins
-    past = np.cumsum(np.concatenate([c for _, c in parts])[order]) + (ends[first] - counts[first])
+    past = np.cumsum(np.concatenate([c for _, c, _ in parts])[order]) + (ends[first] - counts[first])
     a, b = (kept[order[np.searchsorted(past, r, side="right")]] for r in ranks)
     # numpy's lerp, from numpy itself: the same weight between the same two
     # values (past the last rank, a == b and the weight is moot)
-    return float(np.quantile(np.array([a, b]), virtual - ranks[0]))
+    cut = float(np.quantile(np.array([a, b]), virtual - ranks[0]))
+    at_most = int(tallies[1, :first].sum())
+    at_most += sum(int(c[values <= cut].sum()) for values, c, marked in parts if marked)
+    return cut, at_most
 
 
 def _sample_blocks(values: NDArray[np.float64]) -> list:

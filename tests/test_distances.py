@@ -279,6 +279,24 @@ class TestBlocks:
         assert {ident: scratch for ident, scratch in seen} == held
         assert threads._scratch == {}  # nothing outlives the call
 
+    def test_pool_tasks_are_runs_of_items(self, monkeypatch):
+        # a walk of thousands of small blocks makes fewer pool tasks than
+        # blocks, and its results still come in the order of the items
+        from concurrent.futures import ThreadPoolExecutor
+
+        threads_module = sys.modules["separability._threads"]
+        tasks, submit = [], ThreadPoolExecutor.submit
+
+        def counted(pool, *args, **kwargs):
+            tasks.append(threading.get_ident())
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+        items = list(range(5000))
+        with threads_module.Threads(3) as threads:
+            assert list(threads.map(lambda item, scratch: 2 * item, items)) == [2 * i for i in items]
+        assert 3 <= len(tasks) <= 3 * threads_module._RUNS_PER_WORKER < len(items)
+
     def test_scratch_regrows_and_reuses(self):
         scratch = sys.modules["separability._threads"].Scratch()
         small = scratch.take("v", 4)

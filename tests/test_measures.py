@@ -23,7 +23,6 @@ from separability import (
     n2,
     n3,
     n4,
-    pairwise_condensed,
     t1,
 )
 
@@ -111,7 +110,7 @@ class TestN1:
     def test_tied_edges_match_brute_oracle(self, coords):
         # small integer coordinates: many equal distances, coincident points
         pts = np.array(coords, dtype=float)
-        edges = separability.measures._mst_edges(squareform(pairwise_condensed(pts)))
+        edges = separability.measures._mst_edges(pts)
         assert {(i, j) for i, j in edges.tolist()} == set(brute_mst_edges(pts))
 
 
@@ -189,6 +188,14 @@ class TestN4:
         ds = _line([0.0, 1.0, 5.0], [0, 0, 1])
         with pytest.raises(DegenerateClass):
             n4(ds)
+
+    def test_workers_do_not_change_bits(self):
+        # 1200 synthetic points: 23 blocks of 54 rows, shared among threads
+        ds = random_dataset(n_per_class=400, dim=2, classes=3, seed=9, spread=1.0)
+        alone = n4(ds, seed=4).value
+        for workers in (1, 3):
+            (shared,) = compute_measures(ds, ["N4"], seed=4, workers=workers)
+            assert shared.value.hex() == alone.hex()
 
 
 class TestT1:
@@ -356,10 +363,18 @@ class TestDistanceMatrix:
         else:
             points = g.normal(size=(300, width))
         ds = Dataset(points, np.arange(300) % 2)
-        square = separability.measures._context(ds, workers).square
+        square = np.full((300, 300), np.nan)
+        visited = []
+
+        def visit(r0, r1, rows, scratch):
+            visited.append((r0, r1))
+            square[r0:r1] = rows
+
+        separability.measures._context(ds, workers).walk(visit)
+        assert sorted(visited) == separability.distances._row_blocks(300)
+        assert len(visited) > 1
         want = squareform(pdist(points))
         assert np.array_equal(square.view(np.uint64), want.view(np.uint64))
-        assert not square.flags.writeable
 
 
 class TestBounds:
@@ -405,19 +420,37 @@ class TestComputeMeasures:
         pts = np.column_stack([xs.ravel(), ys.ravel()])
         return Dataset(points=pts, labels=(pts[:, 0] + pts[:, 1]) % 3 == 0)
 
-    def test_one_pairwise_pass(self, shared_input, monkeypatch):
+    def test_kernel_pair_counts(self, shared_input, computed_pairs, monkeypatch):
+        # each walk computes every ordered pair once, on the context's
+        # workers; N1's Prim and each pass of Density's cut every unordered
+        # pair once; N4 each synthetic point against every point
         workers = []
-        cross = separability.measures._cross
+        threads_type = separability.measures.Threads
 
-        def counted(pa, pb, metric, threads):
-            workers.append(threads)  # the kernel's thread count
-            return cross(pa, pb, metric, threads)
+        def counted(n):
+            workers.append(n)
+            return threads_type(n)
 
-        monkeypatch.setattr(separability.measures, "_cross", counted)
+        monkeypatch.setattr(separability.measures, "Threads", counted)
+        n = shared_input.n
+        walk, pairs = n * n, n * (n - 1) // 2
+        expected = {
+            "F1": 0, "N1": pairs, "N2": walk, "N3": walk, "N4": walk,
+            "T1": 2 * walk, "LSC": walk, "Density": 2 * pairs,
+        }
+        for code, count in expected.items():
+            computed_pairs.clear()
+            compute_measures(shared_input, [code], workers=3)
+            assert sum(computed_pairs) == count, code
+        assert set(workers) == {3}
+        # shared by all eight, the first walk runs once: N2, N3, T1 and LSC
+        # read it, T1 walks again for its covers
+        computed_pairs.clear()
         compute_measures(shared_input, workers=3)
-        assert workers == [3]
-        t1(shared_input)  # a measure alone runs its pass on one thread
-        assert workers == [3, 1]
+        assert sum(computed_pairs) == sum(expected.values()) - 3 * walk
+        workers.clear()
+        t1(shared_input)  # a measure alone runs its walks on one thread
+        assert workers == [1, 1]
 
     def test_context_shares_the_points(self, small_two_class):
         ctx = separability.measures._context(small_two_class)
@@ -480,8 +513,8 @@ class TestOverflow:
 
 
 class TestMemory:
-    """The square distance matrix is the only n x n array: everything else
-    reads it in row blocks, so no run peaks much above its bytes."""
+    """No measure holds an n x n float array: the walks read the kernel's row
+    blocks, and T1's cover bits, n**2 / 8 bytes, are the largest array."""
 
     DATA = {
         "spirals": generate(GeneratorSpec("spirals", 1500, seed=1)),
@@ -496,6 +529,71 @@ class TestMemory:
         square = ds.n**2 * 8
         _, peak = traced_peak(lambda: fn(ds))
         assert peak < 1.5 * square, f"{peak / square:.2f} squares"
+
+    @pytest.mark.parametrize("data", DATA)
+    @pytest.mark.parametrize("fn", [compute_measures, f1, n1, n2, n3, n4, t1, lsc, density])
+    def test_peak_below_a_tenth_of_a_square(self, fn, data):
+        ds = self.DATA[data]
+        square = ds.n**2 * 8
+        _, peak = traced_peak(lambda: fn(ds))
+        assert peak < 0.1 * square, f"{peak / square:.3f} squares"
+
+
+def _region_grid() -> Dataset:
+    """A 12 x 12 x 8 integer grid in 4 classes by 3 x 3 regions, a tenth of
+    the points relabelled at random: distances tie heavily."""
+    points = np.indices((12, 12, 8)).reshape(3, -1).T.astype(float)
+    labels = ((points[:, 0] // 3 + points[:, 1] // 3) % 4).astype(int)
+    flip = rng(22).random(labels.size) < 0.1
+    labels[flip] = rng(23).integers(0, 4, size=int(flip.sum()))
+    return Dataset(points, labels)
+
+
+class TestPinnedBits:
+    """All eight values, by ``.hex()``, as the n x n distance matrix gave
+    them: many walk blocks (spirals, n = 3000), Density's cut among two
+    distinct distances (two-points), and T1's covers of 18 words among ties
+    (the grid, n = 1152)."""
+
+    DATA = {**TestMemory.DATA, "grid": _region_grid()}
+    PINNED = {
+        "spirals": [
+            "0x1.f1cd27fb02b47p-1",
+            "0x1.31d5acb6f4651p-7",
+            "0x1.f37ab13bd9850p-6",
+            "0x1.9f0fb38a94d24p-8",
+            "0x1.921735ee402bbp-2",
+            "0x1.0f04c756b2dbdp-2",
+            "0x1.f158c35749da8p-1",
+            "0x1.de180d8b0c83fp-1",
+        ],
+        "two-points": [
+            "0x1.0000000000000p+0",
+            "0x1.0057619f0fb39p-1",
+            "0x0.0p+0",
+            "0x1.0000000000000p+0",
+            "0x1.00aec33e1f671p-1",
+            "0x1.5d867c3ece2a5p-11",
+            "0x1.0000000000000p+0",
+            "0x1.8020c767b6ee2p-1",
+        ],
+        "grid": [
+            "0x1.ff76378066c4fp-1",
+            "0x1.3dc71c71c71c7p-1",
+            "0x1.f0971784ab6edp-2",
+            "0x1.6f1c71c71c71cp-2",
+            "0x1.6d55555555555p-2",
+            "0x1.4c00000000000p-1",
+            "0x1.feb3c0ca4587ep-1",
+            "0x1.e34d6034fbf8dp-1",
+        ],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("data", DATA)
+    def test_values(self, data, workers):
+        values = compute_measures(self.DATA[data], workers=workers)
+        assert [r.value.hex() for r in values] == self.PINNED[data]
 
 
 class TestMeasureResult:

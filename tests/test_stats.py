@@ -172,12 +172,21 @@ class TestWassersteinNormalized:
 
 
 class TestQuantile:
-    """``stats._quantile`` reproduces ``np.quantile`` to the bit from blocks."""
+    """``stats._quantile`` reproduces ``np.quantile`` to the bit from blocks,
+    and counts the values of the marked blocks up to it."""
 
     @staticmethod
-    def _blocks(values, cuts):
-        parts = np.split(values, sorted(c % (values.size + 1) for c in cuts))
-        return [(part.size, lambda out, scratch, part=part: np.copyto(out, part)) for part in parts]
+    def _parts(values, cuts):
+        return np.split(values, sorted(c % (values.size + 1) for c in cuts))
+
+    @staticmethod
+    def _sources(parts, marks):
+        """One source per part, marked as ``marks`` says (unmarked past its end)."""
+        marks = list(marks) + [False] * len(parts)
+        return [
+            ([(part.size, lambda out, scratch, part=part: np.copyto(out, part))], mark)
+            for part, mark in zip(parts, marks)
+        ]
 
     @given(
         st.one_of(
@@ -190,14 +199,18 @@ class TestQuantile:
         ),
         st.lists(st.integers(0, 400), max_size=4),
         bin_targets,
+        st.lists(st.booleans(), max_size=5),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_numpy(self, values, q, cuts, target):
+    def test_matches_numpy(self, values, q, cuts, target, marks):
         values = np.array(values)
         span = (0.0, float(values.max()))
+        parts = self._parts(values, cuts)
         with _bins_about(target):
-            got = sys.modules["separability.stats"]._quantile(self._blocks(values, cuts), span, q)
-        assert got == np.quantile(values, q)
+            cut, at_most = sys.modules["separability.stats"]._quantile(self._sources(parts, marks), span, q)
+        assert cut == np.quantile(values, q)
+        # brute force: every marked value, compared with the cut
+        assert at_most == sum(int(np.sum(part <= cut)) for part, mark in zip(parts, marks) if mark)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 21, 100, 101, 1000])
     def test_virtual_index_near_an_integer(self, n):
@@ -210,7 +223,10 @@ class TestQuantile:
             base = k / max(n - 1, 1)
             for q in (base, np.nextafter(base, 0.0), np.nextafter(base, 1.0), base + 0.5 / max(n - 1, 1)):
                 if 0.0 < q < 1.0:
-                    assert quantile(self._blocks(values, [n // 3]), (0.0, 8.0), q) == np.quantile(values, q)
+                    sources = self._sources(self._parts(values, [n // 3]), [True, True])
+                    cut, at_most = quantile(sources, (0.0, 8.0), q)
+                    assert cut == np.quantile(values, q)
+                    assert at_most == np.sum(values <= cut)
 
 
 class TestBlockContract:
@@ -260,7 +276,7 @@ class TestBlockContract:
         ]
         calls = []
         quantile = sys.modules["separability.stats"]._quantile
-        got = quantile(self._recorded(blocks, calls), (0.0, float(values.max())), 0.15)
+        got, _ = quantile([(self._recorded(blocks, calls), False)], (0.0, float(values.max())), 0.15)
         assert got == np.quantile(values, 0.15)
         assert len(calls) == 2 * len(blocks)
         self._check(calls)
