@@ -18,9 +18,11 @@ distances, triangle first, clamped, into the flat float64 slice ``out``
 and takes its temporaries from ``scratch`` (a ``_threads.Scratch``, one per
 thread of a call), so a walk over the blocks allocates nothing per block;
 callers give each block its slice of their own result, or a scratch
-buffer.  The blocks depend only on the row counts, never on the worker
-count, so every entry is produced by the same library call regardless of
-parallelism and results are bit-identical for any ``workers`` value.
+buffer.  ``_store``, behind ``_cross`` and ``dsi.class_distance_sets``,
+fills each block into its slice of every multiset it feeds.  The blocks
+depend only on the row counts, never on the worker count, so every entry
+is produced by the same library call regardless of parallelism and
+results are bit-identical for any ``workers`` value.
 pdist and cdist give the same bits for the same pair, whichever block
 computes it and in either order.  Only ``pairwise_condensed`` and
 ``icd_set`` return the condensed form, the strict upper triangle row by
@@ -356,34 +358,44 @@ def _cross_blocks(pa: NDArray[np.float64], pb: NDArray[np.float64], metric: Dist
     return [_block(pa[r0:r1], pb, False, metric) for r0, r1 in blocks]
 
 
-def _cross(
-    pa: NDArray[np.float64],
-    pb: NDArray[np.float64],
-    metric: DistanceMetric,
-    workers: int = 1,
-) -> NDArray[np.float64]:
-    """All distances from the rows of ``pa`` to those of ``pb``, flat and
-    row-major, on ``workers`` threads.
+def _store(sources: list, sizes: list[int], workers: int) -> list[NDArray[np.float64]]:
+    """The multisets fed by ``sources``, ``sizes[f]`` values in multiset f,
+    stored on ``workers`` threads.
 
-    Unchecked: both must be finite 2-D float64 arrays on which ``metric`` is
-    defined (see ``_check_vectors``).  Each block of ``pa``'s rows is computed
-    into its own slice of the result, so no block-sized copy is made.
+    ``sources`` lists ``(blocks, feeds)`` as ``stats._binned_statistics``
+    reads them; each multiset holds its blocks' values in block order.  A
+    block fills its slice of the first multiset it feeds in place and is
+    copied into the rest.  Unchecked: callers that may overflow check the
+    result, and numpy need not warn.
     """
-    out = np.empty(pa.shape[0] * pb.shape[0], dtype=np.float64)
-    tasks, start = [], 0
-    for size, fill in _cross_blocks(pa, pb, metric):
-        tasks.append((fill, out[start : start + size]))
-        start += size
+    sets = [np.empty(size, dtype=np.float64) for size in sizes]
+    tasks, filled = [], [0] * len(sets)
+    for blocks, feeds in sources:
+        for size, fill in blocks:
+            tasks.append((fill, [sets[f][filled[f] : filled[f] + size] for f in feeds]))
+            for f in feeds:
+                filled[f] += size
 
-    def fill_slice(task, scratch):
-        fill, part = task
-        # callers that may overflow check the result; numpy need not warn
+    def fill_slices(task, scratch):
+        fill, (first, *copies) = task
         with np.errstate(over="ignore", invalid="ignore"):
-            fill(part, scratch)
+            fill(first, scratch)
+        for copy in copies:
+            copy[:] = first
 
     with Threads(workers) as threads:
-        for _ in threads.map(fill_slice, tasks):
+        for _ in threads.map(fill_slices, tasks):
             pass
+    return sets
+
+
+def _cross(
+    pa: NDArray[np.float64], pb: NDArray[np.float64], metric: DistanceMetric
+) -> NDArray[np.float64]:
+    """All distances from the rows of ``pa`` to those of ``pb``, flat and
+    row-major.  Unchecked: both must be finite 2-D float64 arrays on which
+    ``metric`` is defined (see ``_check_vectors``)."""
+    (out,) = _store([(_cross_blocks(pa, pb, metric), (0,))], [pa.shape[0] * pb.shape[0]], 1)
     return out
 
 

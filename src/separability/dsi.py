@@ -17,8 +17,8 @@ One setup step, ``_multisets``, checks the points once, for the whole
 dataset, so an error names the dataset's row, and refuses a class below 2
 points before any distance is computed.  It lays the multisets out as the
 distance kernel's row blocks: ICD(i) from the pairs among class i's rows,
-BCD(i) from the pairs between class i and each other class; with two
-classes both BCDs are the same multiset, counted once.  ``_dsi_reports``
+BCD(i) from the pairs between class i and each other class, so each
+class's statistic reads its own two multisets.  ``_dsi_reports``
 runs it for ``dsi``, for the CLI and for each draw of ``dsi_subsampled``
 (which draws again when the step refuses), then streams the blocks without
 storing them.  Every pair of points is computed once per pass, and there
@@ -38,7 +38,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._threads import Threads
 from .dataset import Dataset, partition
 from .distances import (
     DistanceMetric,
@@ -47,6 +46,7 @@ from .distances import (
     _condensed_blocks,
     _cross_blocks,
     _diameter_bound,
+    _store,
     resolve_metric,
 )
 from .errors import DegenerateClass, DegenerateDataset, DegenerateSubset
@@ -159,11 +159,11 @@ def _multisets(ds: Dataset, m: DistanceMetric, max_points: int | None) -> tuple:
 
     Fewer than 2 classes, or a class below 2 points, raises before any other
     check.  Multisets are numbered ICD(c) = c and BCD(c) = k + c for the k
-    classes, labels ascending; with two classes both BCDs are the one cross
-    multiset, number 2.  Returns the labels, the blocks as
-    ``stats._binned_statistics`` reads them (each pair of points in one
-    block), each class's BCD number, each multiset's size, and a bound on
-    any distance (see ``_diameter_bound``).
+    classes, labels ascending, so each cross block feeds two BCDs.  Returns
+    the labels, the blocks as ``stats._binned_statistics`` and
+    ``distances._store`` read them (each pair of points in one block), each
+    class's BCD number, each multiset's size, and a bound on any distance
+    (see ``_diameter_bound``).
     """
     groups = partition(ds).groups
     for label, rows in groups.items():
@@ -182,16 +182,16 @@ def _multisets(ds: Dataset, m: DistanceMetric, max_points: int | None) -> tuple:
         for rows in groups.values()
     ]
     k = len(points)
-    bcd = [k, k] if k == 2 else [k + c for c in range(k)]
+    bcd = [k + c for c in range(k)]
     sources = [(_condensed_blocks(mine, m), (c,)) for c, mine in enumerate(points)]
     sources += [
-        (_cross_blocks(points[c], points[d], m), tuple(dict.fromkeys((bcd[c], bcd[d]))))
+        (_cross_blocks(points[c], points[d], m), (bcd[c], bcd[d]))
         for c in range(k)
         for d in range(c + 1, k)
     ]
     counts = [rows.size for rows in groups.values()]
     sizes = [s * (s - 1) // 2 for s in counts] + [s * (ds.n - s) for s in counts]
-    return list(groups), sources, bcd, sizes[: max(bcd) + 1], _diameter_bound(ds.points, m)
+    return list(groups), sources, bcd, sizes, _diameter_bound(ds.points, m)
 
 
 def _report(
@@ -251,25 +251,9 @@ def class_distance_sets(
     """
     m = resolve_metric(metric)
     labels, sources, bcd, sizes, _ = _multisets(ds, m, max_points)
-    sets = [np.empty(size, dtype=np.float64) for size in sizes]
-    # each block fills its slice of the first multiset it feeds, in place,
-    # and is copied into the second one (a BCD, with three classes or more)
-    tasks, filled = [], [0] * len(sets)
-    for blocks, feeds in sources:
-        for size, fill in blocks:
-            tasks.append((fill, [sets[f][filled[f] : filled[f] + size] for f in feeds]))
-            for f in feeds:
-                filled[f] += size
-
-    def fill_slices(task, scratch):
-        fill, (first, *copies) = task
-        fill(first, scratch)
-        for copy in copies:
-            copy[:] = first
-
-    with Threads(workers) as threads:
-        for _ in threads.map(fill_slices, tasks):
-            pass
+    if len(labels) == 2:  # one array for both BCDs: the cross blocks feed only BCD(0)
+        sources[-1], sizes[-1], bcd[-1] = (sources[-1][0], (bcd[0],)), 0, bcd[0]
+    sets = _store(sources, sizes, workers)
     for values in sets:
         values.sort()
     return {

@@ -24,8 +24,8 @@ block.
   W1 is the integral of a one-signed step function, which its counts and
   edge sums give exactly.
 * Pass 2, run only when some bin is refined, produces the blocks again and
-  keeps the plain values that fall in refined bins; pass 1's counts say how
-  many, so each multiset's kept values fill one array, sorted once.  For
+  keeps the plain values in its pair's refined bins; pass 1's counts say
+  how many, so each multiset's kept values fill one array, sorted once.  For
   each pair, one stable merge of the two sorted runs ranks their values,
   and those ranks, offset by the counts below each bin, give |P - Q| at
   each kept value with the same float operations as a merge of the two
@@ -228,12 +228,10 @@ class _Gap:
         return np.append(0, ca[:-1]), np.append(0, cb[:-1]), np.append(0.0, ends[:-1]), best
 
     def statistics(self, kept_a, kept_b, names) -> dict[str, float]:
-        """The named statistics, given each multiset's kept values, sorted (a
-        superset of its values in this gap's refined bins)."""
+        """The named statistics, given each multiset's values in this gap's
+        refined bins, sorted."""
         bins, refine = self.bins, self.refine
-        in_a, in_b = refine[bins.of(kept_a)], refine[bins.of(kept_b)]
-        grid, count_a, count_b = _merge(kept_a, in_a, kept_b, in_b)
-        del in_a, in_b
+        grid, count_a, count_b = _merge(kept_a, kept_b)
         w1 = "w1" in names or "w1_normalized" in names
         at = bins.of(grid)
         if not w1:
@@ -257,15 +255,20 @@ class _Gap:
         del fall
         out = {"ks": max(self.best, float(heights.max(initial=0.0)))}
         if w1:
-            out["w1"] = self._area(grid, at, heights, self._cumulative()[2])
+            area = self._area(grid, at, heights, self._cumulative()[2])
+            out["w1"] = area / bins.scale
+            # the pooled range in bin widths: finite where high - low
+            # overflows, and the same ratio to the bit elsewhere, since the
+            # scale is a power of two
             low, high = min(self.a.low, self.b.low), max(self.a.high, self.b.high)
-            pooled_range = float(high - low)
+            width = high * bins.scale - low * bins.scale
             # rounding can put the ratio a hair above its bound of 1
-            out["w1_normalized"] = min(out["w1"] / pooled_range, 1.0) if pooled_range else 0.0
+            out["w1_normalized"] = min(area / width, 1.0) if width else 0.0
         return {name: out[name] for name in names}
 
     def _area(self, grid, at, heights, before) -> float:
-        """The integral of |P - Q|, summed bin by bin in bin order."""
+        """The integral of |P - Q| in bin widths, summed bin by bin in bin
+        order."""
         bins, a, b = self.bins, self.a, self.b
         # settled bins: |P - Q| keeps one sign, so the integral of P - Q over
         # the bin, one bin width, is taken whole; grouped so that swapping
@@ -283,30 +286,24 @@ class _Gap:
             lower = at[first] + bins.first
             pieces[first] += (t[first] - lower) * np.abs(before[at[first]])
             shares[self.refine] = np.bincount(at, weights=pieces, minlength=bins.size)[self.refine]
-        return float(shares.sum()) / bins.scale
+        return float(shares.sum())
 
 
-def _merge(kept_a, in_a, kept_b, in_b) -> tuple:
-    """The distinct values of the sorted runs ``kept_a[in_a]`` and
-    ``kept_b[in_b]``, ascending, and how many values of each run are <= each
-    of them.
+def _merge(kept_a, kept_b) -> tuple:
+    """The distinct values of the sorted runs ``kept_a`` and ``kept_b``,
+    ascending, and how many values of each run are <= each of them.
 
     A stable sort of two sorted runs is one linear merge; the ends of its
     runs of equal values count the values of both runs, and a binary search
     of the first run counts its own.  Each array of the merged size is
     dropped as soon as it is used up.
     """
-    split = np.count_nonzero(in_a)
-    values = np.empty(split + np.count_nonzero(in_b))
-    np.compress(in_a, kept_a, out=values[:split])
-    np.compress(in_b, kept_b, out=values[split:])
-    first = values[:split].copy()
+    values = np.concatenate((kept_a, kept_b))
     values.sort(kind="stable")
     ends = np.flatnonzero(np.append(values[1:] != values[:-1], True)[: values.size])
     distinct = values[ends]
     del values
-    count_a = np.searchsorted(first, distinct, side="right")
-    del first
+    count_a = np.searchsorted(kept_a, distinct, side="right")
     count_b = np.add(ends, 1, out=ends)
     count_b -= count_a
     return distinct, count_a, count_b
@@ -323,10 +320,11 @@ def _binned_statistics(
     the ``_threads.Scratch`` given; those values belong to every multiset
     numbered in ``feeds``.  ``span`` is ``(lo, hi)``: no value lies below
     ``lo``, and the bins span [lo, hi], though a value above ``hi`` is
-    still counted exactly.  ``pairs`` lists ``(a, b)`` multiset numbers;
-    the result has one dict of the ``names`` ("ks", "w1", "w1_normalized")
-    per pair.  Blocks run on ``workers`` threads, once to count and, if any
-    bin needs it, once more to refine.
+    still counted exactly.  ``pairs`` lists ``(a, b)`` multiset numbers,
+    each multiset in one pair, so pass 2 keeps its values in that pair's
+    refined bins only; the result has one dict of the ``names`` ("ks",
+    "w1", "w1_normalized") per pair.  Blocks run on ``workers`` threads,
+    once to count and, if any bin needs it, once more to refine.
     """
     edges = "w1" in names or "w1_normalized" in names
     sizes = [0] * (1 + max(max(f) for _, f in sources))
@@ -358,10 +356,9 @@ def _binned_statistics(
         threads.free_scratch()  # the gaps' bin-sized arrays may reuse its memory
 
         gaps = [_Gap(sets[a], sets[b], bins, names) for a, b in pairs]
-        wanted = [np.zeros(bins.size, dtype=bool) for _ in sets]
+        wanted = [None] * len(sets)
         for (a, b), gap in zip(pairs, gaps):
-            wanted[a] |= gap.refine
-            wanted[b] |= gap.refine
+            wanted[a] = wanted[b] = gap.refine
         # pass 1's counts size each multiset's kept values exactly
         kept = [np.empty(int(s.counts[table].sum())) for s, table in zip(sets, wanted)]
         if any(values.size for values in kept):

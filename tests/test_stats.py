@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from separability import EmptySample, ks_statistic, wasserstein1, wasserstein1_normalized
+from separability import EmptySample, dsi, ks_statistic, wasserstein1, wasserstein1_normalized
 
 from conftest import random_dataset, rng
 from oracles import grid_ks, grid_wasserstein1
@@ -170,6 +170,20 @@ class TestWassersteinNormalized:
         scaled = wasserstein1_normalized([c * v for v in a], [c * v for v in b])
         assert scaled == pytest.approx(base, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([-1e308, 0.0], [1e308, 0.0]),  # the pooled range overflows; 0.5
+            ([-1.7e308], [-1e308, 1.7e308]),  # W1 and the range overflow
+        ],
+    )
+    def test_pooled_range_past_float64(self, a, b):
+        # a quarter of each sample has a finite range and the same bins
+        # relative to it, so the same bits
+        quarter = wasserstein1_normalized([v / 4 for v in a], [v / 4 for v in b])
+        assert 0.0 < quarter < 1.0
+        assert wasserstein1_normalized(a, b) == quarter
+
 
 class TestQuantile:
     """``stats._quantile`` reproduces ``np.quantile`` to the bit from blocks,
@@ -305,3 +319,26 @@ class TestBlockContract:
         assert np.array_equal(np.concatenate(written), np.concatenate([a, b]))
         monkeypatch.setattr(stats, "_binned_statistics", binned)
         assert ks_statistic(a, b) == value
+
+
+class TestOnePairPerMultiset:
+    """Each multiset of the DSI belongs to one pair, so pass 2 keeps, for
+    each side of a gap, exactly its values in that gap's refined bins."""
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_kept_values_are_the_gaps_own(self, monkeypatch, classes):
+        stats = sys.modules["separability.stats"]
+        statistics, seen = stats._Gap.statistics, []
+
+        def spy(gap, kept_a, kept_b, names):
+            seen.append((gap, kept_a.copy(), kept_b.copy()))
+            return statistics(gap, kept_a, kept_b, names)
+
+        monkeypatch.setattr(stats._Gap, "statistics", spy)
+        dsi(random_dataset(n_per_class=150, dim=2, classes=classes, seed=4), stat="ks")
+        assert len(seen) == classes
+        for gap, kept_a, kept_b in seen:
+            assert gap.refine.any()  # overlapping classes: pass 2 ran
+            for counts, kept in ((gap.a, kept_a), (gap.b, kept_b)):
+                assert gap.refine[gap.bins.of(kept)].all()
+                assert kept.size == counts.counts[gap.refine].sum()
