@@ -142,13 +142,14 @@ def resolve_metric(metric: DistanceMetric | str) -> DistanceMetric:
 # Rows of at most this many features are measured in numpy for the metrics
 # of _NUMPY_METRICS.  numpy makes a few passes over the block per feature,
 # scipy one, so numpy is slower per pair except at d=1; it wins by skipping
-# the import (~0.5 s wall, ~0.7 s CPU).  For one 128x5000 cdist block on a
-# 2-vCPU x86-64 guest (numpy 2.4.6, scipy 1.17.1), numpy took 0.4-0.6x
-# scipy's time at d=1, 1.9-2.6x at d=2, 2.4-3.3x at d=3, 2.8-3.9x at d=4,
-# 2.8-5.1x at d=5-8 and 4.3-5.3x at d=16 over the three metrics.  Scaled to
-# one pass over all pairs of DEFAULT_MAX_POINTS (15,000) points, that adds
-# 0.3-0.5 s at d=2, 0.5-0.8 s at d=3, 0.8-1.1 s at d=4 and 1.5-2.8 s at d=8:
-# up to d=3 the worst case stays near the import it saves.
+# the import (~0.5 s wall, ~0.7 s CPU).  For cdist blocks of 2**16 values
+# (26x2500 and 13x5000) on a 2-vCPU x86-64 guest (numpy 2.4.6, scipy
+# 1.17.1), numpy took 0.3-0.95x scipy's time at d=1, 1.1-2.3x at d=2,
+# 1.5-2.4x at d=3, 1.7-3.2x at d=4, 2.0-4.3x at d=5-6, 3.2-4.7x at d=8 and
+# 3.2-5.7x at d=16 over the three metrics.  Scaled to one pass over all
+# pairs of DEFAULT_MAX_POINTS (15,000) points, that adds up to 0.2 s at
+# d=2, 0.1-0.4 s at d=3, 0.2-0.5 s at d=4 and 0.8-1.3 s at d=8: up to d=3
+# the worst case stays below the import it saves.
 _NUMPY_MAX_DIM = 3
 _NUMPY_METRICS = frozenset({"euclidean", "cityblock", "chebyshev"})
 
@@ -166,12 +167,16 @@ def _minkowski(
     Adds (a_k - b_k)**2, |a_k - b_k| or takes the running maximum of the
     latter one feature k at a time, in feature order, as scipy's loop does,
     so each value has scipy's bits.  Each term past the first is built in
-    ``scratch``'s "term" buffer.
+    ``scratch``'s "term" buffer, as b_k - a_k: a copy of ``xb``'s column
+    into every row, then one subtraction in place.  On most block shapes
+    that is faster than the outer subtraction, and squared or taken
+    absolute it has the same bits.
     """
     terms = scratch.take("term", out.size).reshape(out.shape) if xa.shape[1] > 1 else None
     for k in range(xa.shape[1]):
         term = terms if k else out
-        np.subtract(xa[:, k, None], xb[:, k], out=term)
+        np.copyto(term, xb[:, k])
+        np.subtract(term, xa[:, k, None], out=term)
         if metric == "euclidean":
             np.multiply(term, term, out=term)
         else:

@@ -71,10 +71,12 @@ __all__ = [
 # kept in refined bins, not with n**2.  CLI `measure` (KS, one thread) peaks
 # at 51 MiB RSS in 1.5-1.6 s on 2x5000 moons points and at 73 MiB in
 # 2.9-3.1 s on 2x7500.  Three 2-D standard Gaussian classes sharing one mean,
-# 10k points in all, keep 7.0M distances in refined bins and take 217 MiB in
-# 2.6-2.7 s (2-vCPU Intel Xeon KVM guest, numpy 2.4.6, three runs each
-# through perfbench/spawn.py).  Time grows with n**2, so the cap guards
-# time: beyond it callers must subsample or raise it knowingly.
+# 10k points in all, keep 7.0M distances in refined bins and take 92 MiB in
+# 1.5-2.3 s with KS; with Wasserstein they keep 16.3M and take 168 MiB in
+# 2.6-3.5 s (2-vCPU Intel Xeon KVM guest, numpy 2.4.6, three runs each for
+# moons and six for the Gaussians, through perfbench/spawn.py).  Time grows
+# with n**2, so the cap guards time: beyond it callers must subsample or
+# raise it knowingly.
 DEFAULT_MAX_POINTS = 15_000
 
 STAT_NAMES = ("ks", "wasserstein")

@@ -25,11 +25,13 @@ block.
   edge sums give exactly.
 * Pass 2, run only when some bin is refined, produces the blocks again and
   keeps the plain values in its pair's refined bins; pass 1's counts say
-  how many, so each multiset's kept values fill one array, sorted once.  For
-  each pair, one stable merge of the two sorted runs ranks their values,
-  and those ranks, offset by the counts below each bin, give |P - Q| at
-  each kept value with the same float operations as a merge of the two
-  sorted samples, so KS has the same bits as that merge.
+  how many, so each multiset's kept values fill one array, sorted once.
+  Each pair ranks its kept values in runs of whole refined bins, about
+  ``_BLOCK_VALUES`` values each: a stable merge of the two sides' slices
+  ranks a run's values, and those ranks, offset by the counts below each
+  bin, give |P - Q| at each kept value with the same float operations as a
+  merge of the two sorted samples, so KS has the same bits as that merge.
+  Beyond the kept values, no array is larger than one run.
 
 Block partials are added in block order, so the number of threads that
 produce the blocks never changes a value.
@@ -138,15 +140,6 @@ class _Bins:
         np.minimum(idx, self.size - 1, out=idx)
         return idx, t
 
-    def of(self, values: NDArray[np.float64]) -> NDArray[np.int64]:
-        """Each value's bin, in a new array, found ``_BLOCK_VALUES`` values at
-        a time so that no other array of the size of ``values`` is made."""
-        out = np.empty(values.size, dtype=np.int64)
-        scratch = Scratch()
-        for i in range(0, values.size, _BLOCK_VALUES):
-            out[i : i + _BLOCK_VALUES] = self.index(values[i : i + _BLOCK_VALUES], scratch)[0]
-        return out
-
 
 class _Counts:
     """One multiset's pass-1 summary: its size ``n``, per-bin counts and, for
@@ -229,64 +222,74 @@ class _Gap:
 
     def statistics(self, kept_a, kept_b, names) -> dict[str, float]:
         """The named statistics, given each multiset's values in this gap's
-        refined bins, sorted."""
-        bins, refine = self.bins, self.refine
-        grid, count_a, count_b = _merge(kept_a, kept_b)
+        refined bins, sorted, ranked in runs of whole bins: a run starts
+        wherever the values kept before it pass a multiple of
+        ``_BLOCK_VALUES``.  No run splits a bin, so each bin's floats are
+        those of one merge of all the kept values."""
+        bins, refine, a, b = self.bins, self.refine, self.a, self.b
         w1 = "w1" in names or "w1_normalized" in names
-        at = bins.of(grid)
-        if not w1:
-            del grid
-        # each kept value's bin is refined, so the values in unrefined bins
-        # up to it are the values below it that pass 2 did not keep
-        below = np.take(np.cumsum(np.where(refine, 0, self.a.counts)), at)
-        count_a += below
-        # (out is copied first unless the mode is "clip"; every index is in range)
-        count_b += np.take(np.cumsum(np.where(refine, 0, self.b.counts)), at, out=below, mode="clip")
-        del below
-        if not w1:
-            del at
-        # each array of the merged size is dropped once it is used up, so
-        # that at most four of them are live at once
-        heights = np.divide(count_a, self.na)
-        del count_a
-        fall = np.divide(count_b, self.nb)
-        del count_b
-        heights = np.abs(np.subtract(heights, fall, out=heights), out=heights)
-        del fall
-        out = {"ks": max(self.best, float(heights.max(initial=0.0)))}
+        rows = np.flatnonzero(refine)
+        # each side's kept values before each refined bin, and in all
+        ka = np.append(0, np.cumsum(a.counts[rows]))
+        kb = np.append(0, np.cumsum(b.counts[rows]))
+        starts = np.flatnonzero(np.diff((ka + kb)[:-1] // _BLOCK_VALUES, prepend=-1))
+        # each side's values below each refined bin that pass 2 did not keep
+        unkept_a = np.cumsum(np.where(refine, 0, a.counts))[rows]
+        unkept_b = np.cumsum(np.where(refine, 0, b.counts))[rows]
+        ks, before = self.best, None
         if w1:
-            area = self._area(grid, at, heights, self._cumulative()[2])
+            before = self._cumulative()[2]
+            # settled bins: |P - Q| keeps one sign, so the integral of P - Q
+            # over the bin, one bin width, is taken whole; grouped so that
+            # swapping the samples negates every rounding step and W1 stays
+            # symmetric
+            shares = np.abs(before + (a.edge_sums / self.na - b.edge_sums / self.nb))
+        for i, j in zip(starts, [*starts[1:], rows.size]):
+            run = (kept_a[ka[i] : ka[j]], kept_b[kb[i] : kb[j]], rows[i:j])
+            top, areas = self._rank(*run, unkept_a[i:j] + ka[i], unkept_b[i:j] + kb[i], before)
+            ks = max(ks, top)
+            if w1:
+                shares[rows[i:j]] = areas
+        out = {"ks": ks}
+        if w1:
+            area = float(shares.sum())
             out["w1"] = area / bins.scale
             # the pooled range in bin widths: finite where high - low
             # overflows, and the same ratio to the bit elsewhere, since the
             # scale is a power of two
-            low, high = min(self.a.low, self.b.low), max(self.a.high, self.b.high)
+            low, high = min(a.low, b.low), max(a.high, b.high)
             width = high * bins.scale - low * bins.scale
             # rounding can put the ratio a hair above its bound of 1
             out["w1_normalized"] = min(area / width, 1.0) if width else 0.0
         return {name: out[name] for name in names}
 
-    def _area(self, grid, at, heights, before) -> float:
-        """The integral of |P - Q| in bin widths, summed bin by bin in bin
-        order."""
-        bins, a, b = self.bins, self.a, self.b
-        # settled bins: |P - Q| keeps one sign, so the integral of P - Q over
-        # the bin, one bin width, is taken whole; grouped so that swapping
-        # the samples negates every rounding step and W1 stays symmetric
-        shares = np.abs(before + (a.edge_sums / self.na - b.edge_sums / self.nb))
-        if grid.size:
-            t = grid * bins.scale
-            upper = (at + (bins.first + 1)).astype(np.float64)
-            upper[at == bins.size - 1] = max(bins.first + bins.size, self.top)
-            last = np.append(at[1:] != at[:-1], True)
-            first = np.append(True, last[:-1])
-            step_to = np.append(t[1:], 0.0)
-            step_to[last] = upper[last]
-            pieces = (step_to - t) * heights
-            lower = at[first] + bins.first
-            pieces[first] += (t[first] - lower) * np.abs(before[at[first]])
-            shares[self.refine] = np.bincount(at, weights=pieces, minlength=bins.size)[self.refine]
-        return float(shares.sum())
+    def _rank(self, kept_a, kept_b, rows, below_a, below_b, before) -> tuple:
+        """The largest |P - Q| at the kept values of the run of refined bins
+        ``rows`` and, for W1 (``before`` given), the integral of |P - Q| over
+        each of them in bin widths.  ``below_a`` and ``below_b`` count each
+        side's values below each bin, less the run's own kept values."""
+        bins = self.bins
+        grid, count_a, count_b = _merge(kept_a, kept_b)
+        # each value's bin, as a place in rows: pass 1's counts say where
+        # each bin's values end in the merged run
+        ends = np.cumsum(self.a.counts[rows] + self.b.counts[rows])
+        row = np.searchsorted(ends, count_a + count_b)
+        count_a += below_a[row]
+        count_b += below_b[row]
+        heights = np.abs(count_a / self.na - count_b / self.nb)
+        if before is None:
+            return float(heights.max()), None
+        at, t = rows[row], grid * bins.scale
+        upper = (at + (bins.first + 1)).astype(np.float64)
+        upper[at == bins.size - 1] = max(bins.first + bins.size, self.top)
+        last = np.append(at[1:] != at[:-1], True)
+        first = np.append(True, last[:-1])
+        step_to = np.append(t[1:], 0.0)
+        step_to[last] = upper[last]
+        pieces = (step_to - t) * heights
+        lower = at[first] + bins.first
+        pieces[first] += (t[first] - lower) * np.abs(before[at[first]])
+        return float(heights.max()), np.bincount(row, weights=pieces)
 
 
 def _merge(kept_a, kept_b) -> tuple:
@@ -294,19 +297,15 @@ def _merge(kept_a, kept_b) -> tuple:
     ascending, and how many values of each run are <= each of them.
 
     A stable sort of two sorted runs is one linear merge; the ends of its
-    runs of equal values count the values of both runs, and a binary search
-    of the first run counts its own.  Each array of the merged size is
-    dropped as soon as it is used up.
+    runs of equal values count the values of both runs, and a running count
+    of the values that came from ``kept_a`` counts its own.
     """
     values = np.concatenate((kept_a, kept_b))
-    values.sort(kind="stable")
-    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True)[: values.size])
-    distinct = values[ends]
-    del values
-    count_a = np.searchsorted(kept_a, distinct, side="right")
-    count_b = np.add(ends, 1, out=ends)
-    count_b -= count_a
-    return distinct, count_a, count_b
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))
+    count_a = np.cumsum(order < kept_a.size)[ends]
+    return values[ends], count_a, ends + 1 - count_a
 
 
 def _binned_statistics(

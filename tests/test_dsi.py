@@ -182,10 +182,17 @@ class TestClassDistanceSets:
     def test_memory_with_many_values_kept(self):
         # three overlapping classes leave 2.2M distances, 17 MiB as float64,
         # in refined bins; kept as plain values, one array per multiset, and
-        # ranked one pair of multisets at a time, they peak near 60 MiB
+        # ranked in runs of whole bins, they peak near 22 MiB
         ds = random_dataset(n_per_class=2000, dim=2, classes=3, seed=0)
         _, peak = traced_peak(lambda: dsi(ds))
         assert peak < 80 * 2**20
+
+    def test_memory_with_many_values_kept_ks_and_w1(self):
+        # both statistics from one call: W1's ranking adds only arrays of
+        # one run's size to the kept values
+        ds = random_dataset(n_per_class=2000, dim=2, classes=3, seed=0)
+        _, peak = traced_peak(lambda: _dsi_reports(ds, "euclidean", ("ks", "wasserstein"), 1, None))
+        assert peak < 40 * 2**20
 
     def test_stored_multisets_filled_in_place(self):
         # each kernel block is written straight into the multiset it feeds:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from separability import EmptySample, dsi, ks_statistic, wasserstein1, wasserstein1_normalized
+from separability import Dataset, EmptySample, dsi, ks_statistic, wasserstein1, wasserstein1_normalized
+from separability._threads import Scratch
+from separability.dsi import _dsi_reports
 
 from conftest import random_dataset, rng
 from oracles import grid_ks, grid_wasserstein1
@@ -340,5 +342,41 @@ class TestOnePairPerMultiset:
         for gap, kept_a, kept_b in seen:
             assert gap.refine.any()  # overlapping classes: pass 2 ran
             for counts, kept in ((gap.a, kept_a), (gap.b, kept_b)):
-                assert gap.refine[gap.bins.of(kept)].all()
+                assert gap.refine[gap.bins.index(kept, Scratch())[0]].all()
                 assert kept.size == counts.counts[gap.refine].sum()
+
+
+class TestRuns:
+    """A gap's refined bins are ranked in runs of whole bins, so the run
+    budget never changes a value."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_run_boundaries_leave_values_unchanged(self, monkeypatch, workers):
+        stats = sys.modules["separability.stats"]
+        # integer points in 0..3: distances tie heavily, so some refined bins
+        # hold more values than the budget below
+        g = rng(27)
+        ds = Dataset(g.integers(0, 4, size=(240, 3)).astype(float), g.permutation(np.arange(240) % 3))
+
+        def values():
+            reports = _dsi_reports(ds, "euclidean", ("ks", "wasserstein"), workers, None)
+            return [v.hex() for report in reports for v in report.per_class_similarity.values()]
+
+        unpatched = values()
+        merge, statistics, runs, gaps = stats._merge, stats._Gap.statistics, [], []
+
+        def merge_spy(kept_a, kept_b):
+            runs.append(kept_a.size + kept_b.size)
+            return merge(kept_a, kept_b)
+
+        def statistics_spy(gap, *args):
+            gaps.append(gap)
+            return statistics(gap, *args)
+
+        monkeypatch.setattr(stats, "_merge", merge_spy)
+        monkeypatch.setattr(stats._Gap, "statistics", statistics_spy)
+        monkeypatch.setattr(stats, "_BLOCK_VALUES", 5)
+        assert values() == unpatched
+        assert len(gaps) == 3 and len(runs) > 30
+        # one refined bin alone is larger than the budget
+        assert any(((gap.a.counts + gap.b.counts)[gap.refine] > 5).any() for gap in gaps)
