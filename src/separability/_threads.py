@@ -1,7 +1,8 @@
-"""The threads behind every ``workers`` argument, and each thread's scratch."""
+"""``walk``, the one driver behind every ``workers`` argument, and each thread's scratch."""
 
 from __future__ import annotations
 
+import numbers
 import threading
 from collections.abc import Iterator
 
@@ -28,7 +29,7 @@ class Scratch:
         return buffer[:size]
 
 
-# Runs of items per worker that ``Threads.map`` submits.  A run's results
+# Runs of items per worker that ``walk`` submits.  A run's results
 # are held until its last item is done, so runs stay short: with 16 runs per
 # worker, CLI `measure --threads 2` on 2x7500 moons (2,814 blocks a pass)
 # held 88-item runs of 512 KiB bin counts and peaked at 111-134 MiB RSS
@@ -38,66 +39,36 @@ class Scratch:
 _RUNS_PER_WORKER = 256
 
 
-class Threads:
-    """Up to ``workers`` threads, started on first use and stopped on exit,
-    each with its own ``Scratch`` for the call.
+def walk(fn, items: list, workers: int) -> Iterator:
+    """``fn(item, scratch)`` for each item, on up to ``workers`` threads,
+    yielded lazily in the order of ``items``.
 
-    One ``Threads`` serves every kernel pass of a call, so a call over
-    many classes starts its threads once: on a small virtual machine,
-    starting a pool's threads can take a millisecond or more each time.
-    The scratch buffers are dropped on exit, so none outlives the call.
+    ``scratch`` is the running thread's ``Scratch``, made for this walk only.
+    With a pool, runs of consecutive items go to it as one task each, about
+    ``_RUNS_PER_WORKER`` runs per worker, so that a walk over thousands of
+    small blocks does not pay a task's cost per block; every run is submitted
+    at once, and its results are held only until they are yielded.  The pool
+    is shut down, its threads joined, when the walk ends, raises or is closed.
+    Raises ``ValueError``, before any call of ``fn``, unless ``workers`` is an
+    integer >= 1.
     """
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    if workers == 1 or len(items) < 2:
+        scratch = Scratch()
+        for item in items:
+            yield fn(item, scratch)
+        return
+    # imported here: a one-thread walk never needs it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._pool = None
-        self._scratch: dict[int, Scratch] = {}
+    scratches: dict[int, Scratch] = {}
+    step = -(-len(items) // (workers * _RUNS_PER_WORKER))
 
-    def _own_scratch(self) -> Scratch:
-        ident = threading.get_ident()
-        scratch = self._scratch.get(ident)
-        if scratch is None:
-            scratch = self._scratch[ident] = Scratch()
-        return scratch
+    def run(start):
+        own = scratches.setdefault(threading.get_ident(), Scratch())
+        return [fn(item, own) for item in items[start : start + step]]
 
-    def map(self, fn, items: list) -> Iterator:
-        """``fn(item, scratch)`` for each item, yielded lazily in the order of
-        ``items``; ``scratch`` belongs to the thread that runs the call.
-
-        With a pool, runs of consecutive items go to the pool as one task
-        each, about ``_RUNS_PER_WORKER`` runs per worker, so that a walk over
-        thousands of small blocks does not pay a task's cost per block.
-        Every run is submitted at once and each run's results are held only
-        until they are yielded, so a caller that reduces the results as they
-        come holds few of them.  ``fn`` must not call ``map`` on the same
-        ``Threads``: a task that waits on the pool it runs in can stall it.
-        """
-        if self.workers < 2 or len(items) < 2:
-            return (fn(item, self._own_scratch()) for item in items)
-        if self._pool is None:
-            # imported here: a one-thread call never needs it
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        step = -(-len(items) // (self.workers * _RUNS_PER_WORKER))
-
-        def run(start):
-            scratch = self._own_scratch()
-            return [fn(item, scratch) for item in items[start : start + step]]
-
-        runs = self._pool.map(run, range(0, len(items), step))
-        return (result for results in runs for result in results)
-
-    def free_scratch(self) -> None:
-        """Drop every thread's buffers, as between two passes that hold
-        other arrays; the next ``map`` takes fresh ones."""
-        self._scratch.clear()
-
-    def __enter__(self) -> Threads:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        self.free_scratch()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for results in pool.map(run, range(0, len(items), step)):
+            yield from results

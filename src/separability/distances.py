@@ -16,12 +16,14 @@ cache size whatever n is.  Every block is a
 ``(size, fill)`` pair: ``fill(out, scratch)`` writes the block's ``size``
 distances, triangle first, clamped, into the flat float64 slice ``out``
 and takes its temporaries from ``scratch`` (a ``_threads.Scratch``, one per
-thread of a call), so a walk over the blocks allocates nothing per block;
-callers give each block its slice of their own result, or a scratch
-buffer.  ``_store``, behind ``_cross`` and ``dsi.class_distance_sets``,
-fills each block into its slice of every multiset it feeds.  The blocks
-depend only on the row counts, never on the worker count, so every entry
-is produced by the same library call regardless of parallelism and
+thread of a walk), so a walk over the blocks allocates nothing per block.
+Every pass that reads blocks is a visitor of ``_walk``, which fills each
+block into the running thread's scratch and hands the values to the
+visitor; ``_store``, behind ``_cross`` and ``dsi.class_distance_sets``,
+instead fills each block straight into its slice of every multiset it
+feeds.  Both run on ``_threads.walk``, which checks ``workers``.  The
+blocks depend only on the row counts, never on the worker count, so every
+entry is produced by the same library call regardless of parallelism and
 results are bit-identical for any ``workers`` value.
 pdist and cdist give the same bits for the same pair, whichever block
 computes it and in either order.  Only ``pairwise_condensed`` and
@@ -42,12 +44,13 @@ give scipy's bits for every pair.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._threads import Scratch, Threads
+from ._threads import Scratch, walk
 from .errors import DegenerateClass, DegenerateVector, DomainError, SingularCovariance
 
 __all__ = [
@@ -83,9 +86,10 @@ _CLAMPED_METRICS = frozenset({"correlation", "cosine"})
 # 512 KiB.  On 2x2500 moons (x86-64 Linux, glibc malloc), 128-row blocks of
 # 2.5 MiB, allocated afresh for each block, cost CLI `measure` ~90k minor
 # page faults and 0.15-0.2 s of system time; these blocks, filled into
-# per-thread buffers, ~8k faults, most of them from imports.  Fewer than _BLOCK_ROWS * _MIN_BLOCKS rows are still cut into
-# _MIN_BLOCKS blocks, so threads can share a small class.  Blocks depend
-# only on the row counts, never on the workers.
+# per-thread buffers, ~8k faults, most of them from imports.  Fewer than
+# _BLOCK_ROWS * _MIN_BLOCKS rows are still cut into _MIN_BLOCKS blocks, so
+# threads can share a small class.  Blocks depend only on the row counts,
+# never on the workers.
 _BLOCK_ROWS = 128
 _BLOCK_VALUES = 1 << 16
 _MIN_BLOCKS = 8
@@ -343,11 +347,26 @@ def _block(rows, rest, triangle: bool, metric: DistanceMetric) -> tuple:
     return size, fill
 
 
-def _filled(size: int, fill, scratch: Scratch) -> NDArray[np.float64]:
-    """A block's values, written by ``fill`` into the "values" buffer of ``scratch``."""
-    values = scratch.take("values", size)
-    fill(values, scratch)
-    return values
+def _walk(blocks: list, visit, workers: int) -> Iterator:
+    """``visit(i, values, scratch)`` for each ``(size, fill)`` block i of
+    ``blocks``, on ``workers`` threads; the results are yielded in block order.
+
+    ``values`` is the block's ``size`` values, written by ``fill`` into the
+    "values" buffer of ``scratch``, the running thread's ``_threads.Scratch``,
+    and ``visit``'s to overwrite; ``visit`` takes its own temporaries from
+    ``scratch`` under other names and writes only its own part of any shared
+    result.  Unchecked: callers that may overflow check what they read, and
+    numpy need not warn.
+    """
+
+    def run(item, scratch):
+        i, (size, fill) = item
+        values = scratch.take("values", size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill(values, scratch)
+        return visit(i, values, scratch)
+
+    return walk(run, list(enumerate(blocks)), workers)
 
 
 def _condensed_blocks(pts: NDArray[np.float64], metric: DistanceMetric) -> list:
@@ -388,9 +407,8 @@ def _store(sources: list, sizes: list[int], workers: int) -> list[NDArray[np.flo
         for copy in copies:
             copy[:] = first
 
-    with Threads(workers) as threads:
-        for _ in threads.map(fill_slices, tasks):
-            pass
+    for _ in walk(fill_slices, tasks, workers):
+        pass
     return sets
 
 
@@ -457,11 +475,10 @@ def pairwise_condensed(
         raise DegenerateClass("pairwise distances need at least 2 points")
     _check_vectors(pts, m)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
+    rows = _row_blocks(n)
 
-    def unpack(task, scratch):
-        (r0, r1), (size, fill) = task
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            values, t0 = _filled(size, fill, scratch), 0
+    def unpack(b, values, scratch):
+        (r0, r1), t0 = rows[b], 0
         rect = values[(r1 - r0) * (r1 - r0 - 1) // 2 :].reshape(r1 - r0, n - r1)
         for i in range(r0, r1):
             # row i's pairs: its row of the block's triangle, then of the rectangle
@@ -470,10 +487,8 @@ def pairwise_condensed(
             out[start + within : start + n - i - 1] = rect[i - r0]
             t0 += within
 
-    tasks = list(zip(_row_blocks(n), _condensed_blocks(pts, m)))
-    with Threads(workers) as threads:
-        for _ in threads.map(unpack, tasks):
-            pass
+    for _ in _walk(_condensed_blocks(pts, m), unpack, workers):
+        pass
     _check_finite(out.max())
     return out
 

@@ -30,21 +30,23 @@ errors.
 No measure holds an n x n array of distances.  Every distance is written
 by the kernel (``distances``) into a per-thread scratch buffer, one fixed
 row block (``distances._row_blocks``, at most ``_BLOCK_VALUES`` values) at a
-time, and read there:
+time, and read there.  Every pass over blocks is a ``distances._walk`` on
+the context's ``workers`` threads; ``compute_measures`` gives its context
+``workers``, and a measure called on its own walks on one thread:
 
 * One walk over the blocks of every point against every point finds each
   point's nearest enemy and nearest friend and counts its local set (N2,
-  N3, T1, LSC).  ``compute_measures`` runs it once, on ``workers`` threads,
-  and shares the result; a measure called on its own runs it on one thread.
+  N3, T1, LSC).  ``compute_measures`` runs it once and shares the result.
 * T1 walks the blocks again for its covers, kept as one bit per point:
   n**2 / 8 bytes, the largest array of any measure.  Its absorption loop
   takes each sphere's candidates from its own cover bits.
 * N1's Prim computes each vertex's distances when it joins the tree, to
-  the vertices still outside it, so each pair is computed once.
+  the vertices still outside it, so each pair is computed once.  It is the
+  one reader outside ``_walk``: one row at a time, on one thread.
 * Density reads each pair once per pass of ``stats._quantile``'s binned
   two-pass order statistic, laid out per class as the DSI lays out its
   multisets; the same passes count the same-class pairs up to the cut.
-* N4 classifies its synthetic points block by block, on the same threads.
+* N4 classifies its synthetic points block by block.
 
 The kernel computes each distance with the same operations in any block
 and either order of the pair, so every value is the same for any
@@ -63,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from ._threads import Scratch, Threads
+from ._threads import Scratch
 from .dataset import Dataset, partition
 from .distances import (
     DistanceMetric,
@@ -71,8 +73,8 @@ from .distances import (
     _condensed_blocks,
     _cross_blocks,
     _diameter_bound,
-    _filled,
     _row_blocks,
+    _walk,
 )
 from .errors import DegenerateClass, DomainError
 from .generators import _philox
@@ -174,24 +176,21 @@ class _DistanceContext(Dataset):
 
     def walk(self, visit) -> None:
         """Call ``visit(r0, r1, rows, scratch)`` for each fixed row block of the
-        distances from every point to every point, on ``workers`` threads.
+        distances from every point to every point, through ``distances._walk``
+        on ``workers`` threads.
 
         ``rows`` is the (r1 - r0, n) block of distances from points r0..r1,
-        written by the kernel into the "values" buffer of ``scratch``, the
-        running thread's ``_threads.Scratch``, and ``visit``'s to overwrite;
-        ``visit`` takes its own temporaries from ``scratch`` under other names
-        and writes only its own rows of any shared result.
+        in the "values" buffer of ``scratch``, under ``_walk``'s terms.
         """
         n = self.n
-        blocks = list(zip(_row_blocks(n), _cross_blocks(self.points, self.points, _EUCLIDEAN)))
+        rows = _row_blocks(n)
 
-        def run(block, scratch):
-            (r0, r1), (size, fill) = block
-            visit(r0, r1, _filled(size, fill, scratch).reshape(r1 - r0, n), scratch)
+        def run(block, values, scratch):
+            r0, r1 = rows[block]
+            visit(r0, r1, values.reshape(r1 - r0, n), scratch)
 
-        with Threads(self.workers) as threads:
-            for _ in threads.map(run, blocks):
-                pass
+        for _ in _walk(_cross_blocks(self.points, self.points, _EUCLIDEAN), run, self.workers):
+            pass
 
     @cached_property
     def neighbours(self) -> _Neighbours:
@@ -296,7 +295,9 @@ def _mst_edges(points: NDArray[np.float64]) -> NDArray[np.int64]:
         m -= 1
         rest[p], best[p], via[p] = rest[m], best[m], via[m]
         outside[p] = outside[m]
-        d = _filled(*_block(points[u : u + 1], outside[:m], False, _EUCLIDEAN), scratch)
+        size, fill = _block(points[u : u + 1], outside[:m], False, _EUCLIDEAN)
+        d = scratch.take("values", size)
+        fill(d, scratch)
         vertex, least, end = rest[:m], best[:m], via[:m]
         w = np.flatnonzero(d <= least)
         tied = d[w] == least[w]
@@ -391,11 +392,10 @@ def n4(ds: Dataset, n_synthetic: int | None = None, seed: int = 0) -> MeasureRes
         synth[k] = X[a] + t * (X[b] - X[a])
         synth_labels[k] = c
 
-    def nearest(block, scratch):
-        return _filled(*block, scratch).reshape(-1, ds.n).argmin(axis=1)
+    def nearest(block, values, scratch):
+        return values.reshape(-1, ds.n).argmin(axis=1)
 
-    with Threads(ctx.workers) as threads:
-        nn = np.concatenate(list(threads.map(nearest, _cross_blocks(synth, X, _EUCLIDEAN))))
+    nn = np.concatenate(list(_walk(_cross_blocks(synth, X, _EUCLIDEAN), nearest, ctx.workers)))
     value = float(np.mean(ds.labels[nn] != synth_labels))
     return MeasureResult(
         code="N4", value=value, params={"n_synthetic": n_syn, "seed": seed}
@@ -527,7 +527,7 @@ def density(ds: Dataset, quantile: float = DENSITY_QUANTILE) -> MeasureResult:
         for c, mine in enumerate(classes)
         for theirs in classes[c + 1 :]
     ]
-    _, edges = _quantile(sources, (0.0, ctx.bound), quantile)
+    _, edges = _quantile(sources, (0.0, ctx.bound), quantile, ctx.workers)
     n = ds.n
     value = 1.0 - edges / (n * (n - 1) // 2)
     return MeasureResult(code="Density", value=value, params={"quantile": quantile})
@@ -543,9 +543,9 @@ def compute_measures(
 ) -> list[MeasureResult]:
     """Compute several measures in the order given (default: all eight).
 
-    The walks over the euclidean distances, and N4's blocks, run on
-    ``workers`` threads; the nearest neighbours are found once and shared
-    by the measures.
+    Every walk over the euclidean distances, N4's and Density's included,
+    runs on ``workers`` threads; the nearest neighbours are found once and
+    shared by the measures.
     """
     wanted = list(MEASURE_CODES) if codes is None else list(codes)
     unknown = [c for c in wanted if c not in MEASURE_CODES]

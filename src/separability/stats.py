@@ -36,13 +36,13 @@ block.
 Block partials are added in block order, so the number of threads that
 produce the blocks never changes a value.
 
-A walk over the blocks allocates no block-sized array: each thread of
-the call fills every block into the "values" buffer of its own
-``_threads.Scratch`` and reads the block's positions ``t`` and bin numbers
-into two more, and the distance kernel takes its own temporaries from the
-same scratch.  Blocks hold at most ``distances._BLOCK_VALUES`` values, so
-the scratch stays near cache size; it is dropped between the passes and
-when the call returns.
+Each pass is one ``distances._walk`` over the blocks, and allocates no
+block-sized array: each thread of the walk fills every block into the
+"values" buffer of its own ``_threads.Scratch`` and reads the block's
+positions ``t`` and bin numbers into two more, and the distance kernel
+takes its own temporaries from the same scratch.  Blocks hold at most
+``distances._BLOCK_VALUES`` values, so the scratch stays near cache size;
+it ends with its pass.
 
 ``_quantile`` reads an exact order statistic off the same bins, in the
 same two passes, and counts the values of marked blocks up to it: the
@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._threads import Scratch, Threads
-from .distances import _BLOCK_VALUES, _filled
+from ._threads import Scratch
+from .distances import _BLOCK_VALUES, _walk
 from .errors import EmptySample
 
 __all__ = [
@@ -327,51 +327,49 @@ def _binned_statistics(
     """
     edges = "w1" in names or "w1_normalized" in names
     sizes = [0] * (1 + max(max(f) for _, f in sources))
-    tasks = []
-    for blocks, feeds in sources:
-        for size, fill in blocks:
+    blocks, fed = [], []
+    for source, feeds in sources:
+        for size, fill in source:
             for f in feeds:
                 sizes[f] += size
             if size:
-                tasks.append((size, fill, feeds))
+                blocks.append((size, fill))
+                fed.append(feeds)
     bins = _Bins.spanning(*span, _bin_target(max(sizes)))
     sets = [_Counts(bins.size, edges, n) for n in sizes]
 
-    def count(task, scratch):
-        size, fill, _ = task
-        return _count_block(_filled(size, fill, scratch), bins, edges, scratch)
+    def count(i, values, scratch):
+        return _count_block(values, bins, edges, scratch)
 
-    def keep(task, scratch):  # the block's values in each fed multiset's wanted bins
-        size, fill, feeds = task
-        values = _filled(size, fill, scratch)
+    def keep(i, values, scratch):  # the block's values in each fed multiset's wanted bins
         idx = bins.index(values, scratch)[0]
-        inside = scratch.take("inside", size, bool)
-        return [values[np.take(wanted[f], idx, out=inside)] for f in feeds]
+        inside = scratch.take("inside", values.size, bool)
+        return [values[np.take(wanted[f], idx, out=inside)] for f in fed[i]]
 
-    with Threads(workers) as threads:
-        for (_, _, feeds), part in zip(tasks, threads.map(count, tasks)):  # in block order
-            for f in feeds:
-                sets[f].add(part)
-        threads.free_scratch()  # the gaps' bin-sized arrays may reuse its memory
+    for i, part in enumerate(_walk(blocks, count, workers)):  # in block order
+        for f in fed[i]:
+            sets[f].add(part)
 
-        gaps = [_Gap(sets[a], sets[b], bins, names) for a, b in pairs]
-        wanted = [None] * len(sets)
-        for (a, b), gap in zip(pairs, gaps):
-            wanted[a] = wanted[b] = gap.refine
-        # pass 1's counts size each multiset's kept values exactly
-        kept = [np.empty(int(s.counts[table].sum())) for s, table in zip(sets, wanted)]
-        if any(values.size for values in kept):
-            filled = [0] * len(sets)
-            for (_, _, feeds), parts in zip(tasks, threads.map(keep, tasks)):
-                for f, part in zip(feeds, parts):
-                    kept[f][filled[f] : filled[f] + part.size] = part
-                    filled[f] += part.size
+    gaps = [_Gap(sets[a], sets[b], bins, names) for a, b in pairs]
+    wanted = [None] * len(sets)
+    for (a, b), gap in zip(pairs, gaps):
+        wanted[a] = wanted[b] = gap.refine
+    # pass 1's counts size each multiset's kept values exactly
+    kept = [np.empty(int(s.counts[table].sum())) for s, table in zip(sets, wanted)]
+    if any(values.size for values in kept):
+        filled = [0] * len(sets)
+        for i, parts in enumerate(_walk(blocks, keep, workers)):
+            for f, part in zip(fed[i], parts):
+                kept[f][filled[f] : filled[f] + part.size] = part
+                filled[f] += part.size
     for values in kept:
         values.sort()
     return [gap.statistics(kept[a], kept[b], names) for (a, b), gap in zip(pairs, gaps)]
 
 
-def _quantile(sources: list, span: tuple[float, float], q: float) -> tuple[float, int]:
+def _quantile(
+    sources: list, span: tuple[float, float], q: float, workers: int = 1
+) -> tuple[float, int]:
     """``np.quantile(values, q)``, with the bits of its default ``linear``
     method, of the values that the blocks of ``sources`` produce, and how
     many values of the marked sources are <= it.
@@ -385,29 +383,32 @@ def _quantile(sources: list, span: tuple[float, float], q: float) -> tuple[float
     so a run of tied values costs one entry per block, and reads both ranks
     off their merged counts.  The cut lies in those bins, so the marked
     values <= it are the marked values of every bin below them and the
-    marked kept values <= it.
+    marked kept values <= it.  Both passes run on ``workers`` threads.
     """
-    tasks = [(size, fill, marked) for blocks, marked in sources for size, fill in blocks if size]
-    n = sum(size for size, _, _ in tasks)
+    blocks = [block for source, _ in sources for block in source if block[0]]
+    marks = [marked for source, marked in sources for size, _ in source if size]
+    n = sum(size for size, _ in blocks)
     bins = _Bins.spanning(*span, _bin_target(n))
-    scratch = Scratch()
+
+    def count(i, values, scratch):
+        return np.bincount(bins.index(values, scratch)[0], minlength=bins.size)
+
+    def keep(i, values, scratch):  # the block's distinct values in bins first..last
+        idx = bins.index(values, scratch)[0]
+        inside = np.greater_equal(idx, first, out=scratch.take("inside", values.size, bool))
+        inside &= np.less_equal(idx, last, out=scratch.take("below", values.size, bool))
+        return np.unique(values[inside], return_counts=True)
+
     tallies = np.zeros((2, bins.size), dtype=np.int64)  # unmarked, marked
-    for size, fill, marked in tasks:
-        idx = bins.index(_filled(size, fill, scratch), scratch)[0]
-        tallies[int(marked)] += np.bincount(idx, minlength=bins.size)
+    for i, part in enumerate(_walk(blocks, count, workers)):
+        tallies[int(marks[i])] += part
     counts = tallies.sum(axis=0)
     virtual = (n - 1) * q
     below = math.floor(virtual)
     ranks = (below, below + 1) if virtual < n - 1 else (n - 1, n - 1)
     ends = np.cumsum(counts)
     first, last = np.searchsorted(ends, ranks, side="right")
-    parts = []
-    for size, fill, marked in tasks:
-        values = _filled(size, fill, scratch)
-        idx = bins.index(values, scratch)[0]
-        inside = np.greater_equal(idx, first, out=scratch.take("inside", size, bool))
-        inside &= np.less_equal(idx, last, out=scratch.take("below", size, bool))
-        parts.append((*np.unique(values[inside], return_counts=True), marked))
+    parts = [(*part, marks[i]) for i, part in enumerate(_walk(blocks, keep, workers))]
     kept = np.concatenate([values for values, _, _ in parts])
     order = np.argsort(kept, kind="stable")
     # one past each kept value's last rank, counting the values below its bins

@@ -3,6 +3,7 @@
 import sys
 import threading
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -22,8 +23,10 @@ from separability import (
     METRIC_NAMES,
     SingularCovariance,
     bcd_set,
+    compute_measures,
     condensed_index,
     distance,
+    dsi,
     fit_mahalanobis,
     icd_set,
     pairwise_condensed,
@@ -240,7 +243,7 @@ class TestNumpyKernel:
 
 class TestBlocks:
     """Row blocks hold at most ``_BLOCK_VALUES`` values, and each thread of a
-    call fills them through its own scratch, dropped when the call ends."""
+    walk fills them through its own scratch, dropped when the walk ends."""
 
     @pytest.mark.parametrize("n", [1, 7, 300, 1000, 2500, 65537])
     @pytest.mark.parametrize("width", [None, 1, 3000, 100_000])
@@ -266,18 +269,17 @@ class TestBlocks:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_each_thread_has_its_own_scratch_for_the_call(self, workers):
         threads_module = sys.modules["separability._threads"]
-        seen = []
+        seen, held = {}, []
 
         def task(item, scratch):
-            seen.append((threading.get_ident(), scratch))
-            return scratch.take("x", item)
+            seen.setdefault(threading.get_ident(), set()).add(id(scratch))
+            held.append(weakref.ref(scratch))
+            return scratch.take("x", item).size
 
-        with threads_module.Threads(workers) as threads:
-            sizes = [len(buf) for buf in threads.map(task, [5, 3, 8, 2])]
-            held = dict(threads._scratch)
-        assert sizes == [5, 3, 8, 2]
-        assert {ident: scratch for ident, scratch in seen} == held
-        assert threads._scratch == {}  # nothing outlives the call
+        assert list(threads_module.walk(task, [5, 3, 8, 2], workers)) == [5, 3, 8, 2]
+        assert all(len(ids) == 1 for ids in seen.values())
+        assert len(set.union(*seen.values())) == len(seen)
+        assert all(ref() is None for ref in held)  # nothing outlives the walk
 
     def test_pool_tasks_are_runs_of_items(self, monkeypatch):
         # a walk of thousands of small blocks makes fewer pool tasks than
@@ -293,9 +295,41 @@ class TestBlocks:
 
         monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
         items = list(range(5000))
-        with threads_module.Threads(3) as threads:
-            assert list(threads.map(lambda item, scratch: 2 * item, items)) == [2 * i for i in items]
+        walk = threads_module.walk(lambda item, scratch: 2 * item, items, 3)
+        assert list(walk) == [2 * i for i in items]
         assert 3 <= len(tasks) <= 3 * threads_module._RUNS_PER_WORKER < len(items)
+
+    def test_no_pool_thread_outlives_a_walk(self, small_two_class):
+        # a walk's pool is shut down when the walk ends, also when a visitor
+        # raises partway through
+        before = threading.active_count()
+        dsi(small_two_class, workers=3)
+        assert threading.active_count() == before
+        compute_measures(small_two_class, workers=3)
+        assert threading.active_count() == before
+
+        def visit(i, values, scratch):
+            if i == 5:
+                raise RuntimeError("visitor failed")
+            return values.size
+
+        blocks = distances._condensed_blocks(rng(0).normal(size=(300, 2)), distances.resolve_metric("euclidean"))
+        assert len(blocks) > 5
+        with pytest.raises(RuntimeError, match="visitor failed"):
+            list(distances._walk(blocks, visit, 3))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2.5, 0, -3, "2", None])
+    def test_workers_must_be_a_positive_integer(self, small_two_class, workers):
+        # refused by the one driver, before it calls anything
+        calls = []
+        walk = sys.modules["separability._threads"].walk(calls.append, [1, 2], workers)
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers!r}"):
+            next(walk)
+        assert calls == []
+        for call in (dsi, compute_measures, lambda ds, workers: pairwise_condensed(ds.points, workers=workers)):
+            with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+                call(small_two_class, workers=workers)
 
     def test_scratch_regrows_and_reuses(self):
         scratch = sys.modules["separability._threads"].Scratch()

@@ -425,24 +425,26 @@ class TestComputeMeasures:
         # workers; N1's Prim and each pass of Density's cut every unordered
         # pair once; N4 each synthetic point against every point
         workers = []
-        threads_type = separability.measures.Threads
+        walk_driver = separability.distances.walk
 
-        def counted(n):
+        def counted(fn, items, n):
             workers.append(n)
-            return threads_type(n)
+            return walk_driver(fn, items, n)
 
-        monkeypatch.setattr(separability.measures, "Threads", counted)
+        monkeypatch.setattr(separability.distances, "walk", counted)
         n = shared_input.n
         walk, pairs = n * n, n * (n - 1) // 2
         expected = {
             "F1": 0, "N1": pairs, "N2": walk, "N3": walk, "N4": walk,
             "T1": 2 * walk, "LSC": walk, "Density": 2 * pairs,
         }
+        walks = {"F1": 0, "N1": 0, "T1": 2, "Density": 2}  # one each for the rest
         for code, count in expected.items():
             computed_pairs.clear()
+            workers.clear()
             compute_measures(shared_input, [code], workers=3)
             assert sum(computed_pairs) == count, code
-        assert set(workers) == {3}
+            assert workers == [3] * walks.get(code, 1), code
         # shared by all eight, the first walk runs once: N2, N3, T1 and LSC
         # read it, T1 walks again for its covers
         computed_pairs.clear()

@@ -204,6 +204,7 @@ class TestQuantile:
             for part, mark in zip(parts, marks)
         ]
 
+    @pytest.mark.parametrize("workers", [1, 3])
     @given(
         st.one_of(
             st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=300),
@@ -218,12 +219,13 @@ class TestQuantile:
         st.lists(st.booleans(), max_size=5),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_numpy(self, values, q, cuts, target, marks):
+    def test_matches_numpy(self, workers, values, q, cuts, target, marks):
         values = np.array(values)
         span = (0.0, float(values.max()))
         parts = self._parts(values, cuts)
         with _bins_about(target):
-            cut, at_most = sys.modules["separability.stats"]._quantile(self._sources(parts, marks), span, q)
+            quantile = sys.modules["separability.stats"]._quantile
+            cut, at_most = quantile(self._sources(parts, marks), span, q, workers)
         assert cut == np.quantile(values, q)
         # brute force: every marked value, compared with the cut
         assert at_most == sum(int(np.sum(part <= cut)) for part, mark in zip(parts, marks) if mark)
