@@ -1,4 +1,5 @@
-"""``walk``, the one driver behind every ``workers`` argument, and each thread's scratch."""
+"""``walk``, the one driver behind every ``workers`` argument, its check of
+``workers``, and each thread's scratch."""
 
 from __future__ import annotations
 
@@ -39,6 +40,12 @@ class Scratch:
 _RUNS_PER_WORKER = 256
 
 
+def check_workers(workers) -> None:
+    """Raise ``ValueError`` unless ``workers`` is an integer >= 1."""
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def walk(fn, items: list, workers: int) -> Iterator:
     """``fn(item, scratch)`` for each item, on up to ``workers`` threads,
     yielded lazily in the order of ``items``.
@@ -52,8 +59,7 @@ def walk(fn, items: list, workers: int) -> Iterator:
     Raises ``ValueError``, before any call of ``fn``, unless ``workers`` is an
     integer >= 1.
     """
-    if not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    check_workers(workers)
     if workers == 1 or len(items) < 2:
         scratch = Scratch()
         for item in items:

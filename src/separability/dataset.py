@@ -127,7 +127,9 @@ class Dataset:
     @property
     def class_labels(self) -> NDArray[np.int64]:
         """Distinct labels, ascending."""
-        return np.unique(self.labels)
+        # as np.unique, whose plain call imports numpy.ma (9-17 ms in numpy 2.4)
+        labels = np.sort(self.labels)
+        return labels[np.diff(labels, prepend=-1) != 0]  # labels are >= 0
 
     @property
     def n_classes(self) -> int:

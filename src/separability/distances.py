@@ -32,6 +32,19 @@ row (see ``condensed_index``).  Every public function that returns
 distances raises ``DomainError`` when one overflows float64, as the DSI
 does, and prints no floating-point warning on the way.
 
+The two-pass engines of ``stats`` read sources: ``_Blocks``, plain blocks,
+or ``_Pairs``, the pairs among one point set or between two.  Pass 1 reads
+a source's blocks, in order.  Pass 2 wants only the distances in a few
+bins, and reads the source's ``tasks`` on ``_walk_tasks``.  Under
+euclidean, cityblock and chebyshev, each task of a ``_Pairs`` is a group
+of nearby rows (``_kd_groups``, once per point set in ``_Rows``) led by a
+pivot.  The pivot's distance D_j to each column, and delta, the group's
+largest distance to its pivot, bound every other row's distance to that
+column within [D_j - delta, D_j + delta], by the triangle inequality, up
+to a rounding slack that ``_slack`` proves.  Only the columns whose bounds
+can reach a wanted bin are computed.  Each pair is computed at most once;
+a cross source also computes each group's rows against its pivot.
+
 The module's ``pdist`` and ``cdist`` are the only kernel entry points.
 Euclidean, cityblock and chebyshev distances between rows of at most
 ``_NUMPY_MAX_DIM`` features are computed in numpy; every other metric or
@@ -46,6 +59,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -195,6 +209,15 @@ def _numpy_serves(points: NDArray[np.float64], metric: str) -> bool:
     return metric in _NUMPY_METRICS and points.shape[1] <= _NUMPY_MAX_DIM
 
 
+@lru_cache(maxsize=64)
+def _upper(m: int) -> NDArray[np.intp]:
+    """The flat positions of an m x m matrix's strict upper triangle, in
+    row-major order; read-only, built once per m."""
+    positions = np.flatnonzero(np.triu(np.ones((m, m), dtype=bool), k=1))
+    positions.setflags(write=False)
+    return positions
+
+
 def pdist(
     points: NDArray[np.float64],
     metric: str,
@@ -214,9 +237,11 @@ def pdist(
         return scipy_pdist(points, metric=metric, out=out, **kwargs)
     scratch = Scratch() if scratch is None else scratch
     m = points.shape[0]
-    square = scratch.take("square", m * m).reshape(m, m)
-    _minkowski(points, points, metric, square, scratch)
-    return np.compress(np.triu(np.ones((m, m), dtype=bool), k=1).ravel(), square, out=out)
+    square = scratch.take("square", m * m)
+    _minkowski(points, points, metric, square.reshape(m, m), scratch)
+    # every position is in range, so "clip" changes nothing; it spares the
+    # copy that numpy makes of ``out`` under the default "raise"
+    return np.take(square, _upper(m), out=out, mode="clip")
 
 
 def cdist(
@@ -352,21 +377,41 @@ def _walk(blocks: list, visit, workers: int) -> Iterator:
     ``blocks``, on ``workers`` threads; the results are yielded in block order.
 
     ``values`` is the block's ``size`` values, written by ``fill`` into the
-    "values" buffer of ``scratch``, the running thread's ``_threads.Scratch``,
-    and ``visit``'s to overwrite; ``visit`` takes its own temporaries from
-    ``scratch`` under other names and writes only its own part of any shared
-    result.  Unchecked: callers that may overflow check what they read, and
-    numpy need not warn.
+    "values" buffer of ``scratch``, and ``visit``'s to overwrite; otherwise
+    as ``_walk_tasks``.
+    """
+    tasks = [partial(_emit_block, size, fill) for size, fill in blocks]
+    return (result for (result,) in _walk_tasks(tasks, visit, workers))
+
+
+def _emit_block(size: int, fill, emit, scratch: Scratch) -> None:
+    values = scratch.take("values", size)
+    fill(values, scratch)
+    emit(values)
+
+
+def _walk_tasks(tasks: list, visit, workers: int) -> Iterator[list]:
+    """``visit(i, values, scratch)`` for each run of values that task i of
+    ``tasks`` emits, on ``workers`` threads; yields each task's list of
+    results, in task order.
+
+    ``task(emit, scratch)`` calls ``emit(values)`` for each of its runs (see
+    ``_Pairs.tasks``).  ``scratch`` is the running thread's
+    ``_threads.Scratch``; ``visit`` takes its own temporaries from it under
+    names the task does not use, writes only its own part of any shared
+    result, and overwrites ``values`` only where the task is a block's.
+    Unchecked: callers that may overflow check what they read, and numpy
+    need not warn.
     """
 
     def run(item, scratch):
-        i, (size, fill) = item
-        values = scratch.take("values", size)
+        i, task = item
+        results = []
         with np.errstate(over="ignore", invalid="ignore"):
-            fill(values, scratch)
-        return visit(i, values, scratch)
+            task(lambda values: results.append(visit(i, values, scratch)), scratch)
+        return results
 
-    return walk(run, list(enumerate(blocks)), workers)
+    return walk(run, list(enumerate(tasks)), workers)
 
 
 def _condensed_blocks(pts: NDArray[np.float64], metric: DistanceMetric) -> list:
@@ -382,20 +427,248 @@ def _cross_blocks(pa: NDArray[np.float64], pb: NDArray[np.float64], metric: Dist
     return [_block(pa[r0:r1], pb, False, metric) for r0, r1 in blocks]
 
 
+# Metrics whose computed distances keep the triangle inequality within the
+# rounding that ``_slack`` bounds, so that pass 2 can skip pairs, each with
+# the order of the vector norm it is of.
+_TRIANGLE_METRICS = {"euclidean": 2, "cityblock": 1, "chebyshev": np.inf}
+
+# Rows in one pass-2 group, at most: halving gives 33-64.  Smaller groups
+# have smaller radii and skip more pairs, but each costs its pivot, bounds
+# and runs.  For the DSI of 2x2500 moons (KS, one thread, 2-vCPU x86-64
+# guest), groups of at most 32, 64 and 128 rows computed 16%, 20% and 29%
+# of a full pass again, in 0.13-0.15 s alike.  A group's rows share the
+# gather of its columns, so few rows cost wide data most, and the cap does
+# not shrink with width: forced through groups on 1000x3072 integer pixels,
+# where no pair can be skipped, 12-row groups ran 7-9% slower than the
+# plain blocks and 50-row groups within 4%.
+_GROUP_ROWS = 64
+
+
+def _slack(width: int) -> tuple[float, float]:
+    """``(relative, absolute)`` rounding slack of the pivot bounds of
+    ``_Pairs.tasks``, for rows of ``width`` features under the metrics of
+    ``_TRIANGLE_METRICS``.
+
+    Let u = 2**-53, d the exact distance of a pair and d' the one the kernel
+    computes, numpy's or scipy's, which may add its terms in any order, with
+    or without fused multiply-adds.  Each difference of two features is
+    rounded once, with relative error at most u (a subnormal one is exact).
+    chebyshev takes abs and max, which are exact: |d' - d| <= u d.
+    cityblock adds ``width`` terms of one sign: |d' - d| <= 2 width u d.
+    euclidean rounds each square once more, and an underflowing square is
+    off by at most 2**-1075; with the sum and the rounded root,
+    |d' - d| <= (width + 4) u d + (1 + u) sqrt(width 2**-1074).  So for all
+    three |d' - d| <= r d + a, with r = (width + 3) 2**-52 <= 1/8 and
+    a = width 2**-536, and so d <= (d' + a) / (1 - r) and
+    d >= (d' - a) / (1 + r).
+
+    Let q be a group's pivot, i another row of the group, j a column,
+    D_j = d'(q, j) and delta >= d'(i, q).  The triangle inequality,
+    d(q, j) - d(i, q) <= d(i, j) <= d(q, j) + d(i, q), then gives, with
+    (1 + r) / (1 - r) <= 1 + 3r and (1 - r) / (1 + r) >= 1 - 2r:
+
+        d'(i, j) <= (1 + r) / (1 - r) (D_j + delta + 2a) + a
+                 <= D_j + delta + 3r (D_j + delta) + 4a
+        d'(i, j) >= (1 - r) / (1 + r) (D_j - a) - delta - 2a
+                 >= D_j - delta - 3r (D_j + delta) - 4a.
+
+    The caller rounds, in float64, w = max_j D_j + delta, s = w * 4r + 5a,
+    (D_j - delta) - s and (D_j + delta) + s: at most five roundings on the
+    way to each bound, each off by at most u (w + s), or by far less than a
+    where it underflows.  s exceeds 3r (D_j + delta) + 4a by nearly r w + a,
+    and r >= 8u, so that spare covers them: each computed d'(i, j) lies in
+    [(D_j - delta) - s, (D_j + delta) + s] as rounded.
+    """
+    return (width + 3) * 2.0**-50, 5 * width * 2.0**-536
+
+
+def _gather(points: NDArray[np.float64], rows, scratch: Scratch, name: str) -> NDArray[np.float64]:
+    """``points[rows]`` in the buffer ``name`` of ``scratch``."""
+    out = scratch.take(name, rows.size * points.shape[1]).reshape(rows.size, points.shape[1])
+    return np.take(points, rows, axis=0, out=out, mode="clip")  # rows are in range
+
+
+def _kd_groups(points: NDArray[np.float64], size: int) -> tuple:
+    """An order of the rows of ``points``, its cut into groups
+    ``(start, end)`` of at most ``size`` rows that are compact in space, each
+    led by a central row, and each group's range in every coordinate.
+
+    Level by level, each part is sorted, stably, on its widest coordinate,
+    and each part of more than ``size`` rows is halved; the last level sorts
+    the groups so, and each group's middle row, a median of its widest
+    coordinate, moves to its front.  Widest coordinates are read off at most
+    ``_BLOCK_VALUES`` values: all parts at once when every row fits, and
+    otherwise part by part, through a fixed stride of its rows where they
+    hold more.  The order depends on the rows alone.
+    """
+    n, width = points.shape
+    order, edges = np.arange(n), np.array([0, n])
+    while True:
+        starts, sizes = edges[:-1], np.diff(edges)
+        if n * width <= _BLOCK_VALUES:
+            rows = points[order]
+            spread = np.maximum.reduceat(rows, starts) - np.minimum.reduceat(rows, starts)
+        else:  # reduceat is slow on wide rows
+            spread = np.empty((starts.size, width))
+            for k, (s, e) in enumerate(zip(starts.tolist(), edges[1:].tolist())):
+                rows = points[order[s : e : -(-(e - s) * width // _BLOCK_VALUES)]]
+                spread[k] = rows.max(axis=0) - rows.min(axis=0)
+        axes = spread.argmax(axis=1)
+        within = np.repeat(np.arange(starts.size), sizes)
+        order = order[np.lexsort((points[order, axes[within]], within))]
+        split = sizes > size
+        if not split.any():
+            break
+        edges = np.sort(np.concatenate([edges, starts[split] + sizes[split] // 2]))
+    middles = starts + sizes // 2
+    order[starts], order[middles] = order[middles], order[starts]
+    return order, list(zip(starts.tolist(), edges[1:].tolist())), spread
+
+
+class _Blocks:
+    """A source of values for the two-pass engines of ``stats``, as
+    ``(size, fill)`` blocks; pass 1 reads ``blocks``, pass 2 ``tasks``.
+    ``radius``, None here, is a typical pass-2 group's radius."""
+
+    radius = None
+
+    def __init__(self, blocks: list):
+        self.blocks = blocks
+
+    def tasks(self, reach=None) -> list:
+        """Pass 2's tasks, as ``_Pairs.tasks``: here every block again."""
+        return [partial(_emit_block, size, fill) for size, fill in self.blocks]
+
+
+class _Rows:
+    """A point set, and its pass-2 groups (see ``_kd_groups``), found once
+    for all the sources that pair its rows."""
+
+    def __init__(self, points: NDArray[np.float64]):
+        self.points = points
+
+    @cached_property
+    def groups(self) -> tuple:
+        return _kd_groups(self.points, _GROUP_ROWS)
+
+
+class _Pairs(_Blocks):
+    """The pairs among ``rows.points`` (``other`` None), as
+    ``_condensed_blocks`` lays them out, or from each of them to each row of
+    ``other``, as ``_cross_blocks`` does."""
+
+    def __init__(self, rows: _Rows, metric: DistanceMetric, other=None):
+        points = rows.points
+        if other is None:
+            super().__init__(_condensed_blocks(points, metric))
+        else:
+            super().__init__(_cross_blocks(points, other, metric))
+        self.rows, self.points, self.metric, self.other = rows, points, metric, other
+
+    @property
+    def radius(self) -> float | None:
+        """Half a median over the groups of the norm of their ranges in
+        each coordinate, about a group's delta; None where no pair can be
+        skipped."""
+        norm = _TRIANGLE_METRICS.get(self.metric.name)
+        if norm is None:
+            return None
+        extents = np.sort(np.linalg.norm(self.rows.groups[2], ord=norm, axis=1))
+        return float(extents[extents.size // 2]) / 2
+
+    def tasks(self, reach=None) -> list:
+        """Pass 2's tasks: each ``task(emit, scratch)`` calls ``emit(values)``
+        with runs of the source's distances, each pair in at most one run.
+
+        Without ``reach``, or under a metric outside ``_TRIANGLE_METRICS``,
+        the tasks are the blocks again.  Otherwise ``reach(lo, hi)`` says
+        which intervals [lo, hi] can hold a wanted distance, and each task is
+        one group of ``self.rows``.  The group's first row is its pivot q,
+        whose distances D_j to all its columns are emitted whole; delta is
+        the largest distance from q to the group's other rows (for a cross
+        source, those rows are computed against q for it, outside the
+        source's pairs).  Each other row i of the group then has d(i, j)
+        within [D_j - delta - s, D_j + delta + s] (see ``_slack``), so only
+        the columns whose interval ``reach`` accepts are computed.  Among
+        one point set, a group's rows pair with the rest of their group and
+        with every later group.
+        """
+        if reach is None or self.metric.name not in _TRIANGLE_METRICS:
+            return super().tasks()
+        order, groups, _ = self.rows.groups
+        return [partial(self._group, order, s, e, reach) for s, e in groups]
+
+    def _group(self, order, s: int, e: int, reach, emit, scratch: Scratch) -> None:
+        points, kwargs, m = self.points, _scipy_kwargs(self.metric), e - s - 1
+        pivot, rows = points[order[s]][None], _gather(points, order[s + 1 : e], scratch, "rows")
+        cols = order[s + 1 :] if self.other is None else None
+        n = self.other.shape[0] if cols is None else cols.size
+        among = 0 if cols is None else m * (m - 1) // 2
+        # one run: the pivot's distances, then, among one point set, those
+        # among the group's other rows
+        first = scratch.take("pivot", n + among)
+        for _ in self._against(pivot, cols, scratch, first[:n]):
+            pass
+        if among:
+            pdist(rows, out=first[n:], scratch=scratch, **kwargs)
+        emit(first)
+        near = first[:n]
+        if not m:
+            return
+        if cols is None:
+            delta = cdist(rows, pivot, scratch=scratch, **kwargs).max()
+        else:
+            delta, near, cols = near[:m].max(), near[m:], order[e:]
+        if not near.size:
+            return
+        relative, absolute = _slack(points.shape[1])
+        pad = (near.max() + delta) * relative + absolute
+        hit = reach((near - delta) - pad, (near + delta) + pad)
+        cols = np.flatnonzero(hit) if cols is None else cols[hit]
+        for values in self._against(rows, cols, scratch):
+            emit(values)
+
+    def _against(self, rows, cols, scratch: Scratch, out=None) -> Iterator:
+        """Yields the distances from each of ``rows`` to the columns ``cols``
+        (positions among the source's columns; all of them if None), in runs
+        of whole columns of at most ``_BLOCK_VALUES`` values, each written
+        into ``out`` after the runs before it if given, and else into the
+        "values" buffer of ``scratch``.  Gathered columns go to the kernel at
+        most that many values at a time."""
+        table = self.points if self.other is None else self.other
+        n = table.shape[0] if cols is None else cols.size
+        m, width = rows.shape
+        run = max(1, _BLOCK_VALUES // m)
+        step = run if cols is None else min(run, max(1, _BLOCK_VALUES // width))
+        kwargs = _scipy_kwargs(self.metric)
+        for r0 in range(0, n, run):
+            r1 = min(r0 + run, n)
+            values = scratch.take("values", m * (r1 - r0)) if out is None else out[m * r0 : m * r1]
+            for c0 in range(r0, r1, step):
+                c1 = min(c0 + step, r1)
+                if cols is None:
+                    part = table[c0:c1]
+                else:
+                    part = _gather(table, cols[c0:c1], scratch, "columns")
+                block = values[m * (c0 - r0) : m * (c1 - r0)].reshape(m, c1 - c0)
+                cdist(rows, part, out=block, scratch=scratch, **kwargs)
+            yield values
+
+
 def _store(sources: list, sizes: list[int], workers: int) -> list[NDArray[np.float64]]:
     """The multisets fed by ``sources``, ``sizes[f]`` values in multiset f,
     stored on ``workers`` threads.
 
-    ``sources`` lists ``(blocks, feeds)`` as ``stats._binned_statistics``
-    reads them; each multiset holds its blocks' values in block order.  A
-    block fills its slice of the first multiset it feeds in place and is
-    copied into the rest.  Unchecked: callers that may overflow check the
-    result, and numpy need not warn.
+    ``sources`` lists ``(source, feeds)`` as ``stats._binned_statistics``
+    reads them; each multiset holds its sources' blocks' values in block
+    order.  A block fills its slice of the first multiset it feeds in place
+    and is copied into the rest.  Unchecked: callers that may overflow check
+    the result, and numpy need not warn.
     """
     sets = [np.empty(size, dtype=np.float64) for size in sizes]
     tasks, filled = [], [0] * len(sets)
-    for blocks, feeds in sources:
-        for size, fill in blocks:
+    for source, feeds in sources:
+        for size, fill in source.blocks:
             tasks.append((fill, [sets[f][filled[f] : filled[f] + size] for f in feeds]))
             for f in feeds:
                 filled[f] += size
@@ -418,7 +691,8 @@ def _cross(
     """All distances from the rows of ``pa`` to those of ``pb``, flat and
     row-major.  Unchecked: both must be finite 2-D float64 arrays on which
     ``metric`` is defined (see ``_check_vectors``)."""
-    (out,) = _store([(_cross_blocks(pa, pb, metric), (0,))], [pa.shape[0] * pb.shape[0]], 1)
+    source = _Blocks(_cross_blocks(pa, pb, metric))
+    (out,) = _store([(source, (0,))], [pa.shape[0] * pb.shape[0]], 1)
     return out
 
 

@@ -21,12 +21,14 @@ BCD(i) from the pairs between class i and each other class, so each
 class's statistic reads its own two multisets.  ``_dsi_reports``
 runs it for ``dsi``, for the CLI and for each draw of ``dsi_subsampled``
 (which draws again when the step refuses), then streams the blocks without
-storing them.  Every pair of points is computed once per pass, and there
-are two passes at most: the first counts each multiset's distances per bin,
-the second, run only when some bin needs it, keeps the few distances in
-bins where |P - Q| must be read exactly (see ``stats``).  KS and the
-normalized 1-Wasserstein distance both come from the same passes, and
-``workers`` threads share each pass's kernel blocks.  ``class_distance_sets``
+storing them.  There are two passes at most: the first computes every
+pair of points once and counts each multiset's distances per bin; the
+second, run only when some bin needs it, keeps the few distances in bins
+where |P - Q| must be read exactly, and computes each pair at most once,
+skipping those whose distance provably lies outside those bins (see
+``stats`` and ``distances._Pairs``).  KS and the normalized 1-Wasserstein
+distance both come from the same passes, and ``workers`` threads share
+each pass's kernel work.  ``class_distance_sets``
 runs the same step and fills the multisets from its blocks, for export and
 inspection; the DSI never needs them.
 """
@@ -43,9 +45,9 @@ from .distances import (
     DistanceMetric,
     DistanceSet,
     _check_vectors,
-    _condensed_blocks,
-    _cross_blocks,
     _diameter_bound,
+    _Pairs,
+    _Rows,
     _store,
     resolve_metric,
 )
@@ -66,17 +68,17 @@ __all__ = [
 ]
 
 # Exact computation stores no multiset: it streams every distance through the
-# kernel once or twice, so memory grows with the kernel's row blocks (at most
-# 2**16 float64 values, in a few buffers per thread) and with the distances
-# kept in refined bins, not with n**2.  CLI `measure` (KS, one thread) peaks
-# at 51 MiB RSS in 1.5-1.6 s on 2x5000 moons points and at 73 MiB in
-# 2.9-3.1 s on 2x7500.  Three 2-D standard Gaussian classes sharing one mean,
-# 10k points in all, keep 7.0M distances in refined bins and take 92 MiB in
-# 1.5-2.3 s with KS; with Wasserstein they keep 16.3M and take 168 MiB in
-# 2.6-3.5 s (2-vCPU Intel Xeon KVM guest, numpy 2.4.6, three runs each for
-# moons and six for the Gaussians, through perfbench/spawn.py).  Time grows
-# with n**2, so the cap guards time: beyond it callers must subsample or
-# raise it knowingly.
+# kernel once, and those that can reach a refined bin once more, so memory
+# grows with the kernel's row blocks (at most 2**16 float64 values, in a few
+# buffers per thread) and with the distances kept in refined bins, not with
+# n**2.  CLI `measure` (KS, one thread) peaks at 43 MiB RSS in 0.8 s on
+# 2x5000 moons points and at 51 MiB in 1.3-1.4 s on 2x7500.  Three 2-D
+# standard Gaussian classes sharing one mean, 10k points in all, keep 7.0M
+# distances in refined bins and take 92 MiB in 1.4-1.5 s with KS; with
+# Wasserstein they keep 16.3M and take 168 MiB in 2.4-2.6 s (2-vCPU Intel
+# Xeon KVM guest, numpy 2.4.6, three runs each, through perfbench/spawn.py).
+# Time grows with n**2, so the cap guards time: beyond it callers must
+# subsample or raise it knowingly.
 DEFAULT_MAX_POINTS = 15_000
 
 STAT_NAMES = ("ks", "wasserstein")
@@ -162,10 +164,11 @@ def _multisets(ds: Dataset, m: DistanceMetric, max_points: int | None) -> tuple:
     Fewer than 2 classes, or a class below 2 points, raises before any other
     check.  Multisets are numbered ICD(c) = c and BCD(c) = k + c for the k
     classes, labels ascending, so each cross block feeds two BCDs.  Returns
-    the labels, the blocks as ``stats._binned_statistics`` and
-    ``distances._store`` read them (each pair of points in one block), each
-    class's BCD number, each multiset's size, and a bound on any distance
-    (see ``_diameter_bound``).
+    the labels, the sources as ``stats._binned_statistics`` and
+    ``distances._store`` read them (each pair of points in one block of one
+    ``distances._Pairs``; each class's rows in one ``distances._Rows``),
+    each class's BCD number, each multiset's size, and a bound on any
+    distance (see ``_diameter_bound``).
     """
     groups = partition(ds).groups
     for label, rows in groups.items():
@@ -185,9 +188,10 @@ def _multisets(ds: Dataset, m: DistanceMetric, max_points: int | None) -> tuple:
     ]
     k = len(points)
     bcd = [k + c for c in range(k)]
-    sources = [(_condensed_blocks(mine, m), (c,)) for c, mine in enumerate(points)]
+    classes = [_Rows(mine) for mine in points]
+    sources = [(_Pairs(mine, m), (c,)) for c, mine in enumerate(classes)]
     sources += [
-        (_cross_blocks(points[c], points[d], m), (bcd[c], bcd[d]))
+        (_Pairs(classes[c], m, points[d]), (bcd[c], bcd[d]))
         for c in range(k)
         for d in range(c + 1, k)
     ]

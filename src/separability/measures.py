@@ -43,9 +43,11 @@ the context's ``workers`` threads; ``compute_measures`` gives its context
 * N1's Prim computes each vertex's distances when it joins the tree, to
   the vertices still outside it, so each pair is computed once.  It is the
   one reader outside ``_walk``: one row at a time, on one thread.
-* Density reads each pair once per pass of ``stats._quantile``'s binned
-  two-pass order statistic, laid out per class as the DSI lays out its
-  multisets; the same passes count the same-class pairs up to the cut.
+* Density reads its pairs through ``stats._quantile``'s binned two-pass
+  order statistic, laid out per class as the DSI lays out its multisets:
+  each pair once in the first pass, and in the second at most once, only
+  where its distance can reach the bins of the cut; the same passes count
+  the same-class pairs up to the cut.
 * N4 classifies its synthetic points block by block.
 
 The kernel computes each distance with the same operations in any block
@@ -65,14 +67,15 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from ._threads import Scratch
+from ._threads import Scratch, check_workers
 from .dataset import Dataset, partition
 from .distances import (
     DistanceMetric,
     _block,
-    _condensed_blocks,
     _cross_blocks,
     _diameter_bound,
+    _Pairs,
+    _Rows,
     _row_blocks,
     _walk,
 )
@@ -324,8 +327,9 @@ def n1(ds: Dataset) -> MeasureResult:
     _validate(ds)
     edges = _mst_edges(_context(ds).points)
     labels = ds.labels
-    crossing = edges[labels[edges[:, 0]] != labels[edges[:, 1]]]
-    return MeasureResult(code="N1", value=np.unique(crossing).size / ds.n, params={})
+    touching = np.zeros(ds.n, dtype=bool)
+    touching[edges[labels[edges[:, 0]] != labels[edges[:, 1]]]] = True
+    return MeasureResult(code="N1", value=np.count_nonzero(touching) / ds.n, params={})
 
 
 def n2(ds: Dataset) -> MeasureResult:
@@ -521,10 +525,11 @@ def density(ds: Dataset, quantile: float = DENSITY_QUANTILE) -> MeasureResult:
     classes = [ds.points[ds.labels == c] for c in ds.class_labels]
     # each pair once: within each class, marked as a possible edge, then
     # between each pair of classes
-    sources = [(_condensed_blocks(points, _EUCLIDEAN), True) for points in classes]
+    sets = [_Rows(points) for points in classes]
+    sources = [(_Pairs(mine, _EUCLIDEAN), True) for mine in sets]
     sources += [
-        (_cross_blocks(mine, theirs, _EUCLIDEAN), False)
-        for c, mine in enumerate(classes)
+        (_Pairs(mine, _EUCLIDEAN, theirs), False)
+        for c, mine in enumerate(sets)
         for theirs in classes[c + 1 :]
     ]
     _, edges = _quantile(sources, (0.0, ctx.bound), quantile, ctx.workers)
@@ -545,7 +550,8 @@ def compute_measures(
 
     Every walk over the euclidean distances, N4's and Density's included,
     runs on ``workers`` threads; the nearest neighbours are found once and
-    shared by the measures.
+    shared by the measures.  A bad ``workers`` raises ``ValueError`` before
+    any measure runs, whether or not one walks.
     """
     wanted = list(MEASURE_CODES) if codes is None else list(codes)
     unknown = [c for c in wanted if c not in MEASURE_CODES]
@@ -554,6 +560,7 @@ def compute_measures(
             f"unknown measure codes {', '.join(map(str, unknown))}; "
             f"expected some of {', '.join(MEASURE_CODES)}"
         )
+    check_workers(workers)
     ds = _context(ds, workers)
     fns = {
         "F1": lambda: f1(ds),

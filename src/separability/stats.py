@@ -23,9 +23,13 @@ block.
   counts: its KS candidates are bounded by the bin ends, and its share of
   W1 is the integral of a one-signed step function, which its counts and
   edge sums give exactly.
-* Pass 2, run only when some bin is refined, produces the blocks again and
-  keeps the plain values in its pair's refined bins; pass 1's counts say
-  how many, so each multiset's kept values fill one array, sorted once.
+* Pass 2, run only when some bin is refined, keeps the plain values in
+  each pair's refined bins; pass 1's counts say how many, so each
+  multiset's kept values fill one array, sorted once, and a pass 2 that
+  kept any other number raises.  It computes only the distances that can
+  land in a refined bin (see ``_refine`` and ``distances._Pairs.tasks``),
+  and tests each against the refined bins' span with two compares before
+  it looks up its bin.
   Each pair ranks its kept values in runs of whole refined bins, about
   ``_BLOCK_VALUES`` values each: a stable merge of the two sides' slices
   ranks a run's values, and those ranks, offset by the counts below each
@@ -36,13 +40,16 @@ block.
 Block partials are added in block order, so the number of threads that
 produce the blocks never changes a value.
 
-Each pass is one ``distances._walk`` over the blocks, and allocates no
+Pass 1 is one ``distances._walk`` over the blocks, pass 2 one
+``distances._walk_tasks`` over the sources' tasks.  Pass 1 allocates no
 block-sized array: each thread of the walk fills every block into the
 "values" buffer of its own ``_threads.Scratch`` and reads the block's
 positions ``t`` and bin numbers into two more, and the distance kernel
-takes its own temporaries from the same scratch.  Blocks hold at most
-``distances._BLOCK_VALUES`` values, so the scratch stays near cache size;
-it ends with its pass.
+takes its own temporaries from the same scratch.  Pass 2 fills its runs
+of values the same way; beyond the values it keeps, it allocates only a
+few arrays of one value per column of a group.  Blocks and runs hold at
+most ``distances._BLOCK_VALUES`` values, so the scratch stays near cache
+size; it ends with its pass.
 
 ``_quantile`` reads an exact order statistic off the same bins, in the
 same two passes, and counts the values of marked blocks up to it: the
@@ -53,12 +60,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ._threads import Scratch
-from .distances import _BLOCK_VALUES, _walk
+from .distances import _BLOCK_VALUES, _Blocks, _walk, _walk_tasks
 from .errors import EmptySample
 
 __all__ = [
@@ -128,8 +136,16 @@ class _Bins:
         self, values: NDArray[np.float64], scratch: Scratch
     ) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
         """Each value's bin, and its position ``t = v * scale``, in the "idx"
-        and "t" buffers of ``scratch``."""
+        and "t" buffers of ``scratch``.
+
+        A position at or past the last bin's upper edge, an exact integer,
+        is clamped, before the cast, to the largest float below that edge:
+        its bin is the same, and the last bin's W1 edge sums, the only
+        reader of ``t``, are unused whenever such a value occurs, since
+        ``_Gap`` then refines that bin.
+        """
         t = np.multiply(values, self.scale, out=scratch.take("t", values.size))
+        np.minimum(t, math.nextafter(self.first + self.size, -math.inf), out=t)
         idx = scratch.take("idx", values.size, np.int64)
         if self.first < 0:  # truncation rounds negative positions up
             np.floor(t, out=idx, casting="unsafe")
@@ -137,7 +153,6 @@ class _Bins:
             np.copyto(idx, t, casting="unsafe")
         if self.first:
             idx -= self.first
-        np.minimum(idx, self.size - 1, out=idx)
         return idx, t
 
 
@@ -206,9 +221,11 @@ class _Gap:
             else:
                 one_sign = (before - fall > _PAD) | (before + rise < -_PAD)
             refine |= filled & ~one_sign
-            # values past the last bin's nominal edge stretch it
+            # values at or past the last bin's nominal upper edge stretch it,
+            # and their clamped positions (see _Bins.index) leave its edge
+            # sums unread
             self.top = max(a.high, b.high) * bins.scale
-            refine[-1] |= filled[-1] and self.top > bins.first + bins.size
+            refine[-1] |= filled[-1] and self.top >= bins.first + bins.size
         self.refine = refine
 
     def _cumulative(self) -> tuple:
@@ -308,28 +325,131 @@ def _merge(kept_a, kept_b) -> tuple:
     return values[ends], count_a, ends + 1 - count_a
 
 
+class _Wanted:
+    """What pass 2 keeps from one source: for each multiset it feeds, the
+    values in the bins of that multiset's table in ``tables``.
+
+    The bins that any table wants form runs of adjacent bins, each the value
+    interval [``starts[k]``, ``ends[k]``) from its first bin's lower edge to
+    its last bin's upper edge, unbounded above for the last bin; ``starts``
+    ends with +inf.  An edge is ``e / scale`` for an integer e, exact, and
+    for the distances that pruned sources hold, never negative,
+    ``v * scale`` rounds only where it underflows below every nonzero edge,
+    so a distance lies in a run exactly when its bin does.
+
+    ``prune`` says that pass 2 should compute only the pairs that can reach
+    a wanted bin, and is set where the source's groups have a ``radius`` and
+    the bins within it of a wanted bin hold at most half of every multiset
+    fed, per its pass-1 ``counts``; elsewhere pruning would skip too few
+    pairs to pay for its pivots.  The runs are found only then.
+    """
+
+    def __init__(self, bins: _Bins, tables: list, counts: list, radius: float | None):
+        self.bins, self.tables = bins, tables
+        union = np.logical_or.reduce(tables)
+        self.prune = radius is not None and self._sparse(union, counts, radius)
+        if self.prune:
+            wanted = np.flatnonzero(union)
+            cuts = np.flatnonzero(np.diff(wanted) > 1)
+            first, last = wanted[np.append(0, cuts + 1)], wanted[np.append(cuts, -1)]
+            with np.errstate(over="ignore"):  # only past the last bin, unbounded anyway
+                starts = (first + bins.first) / bins.scale
+                ends = (last + (bins.first + 1)) / bins.scale
+            ends[last == bins.size - 1] = math.inf
+            self.starts, self.ends = np.append(starts, math.inf), ends
+
+    def _sparse(self, union, counts: list, radius: float) -> bool:
+        """Whether the bins within ``radius`` of a wanted bin hold at most
+        half of each multiset's values."""
+        size, bins_in_radius = self.bins.size, radius * self.bins.scale
+        k = math.ceil(bins_in_radius) if bins_in_radius < size else size
+        reached = np.append(0, np.cumsum(union))  # wanted bins below each bin
+        at = np.arange(size)
+        near = reached[np.minimum(at + k, size - 1) + 1] > reached[np.maximum(at - k, 0)]
+        return all(2 * c[near].sum() <= c.sum() for c in counts)
+
+    def reach(self, lo, hi) -> NDArray[np.bool_]:
+        """Whether some wanted value can lie in each interval [lo, hi]: the
+        first run that ends above lo starts at or below hi."""
+        return self.starts[np.searchsorted(self.ends, lo, side="right")] <= hi
+
+    def select(self, values, scratch: Scratch) -> list:
+        """Each table's values among ``values``: where pruned, two compares
+        with the span of the wanted bins first, and the exact bin only of
+        what is left."""
+        near = values
+        if self.prune:
+            inside = scratch.take("inside", values.size, bool)
+            np.greater_equal(values, self.starts[0], out=inside)
+            inside &= np.less(values, self.ends[-1], out=scratch.take("below", values.size, bool))
+            near = values[inside]
+        idx = self.bins.index(near, scratch)[0]
+        return [near[table[idx]] for table in self.tables]
+
+
+def _refine(sources: list, tables: list, counts: list, bins: _Bins, workers: int, reduce=None):
+    """Pass 2: yields ``(i, parts)`` for each run of values that source i
+    emits, where ``parts`` holds, for each multiset f in its ``feeds``, the
+    run's values in the bins of ``tables[f]``, through ``reduce`` if given.
+
+    ``sources`` lists ``(source, feeds)``, and ``counts[f]`` is multiset f's
+    pass-1 counts per bin.  A source that no table wants anything of is not
+    walked.  Where ``_Wanted`` says to prune, only the pairs that can reach
+    a wanted bin are computed (see ``distances._Pairs.tasks``); elsewhere
+    every block is computed.  The tasks run on ``workers`` threads.
+    """
+    tasks, owners = [], []
+    for i, (source, feeds) in enumerate(sources):
+        fed = [tables[f] for f in feeds]
+        if not any(table.any() for table in fed):
+            continue
+        wanted = _Wanted(bins, fed, [counts[f] for f in feeds], source.radius)
+        for task in source.tasks(wanted.reach if wanted.prune else None):
+            tasks.append(task)
+            owners.append((i, wanted))
+
+    def keep(t, values, scratch):
+        parts = owners[t][1].select(values, scratch)
+        return parts if reduce is None else [reduce(part) for part in parts]
+
+    for t, results in enumerate(_walk_tasks(tasks, keep, workers)):
+        for parts in results:
+            yield owners[t][0], parts
+
+
+def _check_kept(kept: list[int], counted: list[int]) -> None:
+    """Refuse a pass 2 that kept other numbers of values than pass 1 counted
+    in the wanted bins: a pair that pruning skipped or computed twice."""
+    if kept != counted:
+        raise RuntimeError(
+            f"internal error: pass 2 kept {kept} values where pass 1 counted {counted}"
+        )
+
+
 def _binned_statistics(
     sources: list, pairs: list, span: tuple[float, float], names, workers: int = 1
 ) -> list[dict[str, float]]:
     """Statistics of |P - Q| for each pair of multisets, from binned counts.
 
-    ``sources`` lists ``(blocks, feeds)``: each block is a ``(size, fill)``
-    pair whose ``fill(out, scratch)`` writes ``size`` float64 values into
-    ``out``, the same each time it is called, taking any temporaries from
-    the ``_threads.Scratch`` given; those values belong to every multiset
-    numbered in ``feeds``.  ``span`` is ``(lo, hi)``: no value lies below
-    ``lo``, and the bins span [lo, hi], though a value above ``hi`` is
-    still counted exactly.  ``pairs`` lists ``(a, b)`` multiset numbers,
-    each multiset in one pair, so pass 2 keeps its values in that pair's
-    refined bins only; the result has one dict of the ``names`` ("ks",
-    "w1", "w1_normalized") per pair.  Blocks run on ``workers`` threads,
-    once to count and, if any bin needs it, once more to refine.
+    ``sources`` lists ``(source, feeds)``: ``source.blocks`` are
+    ``(size, fill)`` pairs whose ``fill(out, scratch)`` writes ``size``
+    float64 values into ``out``, the same each time it is called, taking
+    any temporaries from the ``_threads.Scratch`` given, and
+    ``source.tasks`` gives them again for pass 2 (see
+    ``distances._Blocks``); those values belong to every multiset numbered
+    in ``feeds``.  ``span`` is ``(lo, hi)``: no value lies below ``lo``, and
+    the bins span [lo, hi], though a value above ``hi`` is still counted
+    exactly.  ``pairs`` lists ``(a, b)`` multiset numbers, each multiset in
+    one pair, so pass 2 keeps its values in that pair's refined bins only;
+    the result has one dict of the ``names`` ("ks", "w1",
+    "w1_normalized") per pair.  Blocks run on ``workers`` threads, once to
+    count and, if any bin needs it, once more to refine (see ``_refine``).
     """
     edges = "w1" in names or "w1_normalized" in names
     sizes = [0] * (1 + max(max(f) for _, f in sources))
     blocks, fed = [], []
     for source, feeds in sources:
-        for size, fill in source:
+        for size, fill in source.blocks:
             for f in feeds:
                 sizes[f] += size
             if size:
@@ -341,11 +461,6 @@ def _binned_statistics(
     def count(i, values, scratch):
         return _count_block(values, bins, edges, scratch)
 
-    def keep(i, values, scratch):  # the block's values in each fed multiset's wanted bins
-        idx = bins.index(values, scratch)[0]
-        inside = scratch.take("inside", values.size, bool)
-        return [values[np.take(wanted[f], idx, out=inside)] for f in fed[i]]
-
     for i, part in enumerate(_walk(blocks, count, workers)):  # in block order
         for f in fed[i]:
             sets[f].add(part)
@@ -356,12 +471,15 @@ def _binned_statistics(
         wanted[a] = wanted[b] = gap.refine
     # pass 1's counts size each multiset's kept values exactly
     kept = [np.empty(int(s.counts[table].sum())) for s, table in zip(sets, wanted)]
+    filled = [0] * len(sets)
     if any(values.size for values in kept):
-        filled = [0] * len(sets)
-        for i, parts in enumerate(_walk(blocks, keep, workers)):
-            for f, part in zip(fed[i], parts):
-                kept[f][filled[f] : filled[f] + part.size] = part
-                filled[f] += part.size
+        counts = [s.counts for s in sets]
+        for i, parts in _refine(sources, wanted, counts, bins, workers):
+            for f, part in zip(sources[i][1], parts):
+                start, filled[f] = filled[f], filled[f] + part.size
+                if filled[f] <= kept[f].size:
+                    kept[f][start : filled[f]] = part
+    _check_kept(filled, [values.size for values in kept])
     for values in kept:
         values.sort()
     return [gap.statistics(kept[a], kept[b], names) for (a, b), gap in zip(pairs, gaps)]
@@ -374,30 +492,24 @@ def _quantile(
     method, of the values that the blocks of ``sources`` produce, and how
     many values of the marked sources are <= it.
 
-    ``sources`` lists ``(blocks, marked)``: ``(size, fill)`` blocks as in
-    ``_binned_statistics``, and whether their values are counted; ``span``
+    ``sources`` lists ``(source, marked)``: a source as in
+    ``_binned_statistics``, and whether its values are counted; ``span``
     is as there.  numpy reads the two order statistics either side of its
     virtual index ``(n - 1) * q``.  Pass 1 counts the values per bin, the
     marked ones apart; pass 2 keeps only the values of the one or two bins
-    holding those ranks, as each block's distinct values with their counts,
-    so a run of tied values costs one entry per block, and reads both ranks
+    holding those ranks, as each run's distinct values with their counts,
+    so a run of tied values costs one entry per run, and reads both ranks
     off their merged counts.  The cut lies in those bins, so the marked
     values <= it are the marked values of every bin below them and the
     marked kept values <= it.  Both passes run on ``workers`` threads.
     """
-    blocks = [block for source, _ in sources for block in source if block[0]]
-    marks = [marked for source, marked in sources for size, _ in source if size]
+    blocks = [block for source, _ in sources for block in source.blocks if block[0]]
+    marks = [marked for source, marked in sources for size, _ in source.blocks if size]
     n = sum(size for size, _ in blocks)
     bins = _Bins.spanning(*span, _bin_target(n))
 
     def count(i, values, scratch):
         return np.bincount(bins.index(values, scratch)[0], minlength=bins.size)
-
-    def keep(i, values, scratch):  # the block's distinct values in bins first..last
-        idx = bins.index(values, scratch)[0]
-        inside = np.greater_equal(idx, first, out=scratch.take("inside", values.size, bool))
-        inside &= np.less_equal(idx, last, out=scratch.take("below", values.size, bool))
-        return np.unique(values[inside], return_counts=True)
 
     tallies = np.zeros((2, bins.size), dtype=np.int64)  # unmarked, marked
     for i, part in enumerate(_walk(blocks, count, workers)):
@@ -408,7 +520,13 @@ def _quantile(
     ranks = (below, below + 1) if virtual < n - 1 else (n - 1, n - 1)
     ends = np.cumsum(counts)
     first, last = np.searchsorted(ends, ranks, side="right")
-    parts = [(*part, marks[i]) for i, part in enumerate(_walk(blocks, keep, workers))]
+    table = np.zeros(bins.size, dtype=bool)
+    table[first : last + 1] = True
+    distinct = partial(np.unique, return_counts=True)
+    fed = [(source, (0,)) for source, _ in sources]
+    refined = _refine(fed, [table], [counts], bins, workers, distinct)
+    parts = [(*part, sources[i][1]) for i, (part,) in refined]
+    _check_kept([sum(int(c.sum()) for _, c, _ in parts)], [int(counts[first : last + 1].sum())])
     kept = np.concatenate([values for values, _, _ in parts])
     order = np.argsort(kept, kind="stable")
     # one past each kept value's last rank, counting the values below its bins
@@ -422,13 +540,15 @@ def _quantile(
     return cut, at_most
 
 
-def _sample_blocks(values: NDArray[np.float64]) -> list:
-    """``values`` as ``(size, fill)`` blocks of at most ``_BLOCK_VALUES`` values."""
+def _sample_blocks(values: NDArray[np.float64]) -> _Blocks:
+    """``values`` as a source of ``(size, fill)`` blocks of at most
+    ``_BLOCK_VALUES`` values each."""
 
     def block(part):
         return part.size, lambda out, scratch: np.copyto(out, part)
 
-    return [block(values[i : i + _BLOCK_VALUES]) for i in range(0, values.size, _BLOCK_VALUES)]
+    starts = range(0, values.size, _BLOCK_VALUES)
+    return _Blocks([block(values[i : i + _BLOCK_VALUES]) for i in starts])
 
 
 def _statistic(sample_a, sample_b, name: str) -> float:

@@ -996,15 +996,16 @@ class TestRepro:
 
     def test_figure7_pairs_per_dataset(self, capsys, computed_pairs):
         # the pairs the distance kernels compute, however they block the
-        # work: each dataset's n(n-1)/2 pairs once per pass, in one pass
-        # when no bin needs refining and in two otherwise
+        # work: each dataset's n(n-1)/2 pairs once in pass 1, and, when some
+        # bin needs refining, each at most once more in pass 2, besides the
+        # delta rows of the one cross source (at most its 30 rows)
         pairs = 60 * 59 // 2
         per_dataset = []
         for sd in range(1, 10):
             ds = generate(GeneratorSpec("blobsd", 30, seed=0, cluster_sd=float(sd)))
             computed_pairs.clear()
             _dsi_reports(ds, "euclidean", ("ks", "wasserstein"), 1, None)
-            assert sum(computed_pairs) in (pairs, 2 * pairs)
+            assert pairs <= sum(computed_pairs) <= 2 * pairs + 30
             per_dataset.append(sum(computed_pairs))
         computed_pairs.clear()
         assert run(["repro", "figure7", "--n-per-class", "30"]) == 0
@@ -1155,6 +1156,23 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert run(["measure", "--input", sys.argv[1], "--threads", sys.argv[2]]) == 0
 print(sorted(m for m in ("concurrent.futures", "hashlib") if m in sys.modules))
 """
+
+
+_NUMPY_MA_AFTER = """
+import contextlib, io, sys
+from separability.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["measure", "--input", sys.argv[1]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_numpy_ma_not_imported(tmp_path):
+    # a plain np.unique imports numpy.ma, 9-17 ms on numpy 2.4
+    data = _write_shape_csv(tmp_path / "d.csv", n=150)
+    proc = _run_child(["-c", _NUMPY_MA_AFTER, str(data)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

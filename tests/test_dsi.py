@@ -1,6 +1,7 @@
 """Separability index: cardinalities, invariances, and the brute oracle."""
 
 import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -151,18 +152,22 @@ class TestClassDistanceSets:
 
     @pytest.mark.parametrize("classes", [2, 3, 5])
     def test_every_pair_computed_once(self, classes, computed_pairs):
-        # every pair once per pass: one pass when every bin is settled by its
-        # counts, as for classes far apart, and two when some bin is refined,
-        # as for overlapping classes; the stored multisets take one pass.
-        # 150 rows per class span several kernel blocks; labels are
-        # interleaved.
+        # pass 1 computes every pair once, and it is the only pass when every
+        # bin is settled by its counts, as for classes far apart; pass 2, run
+        # when some bin is refined, as for overlapping classes, computes each
+        # pair at most once (see TestPrunedPassTwo) and, on these 2-D
+        # classes, skips some; the stored multisets take one pass.  150 rows
+        # per class span several kernel blocks; labels are interleaved.
         order = rng(26).permutation(150 * classes)
         pairs = 150 * classes * (150 * classes - 1) // 2
-        for spread, passes in ((1000.0, 1), (0.0, 2)):
-            ds = random_dataset(n_per_class=150, classes=classes, seed=25, spread=spread)
+        for spread in (1000.0, 6.0):
+            ds = random_dataset(n_per_class=150, dim=2, classes=classes, seed=25, spread=spread)
             computed_pairs.clear()
             _dsi_reports(ds.subset(order), "euclidean", ("ks", "wasserstein"), 1, None)
-            assert sum(computed_pairs) == passes * pairs
+            if spread > 6.0:
+                assert sum(computed_pairs) == pairs
+            else:
+                assert pairs < sum(computed_pairs) < 2 * pairs
         computed_pairs.clear()
         class_distance_sets(ds.subset(order), workers=3)
         assert sum(computed_pairs) == pairs
@@ -213,6 +218,152 @@ class TestClassDistanceSets:
             dsi(ds, metric=metric)
         assert exc.value.index == 5
         assert "index 5" in str(exc.value)
+
+
+def _scipy_dsi(ds: Dataset, metric: str) -> tuple[float, float]:
+    """KS and normalized W1 DSI from scipy's multisets, class by class."""
+    ks, w1 = [], []
+    for label in np.unique(ds.labels):
+        mine, rest = ds.points[ds.labels == label], ds.points[ds.labels != label]
+        icd, bcd = pdist(mine, metric), cdist(mine, rest, metric).ravel()
+        ks.append(ks_statistic(icd, bcd))
+        w1.append(wasserstein1_normalized(icd, bcd))
+    return float(np.mean(ks)), float(np.mean(w1))
+
+
+class TestPrunedPassTwo:
+    """Pass 2 computes only the pairs whose distance can reach a refined
+    bin, grouped around pivots, and checks what it kept against pass 1."""
+
+    @staticmethod
+    def _pass_two_pairs(monkeypatch, ds: Dataset, run) -> list[tuple[int, int]]:
+        """The pairs of rows of ``ds`` (distinct rows) that the kernel
+        computes while ``run()`` walks pass 2, once per computation."""
+        distances, stats = sys.modules["separability.distances"], sys.modules["separability.stats"]
+        index = {row.tobytes(): i for i, row in enumerate(ds.points)}
+        pdist_, cdist_, walk_tasks = distances.pdist, distances.cdist, stats._walk_tasks
+        seen, in_pass_two = [], []
+
+        def rows(points):
+            return [index[row.tobytes()] for row in points]
+
+        def counted_pdist(points, **kwargs):
+            if in_pass_two:
+                at = rows(points)
+                seen.extend((a, b) for k, a in enumerate(at) for b in at[k + 1 :])
+            return pdist_(points, **kwargs)
+
+        def counted_cdist(points_a, points_b, **kwargs):
+            if in_pass_two:
+                seen.extend((a, b) for a in rows(points_a) for b in rows(points_b))
+            return cdist_(points_a, points_b, **kwargs)
+
+        def marked_walk(*args):
+            in_pass_two.append(True)
+            return walk_tasks(*args)
+
+        monkeypatch.setattr(distances, "pdist", counted_pdist)
+        monkeypatch.setattr(distances, "cdist", counted_cdist)
+        monkeypatch.setattr(stats, "_walk_tasks", marked_walk)
+        run()
+        return [tuple(sorted(pair)) for pair in seen]
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_each_pair_at_most_once(self, monkeypatch, classes):
+        # a pair of two classes is computed at most once; a pair within one
+        # class more often only as a delta row: one of a cross group's rows
+        # against the group's pivot, computed for each cross source whose
+        # rows are that class (k - 1 - c of them for class c)
+        ds = random_dataset(n_per_class=150, dim=2, classes=classes, seed=25, spread=6.0)
+        seen = self._pass_two_pairs(
+            monkeypatch, ds, lambda: _dsi_reports(ds, "euclidean", ("ks", "wasserstein"), 1, None)
+        )
+        n = ds.n
+        assert 0 < len(seen) < n * (n - 1) // 2
+        counts = Counter(seen)
+        labels = ds.labels
+        assert all(count == 1 for (a, b), count in counts.items() if labels[a] != labels[b])
+        repeats = sum(count - 1 for count in counts.values())
+        assert repeats <= sum(150 * (classes - 1 - c) for c in range(classes))
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        """Integer points in 3-D, three classes of moons, with the brute
+        force KS and normalized W1 DSI: runs of tied distances."""
+        moons = generate(GeneratorSpec("moons", 300, seed=1, noise=0.1))
+        third = generate(GeneratorSpec("moons", 150, seed=2, noise=0.1)).points + [0.5, 1.0]
+        plane = np.rint(20 * np.vstack([moons.points, third]))
+        points = np.column_stack([plane, rng(28).integers(0, 3, size=900)])
+        labels = np.concatenate([moons.labels, np.full(300, 2)])
+        brute = [brute_dsi(points, labels, stat) for stat in (ks_statistic, wasserstein1_normalized)]
+        return Dataset(points, labels), *brute
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_tied_integer_points(self, tied, workers, computed_pairs):
+        # refined bins among runs of ties, and pruning
+        ds, want_ks, want_w1 = tied
+        computed_pairs.clear()
+        ks, w1 = _dsi_reports(ds, "euclidean", ("ks", "wasserstein"), workers, None)
+        pairs = 900 * 899 // 2
+        assert pairs < sum(computed_pairs) < 2 * pairs  # pass 2 ran, and skipped pairs
+        assert ks.dsi.hex() == want_ks.hex()
+        assert w1.dsi == pytest.approx(want_w1, rel=1e-12)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cityblock", "chebyshev"])
+    def test_wide_rows(self, metric, computed_pairs):
+        # moons on a plane in 64 dimensions: scipy's kernel, and pivots that
+        # prune
+        moons = generate(GeneratorSpec("moons", 300, seed=1, noise=0.1))
+        ds = Dataset(moons.points @ rng(29).normal(size=(2, 64)), moons.labels)
+        want_ks, want_w1 = _scipy_dsi(ds, metric)
+        for workers in (1, 3):
+            computed_pairs.clear()
+            ks, w1 = _dsi_reports(ds, metric, ("ks", "wasserstein"), workers, None)
+            assert sum(computed_pairs) < 2 * (600 * 599 // 2)
+            assert ks.dsi.hex() == want_ks.hex()
+            assert w1.dsi == pytest.approx(want_w1, rel=1e-12)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pruning_forced_on_any_points(self, data):
+        # every source pruned, however little it saves: small groups over
+        # tied integer points, coincident points and 1-3 features, with
+        # coarse bins, give the brute-force values
+        k = data.draw(st.integers(2, 4), label="classes")
+        n = data.draw(st.integers(2 * k, 40), label="n")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        coords = data.draw(st.lists(st.integers(0, 5), min_size=n * dim, max_size=n * dim))
+        points = np.asarray(coords, dtype=float).reshape(n, dim)
+        labels = np.asarray(data.draw(st.permutations((np.arange(n) % k).tolist()), label="labels"))
+        target = data.draw(st.sampled_from([1, 4, 16, 1 << 16]), label="bins")
+        ds = Dataset(points, labels)
+        stats, distances = sys.modules["separability.stats"], sys.modules["separability.distances"]
+        results = []
+        with (
+            mock.patch.object(stats, "_bin_target", lambda largest: target),
+            mock.patch.object(stats._Wanted, "_sparse", lambda *args: True),
+            mock.patch.object(distances, "_GROUP_ROWS", data.draw(st.integers(1, 6), label="rows")),
+        ):
+            for workers in (1, 2):
+                reports = _dsi_reports(ds, "euclidean", ("ks", "wasserstein"), workers, None)
+                results.append([(r.dsi, r.per_class_similarity) for r in reports])
+        assert results[0] == results[1]
+        (ks, _), (wasserstein, _) = results[0]
+        assert ks == brute_dsi(points, labels, grid_ks)
+        assert wasserstein == pytest.approx(
+            brute_dsi(points, labels, _grid_w1_normalized), rel=1e-12
+        )
+
+    def test_a_broken_bound_raises(self, monkeypatch):
+        # bounds narrower than the rounding proof allows skip pairs that
+        # reach a refined bin: the count check refuses the result
+        distances = sys.modules["separability.distances"]
+        ds = random_dataset(n_per_class=150, dim=2, classes=2, seed=25, spread=6.0)
+        _dsi_reports(ds, "euclidean", ("ks",), 1, None)
+        monkeypatch.setattr(distances, "_slack", lambda width: (-0.5, 0.0))
+        for workers in (1, 3):
+            with pytest.raises(RuntimeError, match="pass 2 kept"):
+                _dsi_reports(ds, "euclidean", ("ks",), workers, None)
 
 
 def _tied_points(classes: int, seed: int, per_class: int | None = None) -> Dataset:

@@ -279,6 +279,24 @@ class TestDensity:
     def test_params_record_quantile(self):
         assert density(EASY, quantile=0.3).params == {"quantile": 0.3}
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pass_two_skips_pairs_far_from_the_cut(self, workers, computed_pairs):
+        # the cut's one or two bins are a narrow window, so pass 2 computes
+        # few pairs, and the value is the dense reference's
+        ds = generate(GeneratorSpec("moons", 300, seed=2, noise=0.1))
+        pairs = 600 * 599 // 2
+        computed_pairs.clear()
+        (got,) = compute_measures(ds, ["Density"], workers=workers)
+        assert pairs < sum(computed_pairs) < 1.5 * pairs
+        assert got.value == condensed_density(pdist(ds.points), ds.labels, 0.15)
+
+    def test_a_broken_bound_raises(self, monkeypatch):
+        # bounds narrower than the rounding proof allows skip pairs that
+        # reach the cut's bins: the count check refuses the result
+        monkeypatch.setattr(separability.distances, "_slack", lambda width: (-0.5, 0.0))
+        with pytest.raises(RuntimeError, match="pass 2 kept"):
+            density(generate(GeneratorSpec("moons", 300, seed=2, noise=0.1)))
+
 
 @st.composite
 def _shuffled_classes(draw, max_size=8):
@@ -422,8 +440,10 @@ class TestComputeMeasures:
 
     def test_kernel_pair_counts(self, shared_input, computed_pairs, monkeypatch):
         # each walk computes every ordered pair once, on the context's
-        # workers; N1's Prim and each pass of Density's cut every unordered
-        # pair once; N4 each synthetic point against every point
+        # workers; N1's Prim and the first pass of Density's cut every
+        # unordered pair once, and its second pass each at most once more,
+        # besides the delta rows of its one cross source (at most one per
+        # point); N4 each synthetic point against every point
         workers = []
         walk_driver = separability.distances.walk
 
@@ -436,14 +456,18 @@ class TestComputeMeasures:
         walk, pairs = n * n, n * (n - 1) // 2
         expected = {
             "F1": 0, "N1": pairs, "N2": walk, "N3": walk, "N4": walk,
-            "T1": 2 * walk, "LSC": walk, "Density": 2 * pairs,
+            "T1": 2 * walk, "LSC": walk, "Density": None,
         }
         walks = {"F1": 0, "N1": 0, "T1": 2, "Density": 2}  # one each for the rest
         for code, count in expected.items():
             computed_pairs.clear()
             workers.clear()
             compute_measures(shared_input, [code], workers=3)
-            assert sum(computed_pairs) == count, code
+            if count is None:
+                expected[code] = sum(computed_pairs)
+                assert pairs < sum(computed_pairs) <= 2 * pairs + n, code
+            else:
+                assert sum(computed_pairs) == count, code
             assert workers == [3] * walks.get(code, 1), code
         # shared by all eight, the first walk runs once: N2, N3, T1 and LSC
         # read it, T1 walks again for its covers
@@ -487,6 +511,16 @@ class TestComputeMeasures:
         ds = Dataset(points=np.ones((4, 2)), labels=[0, 0, 0, 0])
         with pytest.raises(DegenerateDataset):
             compute_measures(ds, codes=["F1"])
+
+    @pytest.mark.parametrize("workers", [0, 2.5])
+    def test_workers_checked_before_any_measure(self, small_two_class, monkeypatch, workers):
+        # F1 and N1 walk no blocks, so the walk's own check never sees them
+        ran = []
+        monkeypatch.setattr(separability.measures, "f1", lambda ds: ran.append("F1"))
+        monkeypatch.setattr(separability.measures, "n1", lambda ds: ran.append("N1"))
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers!r}"):
+            compute_measures(small_two_class, ["F1", "N1"], workers=workers)
+        assert ran == []
 
 
 class TestOverflow:

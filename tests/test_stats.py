@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from separability import Dataset, EmptySample, dsi, ks_statistic, wasserstein1, wasserstein1_normalized
 from separability._threads import Scratch
+from separability.distances import _Blocks
 from separability.dsi import _dsi_reports
 
 from conftest import random_dataset, rng
@@ -200,7 +201,7 @@ class TestQuantile:
         """One source per part, marked as ``marks`` says (unmarked past its end)."""
         marks = list(marks) + [False] * len(parts)
         return [
-            ([(part.size, lambda out, scratch, part=part: np.copyto(out, part))], mark)
+            (_Blocks([(part.size, lambda out, scratch, part=part: np.copyto(out, part))]), mark)
             for part, mark in zip(parts, marks)
         ]
 
@@ -279,10 +280,10 @@ class TestBlockContract:
         ds = random_dataset(n_per_class=150, dim=2, classes=3, seed=4)
         _, sources, bcd, _, bound = dsi_module._multisets(ds, distances.resolve_metric("euclidean"), None)
         calls = []
-        recorded = [(self._recorded(blocks, calls), feeds) for blocks, feeds in sources]
+        recorded = [(_Blocks(self._recorded(source.blocks, calls)), feeds) for source, feeds in sources]
         args = (list(enumerate(bcd)), (0.0, bound), ("ks", "w1"), workers)
         assert binned(recorded, *args) == binned(sources, *args)
-        blocks = sum(len(blocks) for blocks, _ in sources)
+        blocks = sum(len(source.blocks) for source, _ in sources)
         assert len(calls) == 2 * blocks  # overlapping classes: both passes ran
         self._check(calls)
 
@@ -294,7 +295,7 @@ class TestBlockContract:
         ]
         calls = []
         quantile = sys.modules["separability.stats"]._quantile
-        got, _ = quantile([(self._recorded(blocks, calls), False)], (0.0, float(values.max())), 0.15)
+        got, _ = quantile([(_Blocks(self._recorded(blocks, calls)), False)], (0.0, float(values.max())), 0.15)
         assert got == np.quantile(values, 0.15)
         assert len(calls) == 2 * len(blocks)
         self._check(calls)
@@ -308,8 +309,8 @@ class TestBlockContract:
         written, binned = [], stats._binned_statistics
 
         def spy(sources, *args):
-            for blocks, _ in sources:
-                for size, fill in blocks:
+            for source, _ in sources:
+                for size, fill in source.blocks:
                     out = np.full(size, np.nan)
                     fill(out, scratch_type())
                     written.append(out)
