@@ -496,23 +496,18 @@ def _kd_groups(points: NDArray[np.float64], size: int) -> tuple:
     Level by level, each part is sorted, stably, on its widest coordinate,
     and each part of more than ``size`` rows is halved; the last level sorts
     the groups so, and each group's middle row, a median of its widest
-    coordinate, moves to its front.  Widest coordinates are read off at most
-    ``_BLOCK_VALUES`` values: all parts at once when every row fits, and
-    otherwise part by part, through a fixed stride of its rows where they
-    hold more.  The order depends on the rows alone.
+    coordinate, moves to its front.  Each part's widest coordinate is read
+    off at most ``_BLOCK_VALUES`` values, through a fixed stride of its rows
+    where they hold more.  The order depends on the rows alone.
     """
     n, width = points.shape
     order, edges = np.arange(n), np.array([0, n])
     while True:
         starts, sizes = edges[:-1], np.diff(edges)
-        if n * width <= _BLOCK_VALUES:
-            rows = points[order]
-            spread = np.maximum.reduceat(rows, starts) - np.minimum.reduceat(rows, starts)
-        else:  # reduceat is slow on wide rows
-            spread = np.empty((starts.size, width))
-            for k, (s, e) in enumerate(zip(starts.tolist(), edges[1:].tolist())):
-                rows = points[order[s : e : -(-(e - s) * width // _BLOCK_VALUES)]]
-                spread[k] = rows.max(axis=0) - rows.min(axis=0)
+        spread = np.empty((starts.size, width))
+        for k, (s, e) in enumerate(zip(starts.tolist(), edges[1:].tolist())):
+            rows = points[order[s : e : -(-(e - s) * width // _BLOCK_VALUES)]]
+            spread[k] = rows.max(axis=0) - rows.min(axis=0)
         axes = spread.argmax(axis=1)
         within = np.repeat(np.arange(starts.size), sizes)
         order = order[np.lexsort((points[order, axes[within]], within))]

@@ -136,16 +136,8 @@ class _Bins:
         self, values: NDArray[np.float64], scratch: Scratch
     ) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
         """Each value's bin, and its position ``t = v * scale``, in the "idx"
-        and "t" buffers of ``scratch``.
-
-        A position at or past the last bin's upper edge, an exact integer,
-        is clamped, before the cast, to the largest float below that edge:
-        its bin is the same, and the last bin's W1 edge sums, the only
-        reader of ``t``, are unused whenever such a value occurs, since
-        ``_Gap`` then refines that bin.
-        """
+        and "t" buffers of ``scratch``."""
         t = np.multiply(values, self.scale, out=scratch.take("t", values.size))
-        np.minimum(t, math.nextafter(self.first + self.size, -math.inf), out=t)
         idx = scratch.take("idx", values.size, np.int64)
         if self.first < 0:  # truncation rounds negative positions up
             np.floor(t, out=idx, casting="unsafe")
@@ -153,6 +145,7 @@ class _Bins:
             np.copyto(idx, t, casting="unsafe")
         if self.first:
             idx -= self.first
+        np.minimum(idx, self.size - 1, out=idx)
         return idx, t
 
 
@@ -221,11 +214,9 @@ class _Gap:
             else:
                 one_sign = (before - fall > _PAD) | (before + rise < -_PAD)
             refine |= filled & ~one_sign
-            # values at or past the last bin's nominal upper edge stretch it,
-            # and their clamped positions (see _Bins.index) leave its edge
-            # sums unread
+            # values past the last bin's nominal edge stretch it
             self.top = max(a.high, b.high) * bins.scale
-            refine[-1] |= filled[-1] and self.top >= bins.first + bins.size
+            refine[-1] |= filled[-1] and self.top > bins.first + bins.size
         self.refine = refine
 
     def _cumulative(self) -> tuple:
@@ -384,7 +375,8 @@ class _Wanted:
             inside &= np.less(values, self.ends[-1], out=scratch.take("below", values.size, bool))
             near = values[inside]
         idx = self.bins.index(near, scratch)[0]
-        return [near[table[idx]] for table in self.tables]
+        inside = scratch.take("inside", near.size, bool)  # free once compressed
+        return [near[np.take(table, idx, out=inside)] for table in self.tables]
 
 
 def _refine(sources: list, tables: list, counts: list, bins: _Bins, workers: int, reduce=None):
