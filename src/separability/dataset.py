@@ -330,7 +330,8 @@ def load_csv(
         raise DegenerateDataset(
             f"separability needs at least 2 classes, found {len(seen)}"
         )
-    return Dataset(points=points, labels=labels, label_names=tuple(seen))
+    # both arrays are fresh, and _float_cells checked every value finite
+    return Dataset._adopt(points, labels, tuple(seen))
 
 
 def load_points_csv(
@@ -350,8 +351,9 @@ def load_points_csv(
 
 def _load_cifar_records(
     data: bytes, record_bytes: int, label_offset: int, max_label: int, what: str
-) -> tuple[NDArray[np.uint8], NDArray[np.int64]]:
-    """Pixels (a uint8 view of ``data``) and labels of each record."""
+) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+    """Pixels, as float64 values in 0..255, and labels of each record, in
+    fresh arrays."""
     if len(data) == 0:
         raise FormatError(f"{what} stream is empty")
     if len(data) % record_bytes != 0:
@@ -366,7 +368,7 @@ def _load_cifar_records(
         raise FormatError(
             f"{what} record {rec} has label {labels[rec]} > {max_label}", record=rec
         )
-    return raw[:, record_bytes - CIFAR_PIXELS :], labels
+    return raw[:, record_bytes - CIFAR_PIXELS :].astype(np.float64), labels
 
 
 def load_cifar10_batch(source) -> Dataset:
@@ -374,7 +376,7 @@ def load_cifar10_batch(source) -> Dataset:
     points, labels = _load_cifar_records(
         _read_binary(source), CIFAR10_RECORD_BYTES, 0, 9, "CIFAR-10"
     )
-    return Dataset(points=points, labels=labels, label_names=CIFAR10_CLASS_NAMES)
+    return Dataset._adopt(points, labels, CIFAR10_CLASS_NAMES)
 
 
 def load_cifar100_batch(source) -> Dataset:
@@ -382,7 +384,7 @@ def load_cifar100_batch(source) -> Dataset:
     points, labels = _load_cifar_records(
         _read_binary(source), CIFAR100_RECORD_BYTES, 0, 19, "CIFAR-100"
     )
-    return Dataset(points=points, labels=labels, label_names=CIFAR100_COARSE_NAMES)
+    return Dataset._adopt(points, labels, CIFAR100_COARSE_NAMES)
 
 
 def _tar_members(data: bytes, names: list[str], what: str) -> bytes:

@@ -650,23 +650,48 @@ class _Pairs(_Blocks):
             yield values
 
 
-def _store(sources: list, sizes: list[int], workers: int) -> list[NDArray[np.float64]]:
-    """The multisets fed by ``sources``, ``sizes[f]`` values in multiset f,
-    stored on ``workers`` threads.
+def _class_pairs(points: NDArray[np.float64], groups, metric: DistanceMetric) -> list:
+    """The pairs of ``points`` laid out by class, each pair in one block of
+    one source: ``groups`` lists each class's rows, ascending.
+
+    Returns ``(source, tag)`` pairs: a ``_Pairs`` among the rows of each
+    class c, tagged ``(c,)``, then one between the rows of each two classes
+    c < d, tagged ``(c, d)``.  A class whose rows are contiguous is a view
+    of ``points``, any other a copy; its ``_Rows``, and so its pass-2
+    groups, is shared by every source that pairs its rows.
+    """
+    sets = [
+        points[rows[0] : rows[-1] + 1] if rows[-1] - rows[0] + 1 == rows.size else points[rows]
+        for rows in groups
+    ]
+    classes = [_Rows(mine) for mine in sets]
+    sources = [(_Pairs(mine, metric), (c,)) for c, mine in enumerate(classes)]
+    sources += [
+        (_Pairs(classes[c], metric, sets[d]), (c, d))
+        for c in range(len(sets))
+        for d in range(c + 1, len(sets))
+    ]
+    return sources
+
+
+def _store(sources: list, workers: int) -> list[NDArray[np.float64]]:
+    """The multisets fed by ``sources``, stored on ``workers`` threads.
 
     ``sources`` lists ``(source, feeds)`` as ``stats._binned_statistics``
     reads them; each multiset holds its sources' blocks' values in block
-    order.  A block fills its slice of the first multiset it feeds in place
-    and is copied into the rest.  Unchecked: callers that may overflow check
-    the result, and numpy need not warn.
+    order, and there is one multiset for each number up to the largest fed.
+    A block fills its slice of the first multiset it feeds in place and is
+    copied into the rest.  Unchecked: callers that may overflow check the
+    result, and numpy need not warn.
     """
-    sets = [np.empty(size, dtype=np.float64) for size in sizes]
-    tasks, filled = [], [0] * len(sets)
+    slices, filled = [], [0] * (1 + max(max(feeds) for _, feeds in sources))
     for source, feeds in sources:
         for size, fill in source.blocks:
-            tasks.append((fill, [sets[f][filled[f] : filled[f] + size] for f in feeds]))
+            slices.append((fill, [(f, filled[f], filled[f] + size) for f in feeds]))
             for f in feeds:
                 filled[f] += size
+    sets = [np.empty(size, dtype=np.float64) for size in filled]
+    tasks = [(fill, [sets[f][start:end] for f, start, end in at]) for fill, at in slices]
 
     def fill_slices(task, scratch):
         fill, (first, *copies) = task
@@ -687,7 +712,7 @@ def _cross(
     row-major.  Unchecked: both must be finite 2-D float64 arrays on which
     ``metric`` is defined (see ``_check_vectors``)."""
     source = _Blocks(_cross_blocks(pa, pb, metric))
-    (out,) = _store([(source, (0,))], [pa.shape[0] * pb.shape[0]], 1)
+    (out,) = _store([(source, (0,))], 1)
     return out
 
 

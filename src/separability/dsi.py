@@ -16,13 +16,15 @@ dataset's separability index is the unweighted mean over classes, and
 One setup step, ``_multisets``, checks the points once, for the whole
 dataset, so an error names the dataset's row, and refuses a class below 2
 points before any distance is computed.  It lays the multisets out as the
-distance kernel's row blocks: ICD(i) from the pairs among class i's rows,
-BCD(i) from the pairs between class i and each other class, so each
-class's statistic reads its own two multisets.  ``_dsi_reports``
-runs it for ``dsi``, for the CLI and for each draw of ``dsi_subsampled``
-(which draws again when the step refuses), then streams the blocks without
-storing them.  There are two passes at most: the first computes every
-pair of points once and counts each multiset's distances per bin; the
+distance kernel's row blocks, in the layout of ``distances._class_pairs``,
+which the complexity measure Density reads too: ICD(i) from the pairs
+among class i's rows, BCD(i) from the pairs between class i and each other
+class, so each class's statistic reads its own two multisets.
+``_dsi_reports`` runs it for ``dsi``, for the CLI and for each draw of
+``dsi_subsampled`` (which draws again when the step refuses), then streams
+the blocks without storing them.  There are two passes at most: the first
+(``stats._count``, shared with Density) computes every pair of points
+once and counts each multiset's distances per bin; the
 second, run only when some bin needs it, keeps the few distances in bins
 where |P - Q| must be read exactly, and computes each pair at most once,
 skipping those whose distance provably lies outside those bins (see
@@ -45,9 +47,8 @@ from .distances import (
     DistanceMetric,
     DistanceSet,
     _check_vectors,
+    _class_pairs,
     _diameter_bound,
-    _Pairs,
-    _Rows,
     _store,
     resolve_metric,
 )
@@ -165,10 +166,8 @@ def _multisets(ds: Dataset, m: DistanceMetric, max_points: int | None) -> tuple:
     check.  Multisets are numbered ICD(c) = c and BCD(c) = k + c for the k
     classes, labels ascending, so each cross block feeds two BCDs.  Returns
     the labels, the sources as ``stats._binned_statistics`` and
-    ``distances._store`` read them (each pair of points in one block of one
-    ``distances._Pairs``; each class's rows in one ``distances._Rows``),
-    each class's BCD number, each multiset's size, and a bound on any
-    distance (see ``_diameter_bound``).
+    ``distances._store`` read them (see ``distances._class_pairs``), and a
+    bound on any distance (see ``_diameter_bound``).
     """
     groups = partition(ds).groups
     for label, rows in groups.items():
@@ -179,25 +178,9 @@ def _multisets(ds: Dataset, m: DistanceMetric, max_points: int | None) -> tuple:
             )
     _check_cap(ds.n, max_points)
     _check_vectors(ds.points, m)
-    # a class whose rows are contiguous is a view of ds.points, not a copy
-    points = [
-        ds.points[rows[0] : rows[-1] + 1]
-        if rows[-1] - rows[0] + 1 == rows.size
-        else ds.points[rows]
-        for rows in groups.values()
-    ]
-    k = len(points)
-    bcd = [k + c for c in range(k)]
-    classes = [_Rows(mine) for mine in points]
-    sources = [(_Pairs(mine, m), (c,)) for c, mine in enumerate(classes)]
-    sources += [
-        (_Pairs(classes[c], m, points[d]), (bcd[c], bcd[d]))
-        for c in range(k)
-        for d in range(c + 1, k)
-    ]
-    counts = [rows.size for rows in groups.values()]
-    sizes = [s * (s - 1) // 2 for s in counts] + [s * (ds.n - s) for s in counts]
-    return list(groups), sources, bcd, sizes, _diameter_bound(ds.points, m)
+    k, layout = len(groups), _class_pairs(ds.points, groups.values(), m)
+    sources = [(pairs, tag if len(tag) == 1 else (k + tag[0], k + tag[1])) for pairs, tag in layout]
+    return list(groups), sources, _diameter_bound(ds.points, m)
 
 
 def _report(
@@ -228,9 +211,10 @@ def _dsi_reports(
     t0 = time.perf_counter()
     m = resolve_metric(metric)
     _check_stats(stats)
-    labels, sources, bcd, _, bound = _multisets(ds, m, max_points)
+    labels, sources, bound = _multisets(ds, m, max_points)
     names = tuple(dict.fromkeys(_GAP_STATISTICS[stat] for stat in stats))
-    named = _binned_statistics(sources, list(enumerate(bcd)), (0.0, bound), names, workers)
+    pairs = [(c, len(labels) + c) for c in range(len(labels))]
+    named = _binned_statistics(sources, pairs, (0.0, bound), names, workers)
 
     wall_time_s = time.perf_counter() - t0
     reports = []
@@ -256,10 +240,12 @@ def class_distance_sets(
     (see ``dsi``); this is for exporting and inspecting them.
     """
     m = resolve_metric(metric)
-    labels, sources, bcd, sizes, _ = _multisets(ds, m, max_points)
-    if len(labels) == 2:  # one array for both BCDs: the cross blocks feed only BCD(0)
-        sources[-1], sizes[-1], bcd[-1] = (sources[-1][0], (bcd[0],)), 0, bcd[0]
-    sets = _store(sources, sizes, workers)
+    labels, sources, _ = _multisets(ds, m, max_points)
+    k = len(labels)
+    bcd = [k + c for c in range(k)]
+    if k == 2:  # one array for both BCDs: the cross blocks feed only BCD(0)
+        sources[-1], bcd[1] = (sources[-1][0], (k,)), k
+    sets = _store(sources, workers)
     for values in sets:
         values.sort()
     return {

@@ -44,8 +44,9 @@ the context's ``workers`` threads; ``compute_measures`` gives its context
   the vertices still outside it, so each pair is computed once.  It is the
   one reader outside ``_walk``: one row at a time, on one thread.
 * Density reads its pairs through ``stats._quantile``'s binned two-pass
-  order statistic, laid out per class as the DSI lays out its multisets:
-  each pair once in the first pass, and in the second at most once, only
+  order statistic, in the DSI's own layout (``distances._class_pairs``),
+  the same-class pairs as one multiset and the rest as another: each pair
+  once in the first pass, the DSI's, and in the second at most once, only
   where its distance can reach the bins of the cut; the same passes count
   the same-class pairs up to the cut.
 * N4 classifies its synthetic points block by block.
@@ -72,10 +73,9 @@ from .dataset import Dataset, partition
 from .distances import (
     DistanceMetric,
     _block,
+    _class_pairs,
     _cross_blocks,
     _diameter_bound,
-    _Pairs,
-    _Rows,
     _row_blocks,
     _walk,
 )
@@ -510,28 +510,24 @@ def density(ds: Dataset, quantile: float = DENSITY_QUANTILE) -> MeasureResult:
     values.  Unlike the other measures this one is defined for a single
     class too (the graph simply keeps all its edges).
 
-    The cut is ``np.quantile`` of the pairs' distances, to the bit, taken
-    by ``stats._quantile`` from the kernel's blocks of each class's pairs and
-    of each pair of classes: one pass counts the distances per bin, the
-    same-class ones apart, and another keeps only those in the one or two
-    bins that hold the ranks it needs.  The edges are the same-class pairs
-    in lower bins and the kept same-class distances up to the cut.
+    The cut is ``np.quantile``'s default linear method over the pairs'
+    distances, to the bit, though numpy's is not called: ``stats._quantile``
+    takes it from the DSI's layout of the pairs (``distances._class_pairs``),
+    the same-class pairs as one multiset and the cross-class pairs as
+    another.  Its first pass, the DSI's, counts each multiset's distances
+    per bin, and its second keeps only those in the one or two bins that
+    hold the ranks it needs.  The edges are the same-class pairs in lower
+    bins and the kept same-class distances up to the cut.
     """
     if ds.n < 2:
         raise DegenerateClass("density needs at least 2 points")
     if not 0.0 < quantile < 1.0:
         raise DomainError(f"quantile must be in (0, 1), got {quantile}")
     ctx = _context(ds)
-    classes = [ds.points[ds.labels == c] for c in ds.class_labels]
-    # each pair once: within each class, marked as a possible edge, then
-    # between each pair of classes
-    sets = [_Rows(points) for points in classes]
-    sources = [(_Pairs(mine, _EUCLIDEAN), True) for mine in sets]
-    sources += [
-        (_Pairs(mine, _EUCLIDEAN, theirs), False)
-        for c, mine in enumerate(sets)
-        for theirs in classes[c + 1 :]
-    ]
+    groups = [np.flatnonzero(ds.labels == c) for c in ds.class_labels]
+    # each pair once: same-class pairs, the possible edges, feed multiset 0
+    layout = _class_pairs(ds.points, groups, _EUCLIDEAN)
+    sources = [(pairs, (len(tag) - 1,)) for pairs, tag in layout]
     _, edges = _quantile(sources, (0.0, ctx.bound), quantile, ctx.workers)
     n = ds.n
     value = 1.0 - edges / (n * (n - 1) // 2)

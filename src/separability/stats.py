@@ -51,9 +51,14 @@ few arrays of one value per column of a group.  Blocks and runs hold at
 most ``distances._BLOCK_VALUES`` values, so the scratch stays near cache
 size; it ends with its pass.
 
-``_quantile`` reads an exact order statistic off the same bins, in the
-same two passes, and counts the values of marked blocks up to it: the
-complexity measure Density takes its cut and its edges from it.
+Both engines share pass 1, ``_count``: each source feeds numbered
+multisets, and only the number of bins differs, sized for the largest
+multiset in ``_binned_statistics`` and for all values in ``_quantile``.
+``_quantile`` reads an exact order statistic of all values off those bins,
+in the same two passes, with the bits of ``np.quantile``'s default linear
+method, though without calling it, and counts the values of multiset 0 up
+to it: the complexity measure Density takes its cut over all pairs from it,
+and its edges from multiset 0, the same-class pairs.
 """
 
 from __future__ import annotations
@@ -418,6 +423,44 @@ def _check_kept(kept: list[int], counted: list[int]) -> None:
         )
 
 
+def _count(sources: list, span: tuple[float, float], edges: bool, target, workers: int) -> tuple:
+    """Pass 1: the bins, each multiset's ``_Counts`` in them, and the last
+    block's summary.
+
+    ``sources`` lists ``(source, feeds)`` as ``_binned_statistics`` reads
+    them, and ``span`` is as there.  The bins are sized for ``target`` (as
+    ``max`` or ``sum``) of the multisets' sizes; ``edges`` keeps W1's edge
+    sums and extremes.  Each nonempty block is counted once, on ``workers``
+    threads, and added to every multiset it feeds, in block order.
+
+    Callers hold the last block's summary until they return.  Freed with
+    this pass, it leaves the top of the heap free, glibc gives that back,
+    and the caller's next arrays fault their pages in again: freeing it
+    made CLI ``repro figure7 --n-per-class 500`` 3.5% slower (a median over
+    40 alternating runs, 35 of them slower; 2-vCPU x86-64 guest, glibc
+    malloc).
+    """
+    sizes = [0] * (1 + max(max(f) for _, f in sources))
+    blocks, fed = [], []
+    for source, feeds in sources:
+        for size, fill in source.blocks:
+            for f in feeds:
+                sizes[f] += size
+            if size:
+                blocks.append((size, fill))
+                fed.append(feeds)
+    bins = _Bins.spanning(*span, _bin_target(target(sizes)))
+    sets = [_Counts(bins.size, edges, n) for n in sizes]
+
+    def count(i, values, scratch):
+        return _count_block(values, bins, edges, scratch)
+
+    for i, part in enumerate(_walk(blocks, count, workers)):  # in block order
+        for f in fed[i]:
+            sets[f].add(part)
+    return bins, sets, part
+
+
 def _binned_statistics(
     sources: list, pairs: list, span: tuple[float, float], names, workers: int = 1
 ) -> list[dict[str, float]]:
@@ -435,28 +478,11 @@ def _binned_statistics(
     one pair, so pass 2 keeps its values in that pair's refined bins only;
     the result has one dict of the ``names`` ("ks", "w1",
     "w1_normalized") per pair.  Blocks run on ``workers`` threads, once to
-    count and, if any bin needs it, once more to refine (see ``_refine``).
+    count (see ``_count``; the bins are sized for the largest multiset) and,
+    if any bin needs it, once more to refine (see ``_refine``).
     """
     edges = "w1" in names or "w1_normalized" in names
-    sizes = [0] * (1 + max(max(f) for _, f in sources))
-    blocks, fed = [], []
-    for source, feeds in sources:
-        for size, fill in source.blocks:
-            for f in feeds:
-                sizes[f] += size
-            if size:
-                blocks.append((size, fill))
-                fed.append(feeds)
-    bins = _Bins.spanning(*span, _bin_target(max(sizes)))
-    sets = [_Counts(bins.size, edges, n) for n in sizes]
-
-    def count(i, values, scratch):
-        return _count_block(values, bins, edges, scratch)
-
-    for i, part in enumerate(_walk(blocks, count, workers)):  # in block order
-        for f in fed[i]:
-            sets[f].add(part)
-
+    bins, sets, _ = _count(sources, span, edges, max, workers)
     gaps = [_Gap(sets[a], sets[b], bins, names) for a, b in pairs]
     wanted = [None] * len(sets)
     for (a, b), gap in zip(pairs, gaps):
@@ -482,31 +508,24 @@ def _quantile(
 ) -> tuple[float, int]:
     """``np.quantile(values, q)``, with the bits of its default ``linear``
     method, of the values that the blocks of ``sources`` produce, and how
-    many values of the marked sources are <= it.
+    many values of multiset 0 are <= it.
 
-    ``sources`` lists ``(source, marked)``: a source as in
-    ``_binned_statistics``, and whether its values are counted; ``span``
-    is as there.  numpy reads the two order statistics either side of its
-    virtual index ``(n - 1) * q``.  Pass 1 counts the values per bin, the
-    marked ones apart; pass 2 keeps only the values of the one or two bins
-    holding those ranks, as each run's distinct values with their counts,
-    so a run of tied values costs one entry per run, and reads both ranks
-    off their merged counts.  The cut lies in those bins, so the marked
-    values <= it are the marked values of every bin below them and the
-    marked kept values <= it.  Both passes run on ``workers`` threads.
+    ``sources`` lists ``(source, feeds)`` as ``_binned_statistics`` reads
+    them, each source feeding one multiset: 0 or 1 (for Density, the
+    same-class and the cross-class pairs); ``span`` is as there.  numpy
+    reads the two order statistics either side of its virtual index
+    ``(n - 1) * q`` of all n values.  Pass 1 (``_count``, with bins sized
+    for all n values) counts each multiset's values per bin; pass 2 keeps
+    only the values of the one or two bins holding those ranks, as each
+    run's distinct values with their counts, so a run of tied values costs
+    one entry per run, and reads both ranks off their merged counts.  The
+    cut lies in those bins, so the values of multiset 0 <= it are those of
+    every bin below them and its kept values <= it.  Both passes run on
+    ``workers`` threads.
     """
-    blocks = [block for source, _ in sources for block in source.blocks if block[0]]
-    marks = [marked for source, marked in sources for size, _ in source.blocks if size]
-    n = sum(size for size, _ in blocks)
-    bins = _Bins.spanning(*span, _bin_target(n))
-
-    def count(i, values, scratch):
-        return np.bincount(bins.index(values, scratch)[0], minlength=bins.size)
-
-    tallies = np.zeros((2, bins.size), dtype=np.int64)  # unmarked, marked
-    for i, part in enumerate(_walk(blocks, count, workers)):
-        tallies[int(marks[i])] += part
-    counts = tallies.sum(axis=0)
+    bins, sets, _ = _count(sources, span, False, sum, workers)
+    counts = sum(s.counts for s in sets)
+    n = sum(s.n for s in sets)
     virtual = (n - 1) * q
     below = math.floor(virtual)
     ranks = (below, below + 1) if virtual < n - 1 else (n - 1, n - 1)
@@ -515,20 +534,21 @@ def _quantile(
     table = np.zeros(bins.size, dtype=bool)
     table[first : last + 1] = True
     distinct = partial(np.unique, return_counts=True)
-    fed = [(source, (0,)) for source, _ in sources]
-    refined = _refine(fed, [table], [counts], bins, workers, distinct)
-    parts = [(*part, sources[i][1]) for i, (part,) in refined]
+    # each source's own multiset gets the same table, and all values' counts
+    refined = _refine(sources, [table] * len(sets), [counts] * len(sets), bins, workers, distinct)
+    parts = [(*part, sources[i][1] == (0,)) for i, (part,) in refined]
     _check_kept([sum(int(c.sum()) for _, c, _ in parts)], [int(counts[first : last + 1].sum())])
     kept = np.concatenate([values for values, _, _ in parts])
     order = np.argsort(kept, kind="stable")
     # one past each kept value's last rank, counting the values below its bins
     past = np.cumsum(np.concatenate([c for _, c, _ in parts])[order]) + (ends[first] - counts[first])
-    a, b = (kept[order[np.searchsorted(past, r, side="right")]] for r in ranks)
-    # numpy's lerp, from numpy itself: the same weight between the same two
-    # values (past the last rank, a == b and the weight is moot)
-    cut = float(np.quantile(np.array([a, b]), virtual - ranks[0]))
-    at_most = int(tallies[1, :first].sum())
-    at_most += sum(int(c[values <= cut].sum()) for values, c, marked in parts if marked)
+    a, b = (float(kept[order[np.searchsorted(past, r, side="right")]]) for r in ranks)
+    # numpy's _lerp, with its float operations (past the last rank, a == b
+    # and the weight is moot)
+    weight, step = virtual - ranks[0], b - a
+    cut = b - step * (1 - weight) if weight >= 0.5 else a + step * weight
+    at_most = int(sets[0].counts[:first].sum())
+    at_most += sum(int(c[values <= cut].sum()) for values, c, same in parts if same)
     return cut, at_most
 
 

@@ -1162,17 +1162,18 @@ _NUMPY_MA_AFTER = """
 import contextlib, io, sys
 from separability.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
-    assert run(["measure", "--input", sys.argv[1]]) == 0
+    assert run([sys.argv[2], "--input", sys.argv[1]]) == 0
 print("numpy.ma" in sys.modules)
 """
 
 
 def test_numpy_ma_not_imported(tmp_path):
-    # a plain np.unique imports numpy.ma, 9-17 ms on numpy 2.4
+    # a plain np.unique or np.quantile imports numpy.ma, 9-17 ms on numpy 2.4
     data = _write_shape_csv(tmp_path / "d.csv", n=150)
-    proc = _run_child(["-c", _NUMPY_MA_AFTER, str(data)], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for command in ("measure", "compare"):
+        proc = _run_child(["-c", _NUMPY_MA_AFTER, str(data), command], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", command
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -1,6 +1,7 @@
 """Dataset container, CSV parsing, and CIFAR binary parsing."""
 
 import io
+import sys
 import tarfile
 
 import numpy as np
@@ -110,6 +111,22 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [0, 1, 0]  # first-appearance order
         assert ds.label_names == ("cat", "dog")
         assert ds.points[2].tolist() == [-3.0, 400.0]
+
+    def test_adopts_the_parsed_matrix(self, monkeypatch):
+        # _float_cells checks every value finite, so the dataset keeps its
+        # matrix: no second validate-and-copy
+        dataset = sys.modules["separability.dataset"]
+        built, float_cells = [], dataset._float_cells
+
+        def spy(*args):
+            built.append(float_cells(*args))
+            return built[-1]
+
+        monkeypatch.setattr(dataset, "_float_cells", spy)
+        ds = load_csv(CSV_TEXT)
+        assert ds.points is built[0]
+        assert not ds.points.flags.writeable and not ds.labels.flags.writeable
+        assert ds.labels.dtype == np.int64
 
     def test_label_column_by_name(self):
         text = "label,x,y\ncat,0.5,1.5\ndog,1.0,2.0\n"

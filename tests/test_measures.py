@@ -290,6 +290,29 @@ class TestDensity:
         assert pairs < sum(computed_pairs) < 1.5 * pairs
         assert got.value == condensed_density(pdist(ds.points), ds.labels, 0.15)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("layout", ["interleaved", "singleton"])
+    def test_classes_of_scattered_rows(self, workers, layout, computed_pairs, monkeypatch):
+        # classes whose rows are not contiguous are copied, and a singleton
+        # class has no pairs among its rows; pass 1 still computes every
+        # pair exactly once
+        moons = generate(GeneratorSpec("moons", 150, seed=4, noise=0.1))
+        labels = np.arange(300) % 3 if layout == "interleaved" else moons.labels.copy()
+        if layout == "singleton":
+            labels[137] = 2  # and class 0 falls in two runs
+        ds = Dataset(moons.points, labels)
+        walk_tasks, first_pass = separability.stats._walk_tasks, []
+
+        def pass_two(*args):
+            first_pass.append(sum(computed_pairs))
+            return walk_tasks(*args)
+
+        monkeypatch.setattr(separability.stats, "_walk_tasks", pass_two)
+        computed_pairs.clear()
+        (got,) = compute_measures(ds, ["Density"], workers=workers)
+        assert first_pass == [300 * 299 // 2]
+        assert got.value == condensed_density(pdist(ds.points), ds.labels, 0.15)
+
     def test_a_broken_bound_raises(self, monkeypatch):
         # bounds narrower than the rounding proof allows skip pairs that
         # reach the cut's bins: the count check refuses the result

@@ -190,7 +190,7 @@ class TestWassersteinNormalized:
 
 class TestQuantile:
     """``stats._quantile`` reproduces ``np.quantile`` to the bit from blocks,
-    and counts the values of the marked blocks up to it."""
+    and counts the values of multiset 0 up to it."""
 
     @staticmethod
     def _parts(values, cuts):
@@ -198,12 +198,11 @@ class TestQuantile:
 
     @staticmethod
     def _sources(parts, marks):
-        """One source per part, marked as ``marks`` says (unmarked past its end)."""
+        """One source per part, feeding multiset 0 where ``marks`` says, else
+        multiset 1 (past the end of ``marks`` too)."""
         marks = list(marks) + [False] * len(parts)
-        return [
-            (_Blocks([(part.size, lambda out, scratch, part=part: np.copyto(out, part))]), mark)
-            for part, mark in zip(parts, marks)
-        ]
+        blocks = [[(part.size, lambda out, scratch, part=part: np.copyto(out, part))] for part in parts]
+        return [(_Blocks(block), (0 if mark else 1,)) for block, mark in zip(blocks, marks)]
 
     @pytest.mark.parametrize("workers", [1, 3])
     @given(
@@ -278,10 +277,10 @@ class TestBlockContract:
         dsi_module, distances = sys.modules["separability.dsi"], sys.modules["separability.distances"]
         binned = sys.modules["separability.stats"]._binned_statistics
         ds = random_dataset(n_per_class=150, dim=2, classes=3, seed=4)
-        _, sources, bcd, _, bound = dsi_module._multisets(ds, distances.resolve_metric("euclidean"), None)
+        _, sources, bound = dsi_module._multisets(ds, distances.resolve_metric("euclidean"), None)
         calls = []
         recorded = [(_Blocks(self._recorded(source.blocks, calls)), feeds) for source, feeds in sources]
-        args = (list(enumerate(bcd)), (0.0, bound), ("ks", "w1"), workers)
+        args = ([(c, 3 + c) for c in range(3)], (0.0, bound), ("ks", "w1"), workers)
         assert binned(recorded, *args) == binned(sources, *args)
         blocks = sum(len(source.blocks) for source, _ in sources)
         assert len(calls) == 2 * blocks  # overlapping classes: both passes ran
@@ -295,7 +294,7 @@ class TestBlockContract:
         ]
         calls = []
         quantile = sys.modules["separability.stats"]._quantile
-        got, _ = quantile([(_Blocks(self._recorded(blocks, calls)), False)], (0.0, float(values.max())), 0.15)
+        got, _ = quantile([(_Blocks(self._recorded(blocks, calls)), (0,))], (0.0, float(values.max())), 0.15)
         assert got == np.quantile(values, 0.15)
         assert len(calls) == 2 * len(blocks)
         self._check(calls)
