@@ -7,7 +7,8 @@ usage error.  The same argv over the same inputs always produces byte
 identical artifacts: timing is excluded unless ``--timing`` is passed, and
 every random choice derives from an echoed seed.
 
-Options may also come from a ``--config`` file of ``key=value`` lines
+The options of generate, measure, compare and identity may also come
+from a ``--config`` file of ``key=value`` lines
 (keys are the long flag names; ``#`` starts a comment).  Config values are
 parsed and checked exactly like the flags they name; explicit flags
 override config values, which override built-in defaults.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateDataset, FormatError, ParseError
+from .errors import DegenerateClass, DegenerateDataset, FormatError, ParseError
 
 __all__ = [
     "Dataset",
@@ -189,6 +189,18 @@ def partition(ds: Dataset) -> ClassPartition:
         for c in ds.class_labels
     }
     return ClassPartition(groups=groups)
+
+
+def _pair_partition(ds: Dataset) -> ClassPartition:
+    """``partition(ds)``, refusing a class below 2 points, which holds no
+    pair of its own."""
+    part = partition(ds)
+    for label, rows in part.groups.items():
+        if rows.size < 2:
+            raise DegenerateClass(
+                f"class {label} has {rows.size} point(s); need at least 2", label=label
+            )
+    return part
 
 
 def _read_binary(source) -> bytes:

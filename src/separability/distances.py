@@ -275,27 +275,35 @@ def _check_vectors(points: NDArray[np.float64], metric: DistanceMetric, offset: 
 
     Correlation needs per-vector variance > 0; cosine needs norm > 0.  Both
     divide by the vectors' norms (centred, for correlation), so a row whose
-    squared norm overflows float64 is refused too.  ``offset`` shifts
-    reported indices when ``points`` is a slice.
+    squared norm overflows float64 is refused too, though only when no row
+    is undefined.  ``offset`` shifts reported indices when ``points`` is a
+    slice.  Rows are read in blocks of at most ``_BLOCK_VALUES`` values, so
+    no temporary grows with ``points``.
     """
     if metric.name not in _CLAMPED_METRICS:
         return
-    with np.errstate(over="ignore", invalid="ignore"):
-        if metric.name == "correlation":
-            points = points - points.mean(axis=1, keepdims=True)
-        squares = np.einsum("ij,ij->i", points, points)
-    bad = np.flatnonzero(~np.any(points != 0.0, axis=1))
-    if bad.size:
-        idx = int(bad[0]) + offset
-        what = "constant" if metric.name == "correlation" else "zero"
-        raise DegenerateVector(
-            f"{metric.name} distance undefined for {what} vector at index {idx}", index=idx
-        )
-    bad = np.flatnonzero(~np.isfinite(squares))
-    if bad.size:
+    overflows = None  # the first row whose squared norm overflows
+    step = max(1, _BLOCK_VALUES // points.shape[1])
+    for r0 in range(0, points.shape[0], step):
+        rows = points[r0 : r0 + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if metric.name == "correlation":
+                rows = rows - rows.mean(axis=1, keepdims=True)
+            squares = np.einsum("ij,ij->i", rows, rows)
+        bad = np.flatnonzero(~np.any(rows != 0.0, axis=1))
+        if bad.size:
+            idx = int(bad[0]) + r0 + offset
+            what = "constant" if metric.name == "correlation" else "zero"
+            raise DegenerateVector(
+                f"{metric.name} distance undefined for {what} vector at index {idx}", index=idx
+            )
+        bad = np.flatnonzero(~np.isfinite(squares))
+        if overflows is None and bad.size:
+            overflows = int(bad[0]) + r0 + offset
+    if overflows is not None:
         raise DomainError(
             f"{metric.name} distance overflows float64 for the vector at index "
-            f"{int(bad[0]) + offset}; rescale the features"
+            f"{overflows}; rescale the features"
         )
 
 

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, partition
+from .dataset import Dataset, _pair_partition, partition
 from .distances import (
     DistanceMetric,
     DistanceSet,
@@ -169,13 +169,7 @@ def _multisets(ds: Dataset, m: DistanceMetric, max_points: int | None) -> tuple:
     ``distances._store`` read them (see ``distances._class_pairs``), and a
     bound on any distance (see ``_diameter_bound``).
     """
-    groups = partition(ds).groups
-    for label, rows in groups.items():
-        if rows.size < 2:
-            raise DegenerateClass(
-                f"class {label} has {rows.size} point(s); ICD needs at least 2",
-                label=label,
-            )
+    groups = _pair_partition(ds).groups
     _check_cap(ds.n, max_points)
     _check_vectors(ds.points, m)
     k, layout = len(groups), _class_pairs(ds.points, groups.values(), m)
@@ -291,7 +285,10 @@ def dsi_subsampled(
     Philox stream keyed by ``[seed, trial]``, then computes the exact index
     on the subset; ``seed`` must be in [0, 2**64).  Draws leaving fewer than
     2 classes or a singleton class are refused before any distance is
-    computed and redrawn (same stream) up to ``max_retries`` times.
+    computed and redrawn (same stream) up to ``max_retries`` times.  The
+    whole dataset is checked once, before the first draw: fewer than 2
+    classes, or a row on which ``metric`` is undefined or overflows, raises
+    there, naming the dataset's row.
 
     The report's ``dsi`` aggregates trials: ``per_class_similarity`` holds
     each class's statistic averaged over the trials where it appeared,
@@ -312,6 +309,9 @@ def dsi_subsampled(
         )
     m = resolve_metric(metric)
     _check_stats((stat,))
+    # the whole dataset, once, before any draw, so an error names its row
+    partition(ds)
+    _check_vectors(ds.points, m)
 
     trial_values: list[float] = []
     class_scores: dict[int, list[float]] = {}

@@ -69,7 +69,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._threads import Scratch, check_workers
-from .dataset import Dataset, partition
+from .dataset import Dataset, _pair_partition, partition
 from .distances import (
     DistanceMetric,
     _block,
@@ -120,18 +120,6 @@ class MeasureResult:
             raise ValueError(f"{self.code} value {v!r} outside [0, 1]")
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "params", dict(self.params))
-
-
-def _validate(ds: Dataset, need_class_pairs: bool = False):
-    part = partition(ds)  # raises on < 2 classes
-    if need_class_pairs:
-        for label, idx in part.groups.items():
-            if idx.size < 2:
-                raise DegenerateClass(
-                    f"class {label} has {idx.size} point(s); need at least 2",
-                    label=label,
-                )
-    return part
 
 
 def _read_only(a: NDArray) -> NDArray:
@@ -247,7 +235,7 @@ def f1(ds: Dataset) -> MeasureResult:
     all gives F1 = 1.  Points whose feature sums overflow float64 are
     refused (``DomainError``).
     """
-    part = _validate(ds)
+    part = partition(ds)
     X = _context(ds).points  # the context refuses overflowing distances
     between = np.zeros(ds.dim)
     within = np.zeros(ds.dim)
@@ -324,7 +312,7 @@ def _mst_edges(points: NDArray[np.float64]) -> NDArray[np.int64]:
 
 def n1(ds: Dataset) -> MeasureResult:
     """Fraction of points touching a class-crossing MST edge."""
-    _validate(ds)
+    partition(ds)  # refuses fewer than 2 classes
     edges = _mst_edges(_context(ds).points)
     labels = ds.labels
     touching = np.zeros(ds.n, dtype=bool)
@@ -339,7 +327,7 @@ def n2(ds: Dataset) -> MeasureResult:
     class); N2 = r / (1 + r).  Compact, well-separated classes give small
     values.
     """
-    _validate(ds, need_class_pairs=True)
+    _pair_partition(ds)
     near = _context(ds).neighbours
     intra = float(near.d_friend.sum())
     inter = float(near.d_enemy.sum())
@@ -360,7 +348,7 @@ def n3(ds: Dataset) -> MeasureResult:
     with a different-label point is always an error (the tie is
     irresolvable in feature space).
     """
-    _validate(ds)
+    partition(ds)  # refuses fewer than 2 classes
     enemy, d_enemy, friend, d_friend, _ = _context(ds).neighbours
     # the nearest neighbor is the enemy when it is closer, or equally close
     # with the lower index
@@ -378,7 +366,7 @@ def n4(ds: Dataset, n_synthetic: int | None = None, seed: int = 0) -> MeasureRes
     classes with convex regions give errors near 0.  Draws come from the
     Philox stream keyed by ``[seed, 0]``, ``seed`` in [0, 2**64).
     """
-    part = _validate(ds, need_class_pairs=True)
+    part = _pair_partition(ds)
     n_syn = ds.n if n_synthetic is None else int(n_synthetic)
     if n_syn < 1:
         raise DomainError(f"n_synthetic must be >= 1, got {n_syn}")
@@ -458,7 +446,7 @@ def t1(ds: Dataset) -> MeasureResult:
     visited in that order; one already absorbed is skipped, as whatever it
     would absorb, its own absorber absorbs too.
     """
-    _validate(ds)
+    partition(ds)  # refuses fewer than 2 classes
     ctx = _context(ds)
     near = ctx.neighbours
     r = _touching_radii(near.enemy, near.d_enemy)
@@ -495,7 +483,7 @@ def lsc(ds: Dataset) -> MeasureResult:
     x's nearest enemy, x itself included; LSC = 1 - sum |LS| / n^2.  Large
     local sets (close to the whole class) mean simple structure.
     """
-    _validate(ds)
+    partition(ds)  # refuses fewer than 2 classes
     counts = _context(ds).neighbours.local
     value = float(1.0 - counts.sum() / (ds.n**2))
     return MeasureResult(code="LSC", value=value, params={})

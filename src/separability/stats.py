@@ -18,11 +18,16 @@ block.
 * Pass 1 counts each block's values per bin and, for W1, sums each value's
   distance to its bin's upper edge and keeps the exact extremes.
   Cumulative counts give P - Q exactly at every bin end.
-* A bin is refined when |P - Q| inside it could exceed the largest bin-end
-  value (KS), or could change sign (W1).  Every other bin is settled by its
-  counts: its KS candidates are bounded by the bin ends, and its share of
-  W1 is the integral of a one-signed step function, which its counts and
-  edge sums give exactly.
+* One rule per statistic, at every sample size, picks the bins that pass 2
+  refines.  KS: a bin holding values of both samples where |P - Q| could
+  exceed the largest bin-end value, padded by ``_PAD``.  In a bin of one
+  sample's values, the float heights fl(ca / na) - fl(cb / nb) run
+  monotonically between the bin's two end heights, since correctly
+  rounded division and subtraction are monotone.  W1: a bin where P - Q
+  could change sign, tested exactly on the integers (P - Q) * na * nb.
+  Every other bin is settled by its counts: its KS candidates are bounded
+  by the bin ends, and its share of W1 is the integral of a one-signed step
+  function, which its counts and edge sums give exactly.
 * Pass 2, run only when some bin is refined, keeps the plain values in
   each pair's refined bins; pass 1's counts say how many, so each
   multiset's kept values fill one array, sorted once, and a pass 2 that
@@ -100,8 +105,9 @@ _VALUES_PER_BIN = 4
 _MIN_BINS = 1 << 4
 _MAX_BINS = 1 << 16
 
-# Slack on float comparisons of |P - Q|: each height and bound is a few
-# roundings of values in [-2, 2] off its exact value, far below 2**-48.
+# Slack on KS's comparison of a bin's bound with the best bin-end height:
+# each is a few roundings of values in [-2, 2] off its exact value, far
+# below 2**-48.
 _PAD = 2.0**-48
 
 
@@ -200,28 +206,27 @@ class _Gap:
         na, nb = self.na, self.nb = a.n, b.n
         ha, hb = a.counts, b.counts
         a_below, b_below, before, self.best = self._cumulative()
-        filled = (ha > 0) | (hb > 0)
-        # distinct heights differ by at least 1 / (na * nb); below 2**-50 that
-        # dwarfs the rounding of any height, so exact comparisons hold
-        exact = na * nb <= 2**50
         refine = np.zeros(bins.size, dtype=bool)
-        rise, fall = ha / na, hb / nb
         if "ks" in names:
-            # a bin holding only one sample's values is monotone: its heights
-            # lie strictly between its two ends, which are already counted
-            mixed = (ha > 0) & (hb > 0) if exact else filled
-            bound = np.maximum(np.abs(before + rise), np.abs(before - fall))
-            refine |= mixed & (bound + _PAD > self.best)
+            # in a bin of one sample's values, fl(c / n) and fl(x - y) are
+            # monotone, so its heights run between its two end heights, which
+            # best already holds; a mixed bin is refined if its padded bound
+            # can beat best
+            bound = np.maximum(np.abs(before + ha / na), np.abs(before - hb / nb))
+            refine |= (ha > 0) & (hb > 0) & (bound + _PAD > self.best)
         if "w1" in names or "w1_normalized" in names:
-            if exact:  # P - Q times na * nb, an integer below 2**50
-                scaled = a_below * nb - b_below * na
-                one_sign = (scaled - hb * na >= 0) | (scaled + ha * nb <= 0)
-            else:
-                one_sign = (before - fall > _PAD) | (before + rise < -_PAD)
-            refine |= filled & ~one_sign
-            # values past the last bin's nominal edge stretch it
+            # (P - Q) * na * nb, an integer no larger than na * nb: int64
+            # below 2**63, Python ints beyond; its least and greatest value
+            # in each bin come with all of b's values first, or all of a's,
+            # and an empty bin's single value never changes sign
+            kind = np.int64 if na * nb < 2**63 else object
+            ha, hb, a_below, b_below = (np.asarray(x, kind) for x in (ha, hb, a_below, b_below))
+            scaled = a_below * nb - b_below * na
+            refine |= (scaled - hb * na < 0) & (scaled + ha * nb > 0)
+            # values past the last bin's nominal edge are counted in it and
+            # stretch it
             self.top = max(a.high, b.high) * bins.scale
-            refine[-1] |= filled[-1] and self.top > bins.first + bins.size
+            refine[-1] |= self.top > bins.first + bins.size
         self.refine = refine
 
     def _cumulative(self) -> tuple:

@@ -27,6 +27,7 @@ from separability import (
     dsi_subsampled,
     fit_mahalanobis,
     generate,
+    load_cifar10_batch,
     load_csv,
     to_cifar10_bytes,
 )
@@ -139,6 +140,22 @@ class TestMeasure:
         sub = json.loads(capsys.readouterr().out)["subsample"]
         assert sub["subset_size"] == 50 and sub["trials"] == 3 and sub["seed"] == 7
         assert len(sub["values"]) == 3
+
+    def test_text_format_subsample_and_timing(self, tmp_path, capsys):
+        data = _write_shape_csv(tmp_path / "d.csv", n=60)
+        argv = ["measure", "--input", str(data), "--format", "text"]
+        assert run(argv + ["--subsample", "50", "--trials", "3", "--seed", "7"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        report = dsi_subsampled(load_csv(data), 50, trials=3, seed=7)
+        assert rows[-4:] == [
+            ["subset_size", "50"], ["trials", "3"], ["seed", "7"],
+            ["trial", "sd", repr(report.subsample.sd)],
+        ]
+        assert ["dsi", repr(report.dsi)] in rows
+        assert run(argv + ["--timing"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows[-2][0] == "complexity" and rows[-1][0] == "wall_time_s"
+        assert float(rows[-1][1]) >= 0.0
 
     def test_histogram_export(self, tmp_path):
         data = _write_shape_csv(tmp_path / "d.csv")
@@ -1030,6 +1047,17 @@ class TestRepro:
         assert lines[0] == "experiment,mean,sd,n_seeds"
         assert lines[1].startswith("uniform_1000_per_class,")
         assert lines[2].startswith("uniform_2000_per_class,")
+
+    def test_section5_2_with_data(self, tmp_path, capsys):
+        batch = _cifar_batch(tmp_path / "batch.bin")  # 6 airplanes, 6 automobiles
+        assert run(["repro", "section5_2", "--seeds", "1", "--data", str(batch)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        ds = load_cifar10_batch(batch.read_bytes())
+        air, auto = ds.points[ds.labels == 0], ds.points[ds.labels == 1]
+        assert rows[3:] == [
+            ["air1_vs_air2", repr(distribution_identity_score(air[:3], air[3:])), "", "1"],
+            ["air1_vs_auto", repr(distribution_identity_score(air[:3], auto[:3])), "", "1"],
+        ]
 
     def test_figure12_needs_data(self, capsys):
         assert run(["repro", "figure12"]) == 1

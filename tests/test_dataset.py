@@ -112,6 +112,22 @@ class TestLoadCsv:
         assert ds.label_names == ("cat", "dog")
         assert ds.points[2].tolist() == [-3.0, 400.0]
 
+    def test_sources(self, tmp_path):
+        # the text itself, its UTF-8 bytes, a path, and a file object
+        want = load_csv(CSV_TEXT)
+        path = tmp_path / "d.csv"
+        path.write_text(CSV_TEXT, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            from_file = load_csv(fh)
+        for ds in (load_csv(CSV_TEXT.encode()), load_csv(path), from_file):
+            assert np.array_equal(ds.points, want.points)
+            assert np.array_equal(ds.labels, want.labels)
+            assert ds.label_names == want.label_names
+
+    def test_invalid_utf8_bytes(self):
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            load_csv(b"x,label\n\xff,a\n")
+
     def test_adopts_the_parsed_matrix(self, monkeypatch):
         # _float_cells checks every value finite, so the dataset keeps its
         # matrix: no second validate-and-copy
@@ -302,6 +318,29 @@ class TestCifar10:
         assert peak < 1.5 * back.points.nbytes  # one float64 copy, no second one
         assert not back.points.flags.writeable
         assert np.array_equal(back.points, ds.points)
+
+    def test_sources(self, tmp_path):
+        # bytes, a path as str or Path, and a binary file object, alike
+        data = to_cifar10_bytes(_synthetic_cifar10(5))
+        path = tmp_path / "batch.bin"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            from_file = load_cifar10_batch(fh)
+        want = load_cifar10_batch(data)
+        tar = _tar_bytes({"test_batch.bin": data})
+        (tmp_path / "c.tar").write_bytes(tar)
+        loaded = [
+            load_cifar10_batch(path),
+            load_cifar10_batch(str(path)),
+            from_file,
+            load_cifar10_tar(tmp_path / "c.tar", split="test"),
+            load_cifar10_tar(io.BytesIO(tar), split="test"),
+        ]
+        for ds in loaded:
+            assert np.array_equal(ds.points, want.points)
+            assert np.array_equal(ds.labels, want.labels)
+        with pytest.raises(TypeError, match="cannot read bytes from int"):
+            load_cifar10_batch(3)
 
     def test_truncated_stream(self):
         data = to_cifar10_bytes(_synthetic_cifar10(3))

@@ -216,6 +216,44 @@ class TestPairwiseCross:
         assert exc.value.index == 3 + 2
 
 
+class TestCheckVectors:
+    """The metric check reads rows in blocks of at most ``_BLOCK_VALUES``
+    values and reports as a check of all rows at once would."""
+
+    @staticmethod
+    def _wide(metric, zero=(), huge=()):
+        """Rows of 2**14 features, four to a block, with the given rows
+        degenerate (constant, for correlation) or overflowing."""
+        points = rng(40).normal(size=(12, 1 << 14))
+        points[list(zero)] = 3.0 if metric == "correlation" else 0.0
+        points[list(huge), :2] = 1e308, -1e308
+        return points
+
+    @pytest.mark.parametrize("metric", ["cosine", "correlation"])
+    def test_degenerate_row_beats_an_earlier_overflowing_one(self, metric):
+        assert distances._BLOCK_VALUES // (1 << 14) == 4
+        points = self._wide(metric, zero=[9], huge=[1, 5])
+        with pytest.raises(DegenerateVector) as exc:
+            distances._check_vectors(points, resolve_metric(metric), offset=7)
+        assert exc.value.index == 7 + 9
+
+    @pytest.mark.parametrize("metric", ["cosine", "correlation"])
+    def test_first_overflowing_row_named_across_blocks(self, metric):
+        points = self._wide(metric, huge=[6, 9])
+        with pytest.raises(DomainError, match="overflows float64 for the vector at index 6;"):
+            distances._check_vectors(points, resolve_metric(metric))
+        with pytest.raises(DomainError, match="at index 10;"):
+            pairwise_cross(points[:4], points, metric)
+
+    @pytest.mark.parametrize("metric", ["cosine", "correlation"])
+    def test_memory_stays_within_a_block(self, metric):
+        # integer pixels, as CIFAR's: a whole-array centred copy or mask
+        # would take 23 MiB or 2.9 MiB
+        points = rng(41).integers(0, 256, size=(1000, 3072)).astype(float)
+        _, peak = traced_peak(lambda: distances._check_vectors(points, resolve_metric(metric)))
+        assert peak < 1 << 20
+
+
 def _same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -381,6 +419,19 @@ class TestDistanceSets:
         assert peak < 1.5 * dset.values.nbytes
         assert not dset.values.flags.writeable
         assert _same_bits(dset.values, kernel)
+
+    def test_valid_set_is_a_frozen_copy(self):
+        values = [[0.5, 2.0], [1.0, 0.0]]
+        source = np.array(values)
+        dset = DistanceSet(source, "bcd", label=4)
+        assert dset.values.tolist() == [0.5, 2.0, 1.0, 0.0]
+        assert dset.cardinality == 4 and dset.kind == "bcd" and dset.label == 4
+        assert not np.shares_memory(dset.values, source)
+        source[0, 0] = 9.0  # the caller's array stays its own
+        assert dset.values[0] == 0.5
+        with pytest.raises(ValueError):
+            dset.values[0] = 1.0
+        assert DistanceSet(values, "icd").values.tolist() == dset.values.tolist()
 
     def test_invalid_kind(self):
         with pytest.raises(ValueError, match="kind"):

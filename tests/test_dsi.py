@@ -692,6 +692,28 @@ class TestDsiSubsampled:
         dsi_subsampled(ds, subset_size=30, trials=2, max_points=30)  # at the cap
 
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dataset_checked_before_drawing(self, seed):
+        # every seed names the dataset's row, whichever subset would hold it
+        points = rng(42).normal(size=(400, 3))
+        points[250] = 0.0
+        ds = Dataset(points, np.arange(400) % 2)
+        with pytest.raises(DegenerateVector, match="index 250") as exc:
+            dsi(ds, metric="cosine")
+        drew = mock.Mock(side_effect=AssertionError("drew a subset"))
+        with mock.patch.object(sys.modules["separability.dsi"], "_philox", drew):
+            with pytest.raises(DegenerateVector, match="index 250") as sub:
+                dsi_subsampled(ds, 50, trials=3, seed=seed, metric="cosine")
+        assert sub.value.index == exc.value.index == 250
+
+    def test_one_class_refused_before_drawing(self):
+        ds = Dataset(rng(43).normal(size=(60, 2)), np.zeros(60, dtype=int))
+        drew = mock.Mock(side_effect=AssertionError("drew a subset"))
+        with mock.patch.object(sys.modules["separability.dsi"], "_philox", drew):
+            with pytest.raises(DegenerateDataset, match="at least 2 classes, found 1"):
+                dsi_subsampled(ds, 20)
+
+
 class TestDistributionIdentity:
     def test_identical_samples_near_zero(self):
         g = rng(20)

@@ -382,3 +382,102 @@ class TestRuns:
         assert len(gaps) == 3 and len(runs) > 30
         # one refined bin alone is larger than the budget
         assert any(((gap.a.counts + gap.b.counts)[gap.refine] > 5).any() for gap in gaps)
+
+
+class TestRefineRule:
+    """``_Gap`` refines by one rule per statistic at every sample size; these
+    gaps are synthetic pass-1 counts of multisets far too large to fill."""
+
+    @staticmethod
+    def _gap(ha, hb, names, top=None):
+        stats = sys.modules["separability.stats"]
+        bins = stats._Bins(1.0, 0, len(ha))
+        sides = []
+        for counts in (ha, hb):
+            side = stats._Counts(bins.size, True, int(np.sum(counts)))
+            side.counts[:] = counts
+            side.low, side.high = 0.0, float(bins.size if top is None else top)
+            sides.append(side)
+        return stats._Gap(*sides, bins, names)
+
+    @staticmethod
+    def _counts(g, n, weights):
+        """n values spread over the bins by ``weights``: a multinomial draw."""
+        return g.multinomial(n, weights / weights.sum())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ks_single_sample_bins_stay_within_their_ends(self, seed):
+        g, size = rng(seed), 96
+        kind = g.integers(0, 3, size=size)  # 0: a only, 1: b only, 2: both
+        # mixed bins lean to a below the middle and to b above it, so P - Q
+        # peaks at the end of the middle bin, which holds a alone
+        kind[size // 2 - 1 : size // 2 + 1] = 0, 1
+        small = g.integers(1, 20_000, size=size)
+        ha = np.where(kind == 0, small, 0)
+        hb = np.where(kind == 1, small, 0)
+        mixed, lean = kind == 2, np.arange(size) < size // 2
+        wa, wb = (np.where(lean ^ flip, 2.0, 1.0) + g.random(size) for flip in (False, True))
+        ha[mixed] += self._counts(g, (1 << 26) + 3 - ha.sum(), wa[mixed])
+        hb[mixed] += self._counts(g, (1 << 25) + 5 - hb.sum(), wb[mixed])
+        gap = self._gap(ha, hb, ("ks",))
+        na, nb = gap.na, gap.nb
+        assert na * nb > 2**50
+        single = np.flatnonzero((ha > 0) != (hb > 0))
+        assert not gap.refine[single].any()
+        a_below, b_below = np.cumsum(ha) - ha, np.cumsum(hb) - hb
+        reachable = 0
+        for i in single:
+            # the heights at each count of the bin's values, with the float
+            # operations of the merge's heights
+            steps = np.arange(ha[i] + hb[i] + 1)
+            count_a = a_below[i] + (steps if ha[i] else 0)
+            count_b = b_below[i] + (steps if hb[i] else 0)
+            heights = np.abs(count_a / na - count_b / nb)
+            assert heights.max() <= max(heights[0], heights[-1])
+            assert heights[-1] <= gap.best
+            reachable += heights[-1] + 2.0**-48 > gap.best
+        assert reachable  # a padded float rule would have refined one
+
+    @staticmethod
+    def _w1_oracle(ha, hb, stretched):
+        """The bins where P - Q can change sign, in Python ints, and the last
+        bin if values past its nominal edge stretch it."""
+        na, nb = int(sum(ha)), int(sum(hb))
+        below_a = below_b = 0
+        refine = []
+        for x, y in zip(ha.tolist(), hb.tolist()):
+            lowest = below_a * nb - (below_b + y) * na
+            highest = (below_a + x) * nb - below_b * na
+            refine.append(lowest < 0 < highest)
+            below_a, below_b = below_a + x, below_b + y
+        refine[-1] |= stretched
+        return np.array(refine)
+
+    @pytest.mark.parametrize(
+        "na, nb",
+        [
+            ((1 << 26) + 3, (1 << 25) + 5),  # int64 holds (P - Q) * na * nb
+            (3_037_000_500, 3_037_000_500),  # na * nb just past 2**63
+            ((1 << 40) + 7, (1 << 33) + 1),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_w1_refines_where_the_sign_can_change(self, na, nb, seed):
+        g, size = rng(seed), 128
+        # heavy-tailed weights, some bins empty on either side: P - Q wanders
+        # off zero, where small bins keep one sign, and back
+        wa, wb = (g.pareto(0.8, size) * (g.random(size) < 0.7) for _ in range(2))
+        ha, hb = self._counts(g, na, wa), self._counts(g, nb, wb)
+        if na == nb:  # equal counts up to a bin of a alone: P - Q touches 0
+            ha[:8] = hb[:8] = 1000
+            ha[8], hb[8] = 5, 0
+            ha[9:] = self._counts(g, na - ha[:9].sum(), wa[9:] + 1)
+            hb[9:] = self._counts(g, nb - hb[:9].sum(), wb[9:] + 1)
+        for top, stretched in ((size, False), (size + 0.5, True)):
+            gap = self._gap(ha, hb, ("w1",), top)
+            assert (gap.na, gap.nb) == (na, nb)
+            oracle = self._w1_oracle(ha, hb, stretched)
+            assert np.array_equal(gap.refine, oracle)
+            assert 0 < oracle.sum() < size
+        if na == nb:
+            assert not oracle[8]
