@@ -16,6 +16,13 @@ override config values, which override built-in defaults.
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # python -m separability.cli: hand over before numpy loads
+    import sys
+
+    from .__main__ import main
+
+    sys.exit(main())
+
 import argparse
 import csv
 import difflib
@@ -709,11 +716,3 @@ def run(argv=None) -> int:
     except (SeparabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main() -> int:
-    return run()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

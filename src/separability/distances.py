@@ -286,17 +286,20 @@ def _check_vectors(points: NDArray[np.float64], metric: DistanceMetric, offset: 
     step = max(1, _BLOCK_VALUES // points.shape[1])
     for r0 in range(0, points.shape[0], step):
         rows = points[r0 : r0 + step]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if metric.name == "correlation":
-                rows = rows - rows.mean(axis=1, keepdims=True)
-            squares = np.einsum("ij,ij->i", rows, rows)
-        bad = np.flatnonzero(~np.any(rows != 0.0, axis=1))
+        # constancy is read before centring: the mean of a constant row can
+        # round ([0.1] * 3), which leaves every centred entry nonzero
+        degenerate = rows[:, :1] if metric.name == "correlation" else 0.0
+        bad = np.flatnonzero(np.all(rows == degenerate, axis=1))
         if bad.size:
             idx = int(bad[0]) + r0 + offset
             what = "constant" if metric.name == "correlation" else "zero"
             raise DegenerateVector(
                 f"{metric.name} distance undefined for {what} vector at index {idx}", index=idx
             )
+        with np.errstate(over="ignore", invalid="ignore"):
+            if metric.name == "correlation":
+                rows = rows - rows.mean(axis=1, keepdims=True)
+            squares = np.einsum("ij,ij->i", rows, rows)
         bad = np.flatnonzero(~np.isfinite(squares))
         if overflows is None and bad.size:
             overflows = int(bad[0]) + r0 + offset

@@ -1140,6 +1140,72 @@ def test_module_invocation(tmp_path):
     assert json.loads(proc.stdout)["schema_version"] == 1
 
 
+def test_module_invocations_print_one_version(tmp_path):
+    modules = ("separability", "separability.cli")
+    out = [_run_child(["-m", module, "--version"], tmp_path).stdout for module in modules]
+    assert out[0] == out[1] == f"separability {separability.__version__}\n"
+
+
+_ENTRY_POINT = """
+import os, sys
+if sys.argv[1]:
+    os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[1]
+else:
+    os.environ.pop("OPENBLAS_NUM_THREADS", None)
+seen = []  # the variable when numpy loads
+sys.addaudithook(
+    lambda event, args: event == "import" and args[0] == "numpy"
+    and seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+)
+from separability.__main__ import main
+sys.argv[1:] = ["--version"]
+try:
+    main()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(os.environ["OPENBLAS_NUM_THREADS"], seen)
+"""
+
+
+@pytest.mark.parametrize("user_value, want", [("", "1"), ("3", "3")], ids=["unset", "set"])
+def test_entry_point_sets_blas_threads_before_numpy(tmp_path, user_value, want):
+    # the console script's target, run without the script on PATH
+    proc = _run_child(["-c", _ENTRY_POINT, user_value], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    version = f"separability {separability.__version__}"
+    assert proc.stdout.splitlines() == [version, f"{want} ['{want}']"]
+
+
+_IMPORT_ORDER = """
+import os, sys
+environ = dict(os.environ)
+{first}
+import separability
+print("numpy" in sys.modules)
+assert separability.dsi is sys.modules["separability.dsi"].dsi
+namespace = {{}}
+exec("from separability import *", namespace)
+assert sorted(namespace.keys() - {{"__builtins__"}}) == sorted(separability.__all__)
+assert namespace["dsi"] is separability.dsi is sys.modules["separability.dsi"].dsi
+assert dict(os.environ) == environ
+"""
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import separability",
+        "import separability.cli",
+        "import separability.dsi",
+        "from separability.dsi import _dsi_reports",
+    ],
+)
+def test_package_loads_its_modules_on_first_use(tmp_path, first):
+    proc = _run_child(["-c", _IMPORT_ORDER.format(first=first)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(first != "import separability")  # numpy loaded
+
+
 _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 

@@ -86,8 +86,11 @@ class TestDistance:
         assert exc.value.index == 0
 
     def test_correlation_constant_vector_rejected(self):
-        with pytest.raises(DegenerateVector):
-            distance([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], "correlation")
+        # the mean of [0.1] * 3 rounds, so centring leaves -1.4e-17 in every entry
+        for value in (1.0, 0.1):
+            with pytest.raises(DegenerateVector) as exc:
+                distance([value] * 3, [1.0, 2.0, 3.0], "correlation")
+            assert exc.value.index == 0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -178,6 +181,11 @@ class TestPairwiseCondensed:
         with pytest.raises(DegenerateVector) as exc:
             pairwise_condensed(pts, "cosine")
         assert exc.value.index == 4
+
+    def test_correlation_constant_row_whose_mean_rounds(self):
+        with pytest.raises(DegenerateVector, match="constant vector at index 0") as exc:
+            pairwise_condensed([[0.1] * 3, [1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], "correlation")
+        assert exc.value.index == 0
 
     @pytest.mark.parametrize("metric", ["cosine", "correlation"])
     def test_overflowing_norm_rejected(self, metric):

@@ -207,12 +207,17 @@ class TestClassDistanceSets:
         stored = 8 * (2 * (2500 * 2499 // 2) + 2500 * 2500)
         assert peak < stored + 2 * 8 * 128 * 2500
 
-    @pytest.mark.parametrize("metric", ["cosine", "correlation"])
-    def test_degenerate_vector_names_the_dataset_row(self, metric):
+    @pytest.mark.parametrize(
+        "metric, value",
+        [("cosine", 0.0), ("correlation", 1.5), ("correlation", 0.1)],
+        ids=["cosine", "correlation", "correlation-mean-rounds"],
+    )
+    def test_degenerate_vector_names_the_dataset_row(self, metric, value):
         # row 5 is the third row of class 1 and the third of the rest of
-        # class 0: only a check over the whole dataset names row 5
+        # class 0: only a check over the whole dataset names row 5; the
+        # mean of a constant 0.1 row rounds, so centring leaves it nonzero
         points = rng(24).normal(size=(10, 3))
-        points[5] = 0.0 if metric == "cosine" else 1.5
+        points[5] = value
         ds = Dataset(points, np.arange(10) % 2)
         with pytest.raises(DegenerateVector) as exc:
             dsi(ds, metric=metric)
