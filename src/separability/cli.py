@@ -93,7 +93,7 @@ def _load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -19,8 +19,11 @@ in ``label_names``.
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import tarfile
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DegenerateClass, DegenerateDataset, FormatError, ParseError
+from .errors import DegenerateClass, DegenerateDataset, FormatError, ParseError, SeparabilityError
 
 __all__ = [
     "Dataset",
@@ -216,61 +219,142 @@ def _read_binary(source) -> bytes:
     raise TypeError(f"cannot read bytes from {type(source).__name__}")
 
 
-def _read_text(source) -> str:
-    """str -> literal content; bytes -> utf-8 decode; PathLike -> file path."""
-    if isinstance(source, str):
-        return source
-    if isinstance(source, os.PathLike):
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        try:
-            return bytes(source).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8 text: {exc}") from None
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    raise TypeError(f"cannot read text from {type(source).__name__}")
+# A chunk holds at most _CHUNK_CELLS cells (label cells included; one row if
+# a row alone is wider), so the Python strings of the rows being converted
+# stay small beside the float matrix: about 0.1 MiB at this size.
+_CHUNK_CELLS = 1 << 10
+# bytes (or characters, from a text file object) read from a source at a time
+_READ_SIZE = 1 << 14
 
 
-def _parse_rows(text: str, delimiter: str) -> list[list[str]]:
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ParseError(f"delimiter must be one character, got {delimiter!r}")
-    try:
-        return [row for row in csv.reader(io.StringIO(text), delimiter=delimiter) if row]
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}") from None
+@contextlib.contextmanager
+def _csv_rows(source, delimiter: str, name: str = "input"):
+    """The non-empty rows of delimited text, read as they are needed.
 
-
-def _float_cells(rows: list[list[str]], ncol: int, columns) -> NDArray[np.float64]:
-    """The cells of ``columns`` in every row, as a (rows, columns) float matrix.
-
-    Every row must have ``ncol`` cells and every selected cell must parse as
-    a finite float; the first row or cell that does not raises
-    ``ParseError`` with its 0-based data-row index (and column index).
-    Rows are converted whole until one is short or fails to parse; the first
-    non-finite row before it, else that row, is the first faulty one, and
-    only it is read cell by cell.  ``float`` ignores the whitespace that the
-    cell reader strips, so both give the same values.
+    A ``str`` is the text itself and a text file object is read as it is;
+    bytes, a path and a binary file object are decoded as strict UTF-8.
+    Faults rank as if the text were read whole first: an undecodable byte
+    anywhere, then the first malformed row, then a fault the caller raises,
+    so on a caller's fault the rest of the input is read.
     """
-    points = np.empty((len(rows), len(columns)), dtype=np.float64)
-    bad = 0  # ends as the index of the row that stopped the loop, else len(rows)
+    if isinstance(source, os.PathLike):
+        with open(source, "rb") as fh, _csv_rows(fh, delimiter, os.fspath(source)) as rows:
+            yield rows
+        return
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    elif isinstance(source, (bytes, bytearray, memoryview)):
+        source = io.BytesIO(source)
+    elif not hasattr(source, "read"):
+        raise TypeError(f"cannot read text from {type(source).__name__}")
+    rows = _rows(_lines(source, name), delimiter)
     try:
-        for bad, row in enumerate(rows):
-            if len(row) != ncol:
-                break
-            points[bad] = [float(row[c]) for c in columns]
-        else:
-            bad = len(rows)
-    except ValueError:
+        yield rows
+    except SeparabilityError:
+        for _ in rows:
+            pass
+        raise
+
+
+def _rows(lines, delimiter: str):
+    """The non-empty rows of ``lines``.  A bad delimiter or a malformed row
+    raises ``ParseError`` once the rest of ``lines`` is read, so that an
+    undecodable byte after it is raised instead."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        fault = ParseError(f"delimiter must be one character, got {delimiter!r}")
+    else:
+        try:
+            for row in csv.reader(lines, delimiter=delimiter):
+                if row:
+                    yield row
+            return
+        except csv.Error as exc:
+            fault = ParseError(f"malformed CSV: {exc}")
+    for _ in lines:
         pass
-    finite = np.isfinite(points[:bad]).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-    if bad < len(rows):
-        _raise_row_fault(rows[bad], bad, ncol, columns)
-    return points
+    raise fault
+
+
+def _lines(stream, name: str):
+    """The lines of ``stream``, split as a file opened with ``newline=""``
+    splits them, read ``_READ_SIZE`` at a time.
+
+    An undecodable byte raises ``ParseError`` with its position counted
+    from the start of the stream.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    tail, offset = "", 0
+    while True:
+        block = stream.read(_READ_SIZE)
+        if isinstance(block, str):
+            text = block
+        else:
+            try:
+                text = decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                raise _utf8_fault(exc, offset - len(decoder.buffer), name) from None
+            offset += len(block)
+        lines = io.StringIO(tail + text, newline="").readlines()
+        # a last line without "\n" may go on in the next block ("\r" too,
+        # which may be half of "\r\n")
+        tail = lines.pop() if block and lines and lines[-1][-1] != "\n" else ""
+        yield from lines
+        if not block:
+            return
+
+
+def _utf8_fault(exc: UnicodeDecodeError, base: int, name: str) -> ParseError:
+    """``exc``, raised on bytes that start at offset ``base`` of the stream,
+    with its positions counted from the start of the stream."""
+    start, end = base + exc.start, base + exc.end
+    where = (
+        f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+        if end == start + 1
+        else f"bytes in position {start}-{end - 1}"
+    )
+    return ParseError(
+        f"{name} is not valid UTF-8 text: 'utf-8' codec can't decode {where}: {exc.reason}"
+    )
+
+
+def _float_rows(rows, ncol: int, label: int | None = None):
+    """The cells of every data row but its ``label`` column, as a
+    (rows, columns) float matrix, and each row's label code with the label
+    tokens in order of first appearance (none if ``label`` is None).
+
+    Every row must have ``ncol`` cells and every feature cell must parse as
+    a finite float; the first row or cell that does not, in row-major
+    order, raises ``ParseError`` with its 0-based data-row index (and
+    column index).  Rows are converted in chunks of ``_CHUNK_CELLS`` cells
+    and appended to one bytearray, which grows in place and which the
+    matrix then views; a chunk with a fault is read again row by row to
+    find it.  ``float`` ignores the whitespace that the cell reader strips,
+    so both give the same values.
+    """
+    columns = [c for c in range(ncol) if c != label]
+    step = max(1, _CHUNK_CELLS // ncol)
+    values, codes, seen, done = bytearray(), [], {}, 0
+    while True:
+        chunk, cells = list(itertools.islice(rows, step)), []
+        try:
+            for row in chunk:
+                if len(row) != ncol:
+                    raise ValueError
+                cells += row
+                if label is not None:
+                    codes.append(seen.setdefault(cells.pop(label - ncol).strip(), len(seen)))
+            block = np.fromiter(map(float, cells), np.float64, len(cells))
+            if not np.isfinite(block).all():
+                raise ValueError
+        except ValueError:
+            for r, row in enumerate(chunk, done):
+                _raise_row_fault(row, r, ncol, columns)
+        values += block.data
+        done += len(chunk)
+        if len(chunk) < step:
+            break
+    points = np.frombuffer(values, dtype=np.float64).reshape(-1, len(columns))
+    return points, np.array(codes, dtype=np.int64), tuple(seen)
 
 
 def _raise_row_fault(row: list[str], r: int, ncol: int, columns) -> None:
@@ -297,68 +381,72 @@ def load_csv(
 ) -> Dataset:
     """Parse delimited text into a Dataset.
 
-    A ``str`` ``source`` is the text itself; pass a file as a ``Path``.
-    ``label_column`` selects the class column by header name or by index
-    (negative indices count from the right; default: last column).  A
-    ``str`` that names a header column selects that column; one that names
-    none but reads as an integer (``"1"``, ``"-2"``) is an index.  With
-    ``header=False`` the first row is data and the label column must be an
-    index.  Feature cells must parse as finite floats; violations raise
-    ``ParseError`` carrying the 0-based data-row index.
+    A ``str`` ``source`` is the text itself; pass a file as a ``Path``, or
+    pass bytes or a file object.  Bytes, a path and a binary file are
+    decoded as strict UTF-8.  File sources are read incrementally: rows are
+    converted in small chunks as they are read, so a load holds the float
+    matrix and one chunk of rows, not the whole text.  ``label_column``
+    selects the class column by header name or by index (negative indices
+    count from the right; default: last column).  A ``str`` that names a
+    header column selects that column; one that names none but reads as an
+    integer (``"1"``, ``"-2"``) is an index.  With ``header=False`` the
+    first row is data and the label column must be an index.  Feature cells
+    must parse as finite floats; violations raise ``ParseError`` carrying
+    the 0-based data-row index, for the first fault in row-major order.
     """
-    rows = _parse_rows(_read_text(source), delimiter)
-    if not rows:
-        raise ParseError("no rows found")
+    with _csv_rows(source, delimiter) as rows:
+        first = next(rows, None)
+        if first is None:
+            raise ParseError("no rows found")
+        head = first if header else None
+        ncol = len(first)
+        if head is not None and label_column in head:
+            label_idx = head.index(label_column)
+        else:
+            try:
+                label_idx = int(label_column)
+            except ValueError:
+                if head is None:
+                    raise ParseError("label column by name requires a header row") from None
+                raise ParseError(f"label column {label_column!r} not in header {head}") from None
 
-    head = rows.pop(0) if header else None
-    ncol = len(head if header else rows[0])
-    if head is not None and label_column in head:
-        label_idx = head.index(label_column)
-    else:
-        try:
-            label_idx = int(label_column)
-        except ValueError:
-            if head is None:
-                raise ParseError("label column by name requires a header row") from None
-            raise ParseError(f"label column {label_column!r} not in header {head}") from None
+        if label_idx < 0:
+            label_idx += ncol
+        if not 0 <= label_idx < ncol:
+            raise ParseError(f"label column index {label_column} out of range for {ncol} columns")
+        if ncol < 2:
+            raise ParseError("need at least one feature column besides the label")
+        if header:
+            first = next(rows, None)
+            if first is None:
+                raise DegenerateDataset("no data rows; separability needs at least 2 classes")
+        points, labels, names = _float_rows(itertools.chain([first], rows), ncol, label_idx)
 
-    if label_idx < 0:
-        label_idx += ncol
-    if not 0 <= label_idx < ncol:
-        raise ParseError(f"label column index {label_column} out of range for {ncol} columns")
-    if ncol < 2:
-        raise ParseError("need at least one feature column besides the label")
-    if not rows:
-        raise DegenerateDataset("no data rows; separability needs at least 2 classes")
-
-    points = _float_cells(rows, ncol, [c for c in range(ncol) if c != label_idx])
-    tokens = [row[label_idx].strip() for row in rows]
-
-    seen: dict[str, int] = {}
-    labels = np.empty(len(tokens), dtype=np.int64)
-    for r, tok in enumerate(tokens):
-        labels[r] = seen.setdefault(tok, len(seen))
-    if len(seen) < 2:
+    if len(names) < 2:
         raise DegenerateDataset(
-            f"separability needs at least 2 classes, found {len(seen)}"
+            f"separability needs at least 2 classes, found {len(names)}"
         )
-    # both arrays are fresh, and _float_cells checked every value finite
-    return Dataset._adopt(points, labels, tuple(seen))
+    # both arrays are fresh, and _float_rows checked every value finite
+    return Dataset._adopt(points, labels, names)
 
 
 def load_points_csv(
     source, delimiter: str = ",", header: bool = True
 ) -> NDArray[np.float64]:
-    """Parse delimited text where every column is a float feature."""
-    rows = _parse_rows(_read_text(source), delimiter)
-    if not rows:
-        raise ParseError("no rows found")
-    if header:
-        rows = rows[1:]
-    if not rows:
-        raise ParseError("no data rows found")
-    ncol = len(rows[0])
-    return _float_cells(rows, ncol, range(ncol))
+    """Parse delimited text where every column is a float feature.
+
+    Sources are read as by ``load_csv``: file sources incrementally, so a
+    load holds the float matrix and one chunk of rows, not the whole text.
+    """
+    with _csv_rows(source, delimiter) as rows:
+        first = next(rows, None)
+        if first is None:
+            raise ParseError("no rows found")
+        if header:
+            first = next(rows, None)
+        if first is None:
+            raise ParseError("no data rows found")
+        return _float_rows(itertools.chain([first], rows), len(first))[0]
 
 
 def _load_cifar_records(

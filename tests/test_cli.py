@@ -503,6 +503,31 @@ class TestUserErrors:
         assert "Traceback" not in err
         assert not paths["hist"].exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--input", "{bad}"],
+            ["compare", "--input", "{bad}"],
+            ["identity", "--a", "{bad}", "--b", "{a}"],
+            ["identity", "--a", "{a}", "--b", "{bad}"],
+            ["measure", "--input", "{data}", "--config", "{bad}"],
+        ],
+        ids=["measure-input", "compare-input", "identity-a", "identity-b", "config"],
+    )
+    def test_non_utf8_file_exits_1_naming_it(self, tmp_path, capsys, argv):
+        paths = {
+            "data": _write_shape_csv(tmp_path / "d.csv", n=20),
+            "a": _points_csv(tmp_path / "a.csv", rng(6).random((10, 2))),
+            "bad": tmp_path / "bad.csv",
+        }
+        # numeric rows, so the undecodable byte is the first fault for every flag
+        paths["bad"].write_bytes(b"x,y\n1,2\n3,\xff\n")
+        assert run([token.format(**paths) for token in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(paths["bad"]) in err
+        assert "UTF-8" in err or "utf-8" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", [0, -5])
     @pytest.mark.parametrize("command", ["measure", "identity"])
     def test_max_points_below_1(self, tmp_path, capsys, command, value):

@@ -1,5 +1,6 @@
 """Dataset container, CSV parsing, and CIFAR binary parsing."""
 
+import functools
 import io
 import sys
 import tarfile
@@ -128,19 +129,77 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="not valid UTF-8"):
             load_csv(b"x,label\n\xff,a\n")
 
+    @pytest.mark.parametrize(
+        "where, bad",
+        [(0, b"\xff"), (-1, b"\xe2\x82,"), (1, b"\xe2\x82\xff"), (None, b"\xe2\x82")],
+        ids=["start-byte", "straddles-block", "after-block", "cut-at-end"],
+    )
+    def test_undecodable_byte_position_counts_from_the_start(self, tmp_path, where, bad):
+        # the message is the one decoding the whole input raises, with the
+        # position in the input, however the input is read
+        size = sys.modules["separability.dataset"]._READ_SIZE
+        body = b"x,label\n" + b"1,a\n2,b\n" * size
+        at = len(body) if where is None else size + where
+        data = body[:at] + bad + (b"" if where is None else body[at:])
+        with pytest.raises(UnicodeDecodeError) as want:
+            data.decode("utf-8")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        for source, name in ((data, "input"), (io.BytesIO(data), "input"), (path, str(path))):
+            with pytest.raises(ParseError) as exc:
+                load_csv(source)
+            assert str(exc.value) == f"{name} is not valid UTF-8 text: {want.value}"
+
+    @pytest.mark.parametrize("line", ["1,inf,b\n", "1e"], ids=["whole-line", "cut-line"])
+    def test_undecodable_byte_outranks_earlier_rows(self, line):
+        # as when the input was decoded whole before any row was read
+        data = ("x,y,label\n1,2,a\n" + line).encode() + b"\xff,3,b\n2,3,a\n"
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            load_csv(data)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 1 << 14])
+    def test_lines_split_across_read_blocks(self, monkeypatch, size):
+        # CRLF, bare CR and LF line ends, and quoted and multibyte labels,
+        # cut at every block boundary, give the rows that one read gives
+        monkeypatch.setattr(sys.modules["separability.dataset"], "_READ_SIZE", size)
+        text = 'x,y,label\r\n1,2,"\u00fc,1"\r3,4,\u732b\n\n5,6,"a\r\nb"\r\n7,8,\u732b'
+        for source in (text, text.encode(), io.StringIO(text), io.BytesIO(text.encode())):
+            ds = load_csv(source)
+            assert ds.points.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+            assert ds.labels.tolist() == [0, 1, 2, 1]
+            assert ds.label_names == ("\u00fc,1", "\u732b", "a\r\nb")
+
+    def test_load_holds_the_matrix_not_the_text(self, tmp_path):
+        # a path is read a block at a time and converted a chunk at a time,
+        # so the peak is the matrix and its buffer's slack, not the text
+        pixels = rng(31).integers(0, 256, size=(300, 3072))
+        lines = [",".join(map(str, row)) for row in pixels.tolist()]
+        path = tmp_path / "pixels.csv"
+        path.write_text(
+            "\n".join(f"{line},{r % 10}" for r, line in enumerate(lines)) + "\n", encoding="utf-8"
+        )
+        ds, peak = traced_peak(lambda: load_csv(path, header=False))
+        assert np.array_equal(ds.points, pixels)
+        assert peak <= 3 * ds.points.nbytes
+        points_path = tmp_path / "points.csv"
+        points_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        points, peak = traced_peak(lambda: load_points_csv(points_path, header=False))
+        assert np.array_equal(points, pixels)
+        assert peak <= 3 * points.nbytes
+
     def test_adopts_the_parsed_matrix(self, monkeypatch):
-        # _float_cells checks every value finite, so the dataset keeps its
+        # _float_rows checks every value finite, so the dataset keeps its
         # matrix: no second validate-and-copy
         dataset = sys.modules["separability.dataset"]
-        built, float_cells = [], dataset._float_cells
+        built, float_rows = [], dataset._float_rows
 
         def spy(*args):
-            built.append(float_cells(*args))
+            built.append(float_rows(*args))
             return built[-1]
 
-        monkeypatch.setattr(dataset, "_float_cells", spy)
+        monkeypatch.setattr(dataset, "_float_rows", spy)
         ds = load_csv(CSV_TEXT)
-        assert ds.points is built[0]
+        assert ds.points is built[0][0] and ds.labels is built[0][1]
         assert not ds.points.flags.writeable and not ds.labels.flags.writeable
         assert ds.labels.dtype == np.int64
 
@@ -207,6 +266,40 @@ class TestLoadCsv:
         head = [f"x{c}" for c in range(len(rows[0]) - 1)] + ["label"]
         return "\n".join(",".join(row) for row in [head, *rows]) + "\n"
 
+    @classmethod
+    def _loads(cls, rows, tmp_path):
+        """``(case, load)`` for ``rows`` from every source kind (the text,
+        its bytes, a path, a text and a binary file object), through
+        ``load_csv`` and, label column dropped, ``load_points_csv``; each
+        ``load()`` returns the points."""
+        path = tmp_path / "wide.csv"
+        for loader, data in ((load_csv, rows), (load_points_csv, [row[:-1] for row in rows])):
+            text = cls._text(data)
+            path.write_text(text, encoding="utf-8")
+            with open(path, encoding="utf-8") as text_file, open(path, "rb") as binary_file:
+                sources = {
+                    "str": text,
+                    "bytes": text.encode(),
+                    "path": path,
+                    "text file": text_file,
+                    "binary file": binary_file,
+                }
+                for kind, source in sources.items():
+                    yield f"{loader.__name__}, {kind}", functools.partial(cls._points, loader, source)
+
+    @staticmethod
+    def _points(loader, source):
+        loaded = loader(source)
+        return loaded.points if isinstance(loaded, Dataset) else loaded
+
+    @staticmethod
+    def _parse_error(case, load) -> ParseError:
+        try:
+            load()
+        except ParseError as exc:
+            return exc
+        pytest.fail(f"{case}: no ParseError")
+
     @pytest.mark.parametrize(
         "edit, message, col",
         [
@@ -216,33 +309,69 @@ class TestLoadCsv:
         ],
         ids=["bad", "inf", "short"],
     )
-    def test_wide_file_reports_first_bad_cell(self, edit, message, col):
+    def test_wide_file_reports_first_bad_cell(self, tmp_path, edit, message, col):
         rows = self._wide_rows()
         edit(rows[21])
         rows[30][5] = "nan"  # a later error must not be the one reported
-        with pytest.raises(ParseError, match=message) as exc:
-            load_csv(self._text(rows))
-        assert (exc.value.row, exc.value.col) == (21, col)
+        for case, load in self._loads(rows, tmp_path):
+            exc = self._parse_error(case, load)
+            assert message in str(exc), case
+            assert (exc.row, exc.col) == (21, col), case
 
     @pytest.mark.parametrize(
         "edit",
         [lambda row: row.__setitem__(37, "oops"), lambda row: row.pop(37)],
         ids=["bad", "short"],
     )
-    def test_wide_file_reports_earlier_non_finite_row(self, edit):
+    def test_wide_file_reports_earlier_non_finite_row(self, tmp_path, edit):
         rows = self._wide_rows()
         rows[10][5] = "nan"  # converts, so the fault of row 21 is found first
         edit(rows[21])
-        with pytest.raises(ParseError, match="not finite") as exc:
-            load_csv(self._text(rows))
-        assert (exc.value.row, exc.value.col) == (10, 5)
+        for case, load in self._loads(rows, tmp_path):
+            exc = self._parse_error(case, load)
+            assert "not finite" in str(exc), case
+            assert (exc.row, exc.col) == (10, 5), case
 
-    def test_wide_file_values_match_cells(self):
+    def test_wide_file_values_match_cells(self, tmp_path):
         rows = self._wide_rows()
         rows[3][7] = " 12.5 "  # whitespace around a number is ignored
-        ds = load_csv(self._text(rows))
         want = [[float(cell.strip()) for cell in row[:-1]] for row in rows]
-        assert ds.points.tolist() == want
+        for case, load in self._loads(rows, tmp_path):
+            assert load().tolist() == want, case
+
+    def test_non_finite_row_outranks_a_short_row_in_a_later_chunk(self, tmp_path):
+        rows = self._wide_rows(n_rows=120)
+        step = sys.modules["separability.dataset"]._CHUNK_CELLS // len(rows[0])
+        assert 1 < step < 100  # row 1 is in the first chunk, row 100 in a later one
+        rows[1][5] = "inf"
+        rows[100] = ["1", "2", "3"]
+        for case, load in self._loads(rows, tmp_path):
+            exc = self._parse_error(case, load)
+            assert "not finite" in str(exc), case
+            assert (exc.row, exc.col) == (1, 5), case
+        del rows[1]  # then the short row is the first fault
+        for case, load in self._loads(rows, tmp_path):
+            assert self._parse_error(case, load).row == 99, case
+
+    @pytest.mark.parametrize("fault", ["malformed", "undecodable"])
+    def test_input_fault_outranks_earlier_row_faults(self, tmp_path, fault):
+        # as when the text was read whole before any row was converted: a
+        # malformed row or an undecodable byte, however far into the input
+        rows = self._wide_rows(n_rows=2000)
+        rows[1][5] = "inf"
+        rows[2].pop()
+        if fault == "malformed":  # a cell past the csv module's 128 KiB field limit
+            rows[1900][0] = "1" * 200_000
+        data = self._text(rows).encode()
+        if fault == "undecodable":
+            data += b"\xff\n"
+        path = tmp_path / "wide.csv"
+        path.write_bytes(data)
+        want = "malformed CSV" if fault == "malformed" else "not valid UTF-8"
+        for loader in (load_csv, load_points_csv):
+            for source in (data, io.BytesIO(data), path):
+                with pytest.raises(ParseError, match=want):
+                    loader(source)
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="no rows"):
